@@ -1,19 +1,29 @@
 // Command scotty runs an ad-hoc windowed aggregation over a CSV stream of
-// (timestamp-ms, value) pairs from stdin — or over a generated demo stream —
-// using the general stream slicing operator. It demonstrates the operator as
-// a standalone tool:
+// "timestamp-ms,value[,key]" lines from stdin — or over a generated demo
+// stream — using the general stream slicing operator. It demonstrates the
+// operator as a standalone tool:
 //
 //	scotty -window tumbling -length 5000 -agg sum < events.csv
 //	scotty -window session -gap 1000 -agg mean -demo 100000
 //	scotty -window sliding -length 10000 -slide 2000 -agg p90 -ooo 0.2
 //	scotty -window sliding -length 10000 -slide 2000 -store daba -demo 100000
 //	scotty -windows sliding:10000:2000,sliding:20000:2000,tumbling:5000 -demo 100000
+//	scotty -keyed -window tumbling -length 5000 -mem-budget 1048576 < keyed.csv
+//
+// Every run is the same pipeline over stream.Tuple: one source (the CSV feed
+// or the demo generator, behind the optional -backpressure ingest edge), one
+// operator, one row sink (optionally guarded by -breaker). The flags only
+// choose which operator sits in the middle: a bare slicing core, a -windows
+// fleet, or — with -keyed — one core per key (keyed.go). Key partitioning is
+// the boundary the stream is split on (paper §5.3), nothing more: the key
+// column is parsed in every mode and ignored unless -keyed is set, and an
+// unkeyed run prints exactly what a one-key keyed run prints minus the key.
 //
 // -windows runs a fleet of concurrent window queries over one stream through
 // the sharing layer (docs/SHARING.md): exact duplicates are deduplicated and
 // correlated periodic time windows are rewritten onto cost-chosen factor
 // windows, so the members share physical slicing work. Fleet result rows are
-// prefixed with their logical query id (q0, q1, ...).
+// prefixed with their logical query id (q0, q1, ...), keyed rows with k<key>.
 //
 // Input events may arrive out of order; results are emitted on periodic
 // watermarks, late events produce update rows. Epoch-millisecond timestamps
@@ -62,6 +72,13 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
+// The one element type of the CLI: every source produces tuples (the key is 0
+// when the input carries none) and every operator consumes them.
+type (
+	event = stream.Event[stream.Tuple]
+	item  = stream.Item[stream.Tuple]
+)
+
 // run is the testable command body: flags in, exit code out. Canceling ctx
 // (a signal in production, a test hook here) stops the feed and triggers the
 // drain-and-checkpoint shutdown path.
@@ -85,7 +102,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		keyed    = fs.Bool("keyed", false, "window each key's sub-stream independently (demo streams use the generator's key; CSV lines may carry one as 'ts,value,key'); rows are prefixed k<key>")
 		budget   = fs.Int64("mem-budget", 0, "resident-bytes budget for keyed state; over budget, cold keys spill to -spill-dir (requires -keyed; 0 = unbounded)")
 		spillDir = fs.String("spill-dir", "", "scratch directory for spilled key state (requires -mem-budget; default: a per-process dir under the system temp dir, removed on exit)")
-		bpName   = fs.String("backpressure", "block", "ingest overload policy: block | drop-oldest | drop-newest | shed; non-block decouples input from processing through a bounded queue and sheds events under overload, counted in scotty_events_dropped_total (not supported with -keyed)")
+		bpName   = fs.String("backpressure", "block", "ingest overload policy: block | drop-oldest | drop-newest | shed; non-block decouples input from processing through a bounded queue and sheds events under overload, counted in scotty_events_dropped_total")
 		breaker  = fs.Bool("breaker", false, "guard row output with retry and a circuit breaker: rows the writer permanently rejects are dead-lettered (counted, and captured under -dlq-dir) instead of wedging or silently vanishing")
 		dlqDir   = fs.String("dlq-dir", "", "directory receiving dead-lettered output rows as durable records (requires -breaker; read back with ops.ReadDLQ)")
 	)
@@ -97,39 +114,38 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if policy != ops.Block && *keyed {
-		fmt.Fprintln(stderr, "-backpressure: only block is supported with -keyed (per-key state makes event drops key-skewed)")
-		return 2
-	}
-	if *breaker && *keyed {
-		fmt.Fprintln(stderr, "-breaker is not supported with -keyed")
-		return 2
-	}
+	// The flag combinations rejected below name a resource nothing in the
+	// run would use — they are meaningless, not unimplemented. Every other
+	// combination is one configuration of the same pipeline.
 	if *dlqDir != "" && !*breaker {
-		fmt.Fprintln(stderr, "-dlq-dir requires -breaker")
-		return 2
-	}
-
-	var defs []window.Definition
-	var step int64
-	if *windows != "" {
-		defs, step = parseWindows(*windows, *keyed, stderr)
-	} else {
-		var def window.Definition
-		def, step = makeWindow(*winType, *length, *slide, *gap, *keyed, stderr)
-		if def != nil {
-			defs = []window.Definition{def}
-		}
-	}
-	if len(defs) == 0 {
+		fmt.Fprintln(stderr, "-dlq-dir requires -breaker") // only the guard dead-letters
 		return 2
 	}
 	if *budget > 0 && !*keyed {
-		fmt.Fprintln(stderr, "-mem-budget requires -keyed")
+		fmt.Fprintln(stderr, "-mem-budget requires -keyed") // spilling evicts whole keys
 		return 2
 	}
 	if *spillDir != "" && *budget <= 0 {
-		fmt.Fprintln(stderr, "-spill-dir requires -mem-budget")
+		fmt.Fprintln(stderr, "-spill-dir requires -mem-budget") // nothing spills without a budget
+		return 2
+	}
+
+	// buildDefs turns the window flags into definitions plus the rebase step.
+	// It runs once here to validate, then once per operator instance: the
+	// trigger cursor lives in the definition, so each per-key operator needs
+	// fresh ones, and re-parsing a validated set cannot fail.
+	buildDefs := func(stderr io.Writer) ([]window.Definition, int64) {
+		if *windows != "" {
+			return parseWindows(*windows, stderr)
+		}
+		def, step := makeWindow(*winType, *length, *slide, *gap, stderr)
+		if def == nil {
+			return nil, 0
+		}
+		return []window.Definition{def}, step
+	}
+	defs, step := buildDefs(stderr)
+	if len(defs) == 0 {
 		return 2
 	}
 
@@ -159,14 +175,20 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 	}
 
+	// scotty's own series always count into reg (the summaries on stderr
+	// read them back); without -metrics it is simply not served, and the
+	// operator keeps its private registry.
 	var ms *metricsServer
+	reg := obs.NewRegistry()
+	opts := core.Options{Lateness: *lateness, Store: kind, Ordered: ordered}
 	if *metrics != "" {
 		var err error
-		if ms, err = startMetrics(*metrics, stderr); err != nil {
+		if ms, err = startMetrics(*metrics, reg, stderr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer ms.stop()
+		opts.Metrics = reg
 	}
 
 	wm := stream.Watermarker{Period: *wmEvery, Lag: 2001}
@@ -177,139 +199,37 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	// zero and the first tuple. Shifting by a multiple of the slide maps
 	// onto the identical window family; the offset is added back on output.
 	rb := &rebaser{step: step, margin: wm.Lag + *lateness}
-	var runItems func(op func(stream.Item[float64]))
+
+	env := runEnv{
+		ctx: ctx, opts: opts, newDefs: buildDefs, keyed: *keyed, fleet: *windows != "",
+		// Unkeyed fleets always print q<id>; keyed runs only when there is
+		// more than one query to tell apart (the historical row shapes).
+		qPrefix: *windows != "" && (!*keyed || len(defs) > 1),
+		budget:  *budget, spillDir: *spillDir, ckptDir: *ckptDir, breaker: *breaker, dlqDir: *dlqDir,
+		src: csvSource(stdin, stderr, rb), wm: wm, policy: policy,
+		rb: rb, ms: ms, reg: reg, stdout: stdout, stderr: stderr,
+	}
 	if *demo > 0 {
-		events := demoEvents(*demo, *ooo)
-		runItems = func(op func(stream.Item[float64])) {
-			for _, it := range stream.Prepare(wm, events) {
-				if ctx.Err() != nil {
-					return
-				}
-				// The stream's closing MaxTime watermark is withheld
-				// here (as in feedCSV): shutdown drains the operator
-				// itself, after the resumable snapshot is taken.
-				if it.Kind == stream.KindWatermark && it.Watermark == stream.MaxTime {
-					return
-				}
-				op(it)
-			}
-		}
-	} else {
-		// CSV input streams: each line is parsed, watermarked, and
-		// processed as it arrives, so a live -metrics endpoint observes
-		// the run in progress instead of a post-hoc summary.
-		runItems = func(op func(stream.Item[float64])) {
-			feedCSV(ctx, stdin, stderr, wm, rb, op)
-		}
+		env.src = demoSource(*demo, *ooo)
 	}
 
-	// A non-block policy decouples ingest from processing through a bounded
-	// ops.Edge: the feed goroutine parses and sends, the operator loop
-	// receives, and under overload whole events are dropped by the policy —
-	// counted, never silent. Watermarks are control flow and never dropped.
-	if policy != ops.Block {
-		var dropCounter *obs.Counter
-		if ms != nil {
-			dropCounter = ms.reg.Counter("scotty_events_dropped_total", obs.L("reason", policy.String()))
-		}
-		var droppedEvents atomic.Int64
-		inner := runItems
-		runItems = func(op func(stream.Item[float64])) {
-			edge := ops.NewEdge(ops.EdgeConfig[stream.Item[float64]]{
-				Capacity: ingestQueueLen,
-				Policy:   policy,
-				CanDrop:  func(it stream.Item[float64]) bool { return it.Kind == stream.KindEvent },
-				OnDrop: func(stream.Item[float64]) {
-					droppedEvents.Add(1)
-					if dropCounter != nil {
-						dropCounter.Inc()
-					}
-				},
-			})
-			go func() {
-				inner(func(it stream.Item[float64]) { edge.Send(it) })
-				edge.Close()
-			}()
-			for {
-				it, ok := edge.Recv()
-				if !ok {
-					return
-				}
-				op(it)
-			}
-		}
-		defer func() {
-			if n := droppedEvents.Load(); n > 0 {
-				fmt.Fprintf(stderr, "backpressure: dropped %d events (%s)\n", n, policy)
-			}
-		}()
-	}
-
-	if *keyed {
-		if *windows != "" {
-			// Per-key operators register the fleet members as plain
-			// concurrent queries; the cross-query sharing rewrite
-			// (dedup/factor windows) applies to the unkeyed fleet only.
-			fmt.Fprintln(stderr, "keyed mode: -windows members run as unshared concurrent queries per key")
-		}
-		kq := keyedEnv{
-			lateness: *lateness, store: kind, ordered: ordered, multi: len(defs) > 1,
-			budget: *budget, spillDir: *spillDir, ckptDir: *ckptDir,
-			wm: wm, rb: rb, ms: ms, demo: *demo, ooo: *ooo,
-			ctx: ctx, stdin: stdin, stdout: stdout, stderr: stderr,
-		}
-		// Each per-key operator needs fresh window definitions (the trigger
-		// cursor lives in the definition); the set was validated above, so
-		// re-parsing cannot fail.
-		newDefs := func() []window.Definition {
-			if *windows != "" {
-				ds, _ := parseWindows(*windows, true, io.Discard)
-				return ds
-			}
-			def, _ := makeWindow(*winType, *length, *slide, *gap, true, io.Discard)
-			return []window.Definition{def}
-		}
-		switch *aggName {
-		case "sum":
-			return runKeyed(newDefs, aggregate.Sum(stream.Val), kq)
-		case "count":
-			return runKeyed(newDefs, aggregate.Count[stream.Tuple](), kq)
-		case "mean":
-			return runKeyed(newDefs, aggregate.Mean(stream.Val), kq)
-		case "min":
-			return runKeyed(newDefs, aggregate.Min(stream.Val), kq)
-		case "max":
-			return runKeyed(newDefs, aggregate.Max(stream.Val), kq)
-		case "median":
-			return runKeyed(newDefs, aggregate.Median(stream.Val), kq)
-		case "p90":
-			return runKeyed(newDefs, aggregate.Percentile(0.9, stream.Val), kq)
-		case "m4":
-			return runKeyed(newDefs, aggregate.M4(stream.Val), kq)
-		default:
-			fmt.Fprintf(stderr, "unknown aggregation %q\n", *aggName)
-			return 2
-		}
-	}
-
-	q := queryEnv{lateness: *lateness, store: kind, ordered: ordered, fleet: *windows != "", ckptDir: *ckptDir, breaker: *breaker, dlqDir: *dlqDir, runItems: runItems, rb: rb, ms: ms, stdout: stdout, stderr: stderr}
 	switch *aggName {
 	case "sum":
-		return runQuery(defs, aggregate.Sum[float64](ident), q)
+		return runPipeline(aggregate.Sum(stream.Val), env)
 	case "count":
-		return runQuery(defs, aggregate.Count[float64](), q)
+		return runPipeline(aggregate.Count[stream.Tuple](), env)
 	case "mean":
-		return runQuery(defs, aggregate.Mean[float64](ident), q)
+		return runPipeline(aggregate.Mean(stream.Val), env)
 	case "min":
-		return runQuery(defs, aggregate.Min[float64](ident), q)
+		return runPipeline(aggregate.Min(stream.Val), env)
 	case "max":
-		return runQuery(defs, aggregate.Max[float64](ident), q)
+		return runPipeline(aggregate.Max(stream.Val), env)
 	case "median":
-		return runQuery(defs, aggregate.Median[float64](ident), q)
+		return runPipeline(aggregate.Median(stream.Val), env)
 	case "p90":
-		return runQuery(defs, aggregate.Percentile[float64](0.9, ident), q)
+		return runPipeline(aggregate.Percentile(0.9, stream.Val), env)
 	case "m4":
-		return runQuery(defs, aggregate.M4[float64](ident), q)
+		return runPipeline(aggregate.M4(stream.Val), env)
 	default:
 		fmt.Fprintf(stderr, "unknown aggregation %q\n", *aggName)
 		return 2
@@ -343,12 +263,12 @@ type healthz struct {
 	DeadRows       int64  `json:"dead_rows"`
 }
 
-func startMetrics(addr string, stderr io.Writer) (*metricsServer, error) {
+func startMetrics(addr string, reg *obs.Registry, stderr io.Writer) (*metricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics listener: %w", err)
 	}
-	ms := &metricsServer{reg: obs.NewRegistry()}
+	ms := &metricsServer{reg: reg}
 	ms.slices.Store([]core.SliceInfo{})
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Handler(ms.reg))
@@ -402,14 +322,24 @@ func (ms *metricsServer) seriesTotal(name string) int64 {
 
 func (ms *metricsServer) stop() { ms.srv.Close() }
 
-func ident(v float64) float64 { return v }
-
 // makeWindow builds the window definition and reports the rebase step: the
 // slide for time-measure periodic windows (whose edges are absolute multiples
 // of it), 0 for windows that are translation-invariant (sessions) or rank-
-// based (count) and need no rebasing. Session windows are typed by the tuple
-// the operator ingests, so keyed runs need the keyed variant.
-func makeWindow(kind string, length, slide, gap int64, keyed bool, stderr io.Writer) (window.Definition, int64) {
+// based (count) and need no rebasing. The parameter a window kind reads must
+// be positive; -slide <= 0 keeps meaning "half the length".
+func makeWindow(kind string, length, slide, gap int64, stderr io.Writer) (window.Definition, int64) {
+	switch kind {
+	case "tumbling", "sliding", "count":
+		if length <= 0 {
+			fmt.Fprintf(stderr, "-length must be positive for -window %s, got %d\n", kind, length)
+			return nil, 0
+		}
+	case "session":
+		if gap <= 0 {
+			fmt.Fprintf(stderr, "-gap must be positive for -window session, got %d\n", gap)
+			return nil, 0
+		}
+	}
 	switch kind {
 	case "tumbling":
 		return window.Tumbling(stream.Time, length), length
@@ -419,10 +349,7 @@ func makeWindow(kind string, length, slide, gap int64, keyed bool, stderr io.Wri
 		}
 		return window.Sliding(stream.Time, length, slide), slide
 	case "session":
-		if keyed {
-			return window.Session[stream.Tuple](gap), 0
-		}
-		return window.Session[float64](gap), 0
+		return window.Session[stream.Tuple](gap), 0
 	case "count":
 		return window.Tumbling(stream.Count, length), 0
 	default:
@@ -438,7 +365,7 @@ func makeWindow(kind string, length, slide, gap int64, keyed bool, stderr io.Wri
 // periodic member's step (and is then also a multiple of every factor
 // window's, whose length divides a member slide) for the shifted window
 // families to map one-to-one onto the absolute ones.
-func parseWindows(list string, keyed bool, stderr io.Writer) ([]window.Definition, int64) {
+func parseWindows(list string, stderr io.Writer) ([]window.Definition, int64) {
 	var defs []window.Definition
 	var step int64
 	for _, item := range strings.Split(list, ",") {
@@ -470,7 +397,7 @@ func parseWindows(list string, keyed bool, stderr io.Writer) ([]window.Definitio
 			fmt.Fprintf(stderr, "-windows: malformed entry %q (want kind:length[:slide], session:gap, or count:n)\n", item)
 			return nil, 0
 		}
-		def, s := makeWindow(parts[0], length, slide, gap, keyed, stderr)
+		def, s := makeWindow(parts[0], length, slide, gap, stderr)
 		if def == nil {
 			return nil, 0
 		}
@@ -537,105 +464,222 @@ func (rb *rebaser) shift(ts int64) int64 {
 
 func (rb *rebaser) unshift(t int64) int64 { return t + rb.off }
 
-// queryEnv carries the aggregation-independent plumbing of one scotty run
-// into runQuery, which is generic over the aggregate's partial/result types.
-type queryEnv struct {
-	lateness int64
-	store    core.StoreKind
-	ordered  bool
-	fleet    bool
+// runEnv carries the aggregation-independent plumbing of one scotty run into
+// runPipeline, which is generic over the aggregate's partial/result types.
+type runEnv struct {
+	ctx      context.Context
+	opts     core.Options
+	newDefs  func(stderr io.Writer) ([]window.Definition, int64) // fresh definitions per operator instance
+	keyed    bool                                                // -keyed: one core per key
+	fleet    bool                                                // -windows: unkeyed runs go through the sharing layer
+	qPrefix  bool                                                // rows carry q<id>
+	budget   int64
+	spillDir string
 	ckptDir  string
 	breaker  bool
 	dlqDir   string
-	runItems func(func(stream.Item[float64]))
+	src      source
+	wm       stream.Watermarker
+	policy   ops.Policy
 	rb       *rebaser
-	ms       *metricsServer
+	ms       *metricsServer // nil without -metrics
+	reg      *obs.Registry  // scotty's own series; served only with -metrics
 	stdout   io.Writer
 	stderr   io.Writer
 }
 
-// operator abstracts the two run shapes over one processing surface: a single
-// window on a bare slicing core, or a -windows fleet sharing physical work
-// across its members (dedup + factor-window rewrite, docs/SHARING.md). Both
-// satisfy it with identical method sets, so the run loop, the metrics
-// publisher, and the checkpoint seal/restore path are written once.
+// operator is the one processing surface of the pipeline: a single window on
+// a bare slicing core, a -windows fleet sharing physical work across its
+// members (dedup + factor-window rewrite, docs/SHARING.md), or a core per key.
+// Thin adapters (unkeyedOp here, keyedOp in keyed.go) give all three the same
+// method set over the same result type — a result with its optional key — so
+// the run loop, the row formatter, the metrics publisher, and the checkpoint
+// seal/restore path are written once.
 type operator[Out any] interface {
-	ProcessElement(stream.Event[float64]) []core.Result[Out]
+	ProcessElement(event) []core.KeyedResult[int32, Out]
+	ProcessWatermark(int64) []core.KeyedResult[int32, Out]
+	SliceSnapshot() []core.SliceInfo
+	Snapshot() ([]byte, error)
+	Restore([]byte) error
+	Close() // releases what the operator holds outside the heap (spill files)
+}
+
+// single is the method set core.Aggregator and fleet.Fleet share.
+type single[Out any] interface {
+	AddQuery(window.Definition) (int, error)
+	ProcessElement(event) []core.Result[Out]
 	ProcessWatermark(int64) []core.Result[Out]
 	SliceSnapshot() []core.SliceInfo
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
 }
 
-func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[float64, A, Out], q queryEnv) int {
-	rb, ms, stdout, stderr := q.rb, q.ms, q.stdout, q.stderr
-	opts := core.Options{Lateness: q.lateness, Store: q.store, Ordered: q.ordered}
-	if ms != nil {
-		opts.Metrics = ms.reg
+// unkeyedOp adapts a bare core or a fleet to the operator surface: results
+// are lifted to key 0 (never printed) through one reused buffer.
+type unkeyedOp[Out any] struct {
+	single[Out]
+	buf []core.KeyedResult[int32, Out]
+}
+
+func (u *unkeyedOp[Out]) lift(rs []core.Result[Out]) []core.KeyedResult[int32, Out] {
+	u.buf = u.buf[:0]
+	for _, r := range rs {
+		u.buf = append(u.buf, core.KeyedResult[int32, Out]{Result: r})
 	}
-	var ag operator[Out]
-	if q.fleet {
-		fl := fleet.New(f, fleet.Options{Options: opts})
-		for _, def := range defs {
-			if _, err := fl.AddQuery(def); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-		}
-		fmt.Fprintf(stderr, "%s\n", fl)
-		ag = fl
+	return u.buf
+}
+
+func (u *unkeyedOp[Out]) ProcessElement(e event) []core.KeyedResult[int32, Out] {
+	return u.lift(u.single.ProcessElement(e))
+}
+
+func (u *unkeyedOp[Out]) ProcessWatermark(wm int64) []core.KeyedResult[int32, Out] {
+	return u.lift(u.single.ProcessWatermark(wm))
+}
+
+func (u *unkeyedOp[Out]) Close() {}
+
+// newOperator builds the operator the flags select. A nil operator means the
+// returned exit code is final. Registering the query set validates it; under
+// -keyed the instance built here is only that probe — the per-key operators
+// are built on demand and must not fail mid-stream.
+func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env runEnv) (operator[Out], int) {
+	var ag single[Out]
+	if env.fleet && !env.keyed {
+		ag = fleet.New(f, fleet.Options{Options: env.opts})
 	} else {
-		ca := core.New(f, opts)
-		if _, err := ca.AddQuery(defs[0]); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		ag = ca
+		ag = core.New(f, env.opts)
 	}
+	defs, _ := env.newDefs(io.Discard)
+	for _, def := range defs {
+		if _, err := ag.AddQuery(def); err != nil {
+			fmt.Fprintln(env.stderr, err)
+			return nil, 2
+		}
+	}
+	if env.keyed {
+		return newKeyedOperator(f, env)
+	}
+	if env.fleet {
+		fmt.Fprintf(env.stderr, "%s\n", ag)
+	}
+	return &unkeyedOp[Out]{single: ag}, 0
+}
+
+// feed runs the source through the watermarker into op — each event preceded
+// by the watermarks that became due — and returns the source's read error.
+//
+// A non-block policy decouples ingest from processing through a bounded
+// ops.Edge in front of whichever operator runs: the source goroutine parses
+// and sends, this loop receives, and under overload whole events are dropped
+// by the policy — counted, never silent. Watermarks are control flow and
+// never dropped. Drops fall on whatever event is at the queue's edge, so
+// under -keyed the loss is spread over keys in proportion to their traffic.
+func (env *runEnv) feed(op func(item)) error {
+	feeder := stream.NewFeeder[stream.Tuple](env.wm)
+	var buf []item
+	// No feeder.Close when the source ends: EOF and cancellation share the
+	// shutdown path in runPipeline, which snapshots the resumable state and
+	// then drains — the snapshot must not see MaxTime as the watermark.
+	pump := func(send func(item)) error {
+		return env.src(env.ctx, func(e event) {
+			buf = feeder.Feed(buf[:0], e)
+			for _, it := range buf {
+				send(it)
+			}
+		})
+	}
+	if env.policy == ops.Block {
+		return pump(op)
+	}
+
+	dropped := env.reg.Counter("scotty_events_dropped_total", obs.L("reason", env.policy.String()))
+	edge := ops.NewEdge(ops.EdgeConfig[item]{
+		Capacity: ingestQueueLen,
+		Policy:   env.policy,
+		CanDrop:  func(it item) bool { return it.Kind == stream.KindEvent },
+		OnDrop:   func(item) { dropped.Inc() },
+	})
+	var err error
+	go func() {
+		err = pump(func(it item) { edge.Send(it) })
+		edge.Close()
+	}()
+	for {
+		it, ok := edge.Recv()
+		if !ok {
+			break
+		}
+		op(it)
+	}
+	if n := dropped.Value(); n > 0 {
+		fmt.Fprintf(env.stderr, "backpressure: dropped %d events (%s)\n", n, env.policy)
+	}
+	return err
+}
+
+// runPipeline is the one run loop: restore, source → operator → sink until
+// the input ends or ctx is canceled, then snapshot and drain.
+func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env runEnv) int {
+	rb, ms, stdout, stderr := env.rb, env.ms, env.stdout, env.stderr
+	ag, code := newOperator(f, env)
+	if ag == nil {
+		return code
+	}
+	defer ag.Close()
 
 	// The same recovery metric series the dataflow engine exposes, so a
 	// scraped scotty run reports its checkpoint activity under familiar
 	// names: restores count as recoveries, the final snapshot observes its
 	// size and write latency.
+	ckptPath := ""
 	var recoveries *obs.Counter
 	var ckptBytes, ckptDurMS *obs.Histogram
-	if ms != nil && q.ckptDir != "" {
-		recoveries = ms.reg.Counter("engine_recoveries_total")
-		ckptBytes = ms.reg.Histogram("checkpoint_bytes", obs.ExponentialBounds(64, 4, 12))
-		ckptDurMS = ms.reg.Histogram("checkpoint_duration_ms", nil)
-	}
-	ckptPath := ""
-	if q.ckptDir != "" {
-		if err := os.MkdirAll(q.ckptDir, 0o755); err != nil {
+	if env.ckptDir != "" {
+		recoveries = env.reg.Counter("engine_recoveries_total")
+		ckptBytes = env.reg.Histogram("checkpoint_bytes", obs.ExponentialBounds(64, 4, 12))
+		ckptDurMS = env.reg.Histogram("checkpoint_duration_ms", nil)
+		if err := os.MkdirAll(env.ckptDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 			return 1
 		}
-		ckptPath = filepath.Join(q.ckptDir, "final.sck")
+		ckptPath = filepath.Join(env.ckptDir, "final.sck")
 		if data, err := os.ReadFile(ckptPath); err == nil {
 			if err := restoreFinal(ag, rb, data); err != nil {
 				fmt.Fprintf(stderr, "checkpoint: ignoring %s: %v\n", ckptPath, err)
 			} else {
 				fmt.Fprintf(stderr, "checkpoint: restored state from %s\n", ckptPath)
-				if recoveries != nil {
-					recoveries.Inc()
-				}
+				recoveries.Inc()
 			}
 		}
 	}
 
+	// The sink sits behind whichever operator runs: buffered stdout, or —
+	// with -breaker — the guarded rowSink.
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 	var sink *rowSink
-	if q.breaker {
+	if env.breaker {
 		var err error
-		if sink, err = newRowSink(stdout, q.dlqDir, ms, stderr); err != nil {
+		if sink, err = newRowSink(&env); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer sink.finish(stderr)
+		defer sink.finish()
 	}
-	formatRows := func(w io.Writer, rs []core.Result[Out]) {
+	// formatRows is the one row formatter: "[start, end)\t n=N\t value",
+	// prefixed k<key> under -keyed and q<id> for fleets, suffixed
+	// "  (update)" for corrections.
+	var pre []byte
+	formatRows := func(w io.Writer, rs []core.KeyedResult[int32, Out]) {
 		for _, r := range rs {
+			pre = pre[:0]
+			if env.keyed {
+				pre = append(strconv.AppendInt(append(pre, 'k'), int64(r.Key), 10), '\t')
+			}
+			if env.qPrefix {
+				pre = append(strconv.AppendInt(append(pre, 'q'), int64(r.Query), 10), '\t')
+			}
 			tag := ""
 			if r.Update {
 				tag = "  (update)"
@@ -644,14 +688,11 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 			if r.Measure == stream.Time {
 				s, e = rb.unshift(s), rb.unshift(e)
 			}
-			if q.fleet {
-				fmt.Fprintf(w, "q%d\t[%d, %d)\t n=%d\t %v%s\n", r.Query, s, e, r.N, r.Value, tag)
-			} else {
-				fmt.Fprintf(w, "[%d, %d)\t n=%d\t %v%s\n", s, e, r.N, r.Value, tag)
-			}
+			w.Write(pre)
+			fmt.Fprintf(w, "[%d, %d)\t n=%d\t %v%s\n", s, e, r.N, r.Value, tag)
 		}
 	}
-	emit := func(rs []core.Result[Out]) {
+	emit := func(rs []core.KeyedResult[int32, Out]) {
 		if sink != nil {
 			// Guarded egress writes each result batch straight to the
 			// underlying writer (the sticky bufio error state would defeat
@@ -666,18 +707,7 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 		}
 		formatRows(out, rs)
 	}
-	snapshot := func() []core.SliceInfo {
-		sl := ag.SliceSnapshot()
-		for i := range sl {
-			sl[i].Start = rb.unshift(sl[i].Start)
-			sl[i].End = rb.unshift(sl[i].End)
-		}
-		return sl
-	}
-	if ms != nil {
-		ms.ready.Store(true) // the run loop is up: /healthz turns ready
-	}
-	q.runItems(func(it stream.Item[float64]) {
+	process := func(it item) {
 		if it.Kind == stream.KindEvent {
 			emit(ag.ProcessElement(it.Event))
 			return
@@ -687,9 +717,18 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 		// source: flush emitted rows and publish a fresh slice snapshot.
 		out.Flush()
 		if ms != nil {
-			ms.slices.Store(snapshot())
+			sl := ag.SliceSnapshot()
+			for i := range sl {
+				sl[i].Start = rb.unshift(sl[i].Start)
+				sl[i].End = rb.unshift(sl[i].End)
+			}
+			ms.slices.Store(sl)
 		}
-	})
+	}
+	if ms != nil {
+		ms.ready.Store(true) // the run loop is up: /healthz turns ready
+	}
+	feedErr := env.feed(process)
 
 	// Shutdown: snapshot first, then drain. The snapshot captures the
 	// resumable mid-stream state (buffered slices plus the true watermark
@@ -700,22 +739,23 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 		start := time.Now()
 		data, err := sealFinal(ag, rb)
 		if err == nil {
-			err = writeFileAtomic(ckptPath, data)
+			err = checkpoint.WriteFileAtomic(ckptPath, data)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 			return 1
 		}
-		if ckptBytes != nil {
-			ckptBytes.Observe(float64(len(data)))
-			ckptDurMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		}
+		ckptBytes.Observe(float64(len(data)))
+		ckptDurMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		fmt.Fprintf(stderr, "checkpoint: wrote %s (%d bytes)\n", ckptPath, len(data))
 	}
-	emit(ag.ProcessWatermark(stream.MaxTime))
-	out.Flush()
-	if ms != nil {
-		ms.slices.Store(snapshot())
+	process(stream.WatermarkItem[stream.Tuple](stream.MaxTime))
+	if feedErr != nil {
+		// The input broke off (a read error, a line past the scanner's
+		// limit): everything before it was processed and drained above, but
+		// the run is not the whole stream — say so and fail.
+		fmt.Fprintf(stderr, "input: %v\n", feedErr)
+		return 1
 	}
 	return 0
 }
@@ -725,9 +765,10 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 // resumed run must keep shifting by the same offset: recomputing it from the
 // continuation's first (later) event would misalign the restored state and
 // the new tuples, and every printed bound would be off by the difference.
-// The fleet and core snapshot codecs are distinct (a fleet snapshot nests the
-// core's plus the sharing plan), so a checkpoint written by one run shape is
-// rejected — and ignored with a warning — when restored by the other.
+// The core, fleet, and keyed snapshot codecs are distinct (a fleet snapshot
+// nests the core's plus the sharing plan, a keyed one nests a core's per key,
+// cold keys' spilled blobs included), so a checkpoint written by one run
+// shape is rejected — and ignored with a warning — when restored by another.
 func sealFinal[Out any](ag operator[Out], rb *rebaser) ([]byte, error) {
 	state, err := ag.Snapshot()
 	if err != nil {
@@ -761,18 +802,6 @@ func restoreFinal[Out any](ag operator[Out], rb *rebaser, data []byte) error {
 	return nil
 }
 
-// writeFileAtomic writes data via a temp file and rename, so a crash during
-// shutdown never leaves a half-written final.sck for the next run to trust
-// (the snapshot codec would reject a torn file anyway; this avoids even
-// producing one).
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // rowSink is scotty's guarded egress: every result-row batch passes a
 // retry/circuit-breaker guard (ops defaults: 4 attempts with capped backoff;
 // 5 consecutive failures open the breaker for 100ms) before reaching the
@@ -782,27 +811,26 @@ func writeFileAtomic(path string, data []byte) error {
 // killing or silently truncating it. Delivery is at-least-once: a batch whose
 // write failed midway may reappear whole in the DLQ.
 type rowSink struct {
-	w        io.Writer
-	stderr   io.Writer
-	guard    ops.Guard
-	brk      *ops.Breaker
-	dlq      *ops.DLQ
-	dead     *obs.Counter
-	deadRows atomic.Int64
+	w      io.Writer
+	stderr io.Writer
+	guard  ops.Guard
+	brk    *ops.Breaker
+	dlq    *ops.DLQ
+	dead   *obs.Counter
 }
 
-func newRowSink(w io.Writer, dlqDir string, ms *metricsServer, stderr io.Writer) (*rowSink, error) {
-	s := &rowSink{w: w, stderr: stderr, brk: ops.NewBreaker(ops.BreakerConfig{})}
+func newRowSink(env *runEnv) (*rowSink, error) {
+	s := &rowSink{w: env.stdout, stderr: env.stderr, brk: ops.NewBreaker(ops.BreakerConfig{})}
 	s.guard = ops.Guard{Breaker: s.brk}
-	if ms != nil {
-		s.dead = ms.reg.Counter("scotty_rows_dead_lettered_total")
-		ms.breaker.Store(s.brk.State) // /healthz reports (and gates on) the live state
+	s.dead = env.reg.Counter("scotty_rows_dead_lettered_total")
+	if env.ms != nil {
+		env.ms.breaker.Store(s.brk.State) // /healthz reports (and gates on) the live state
 	}
-	if dlqDir != "" {
-		if err := os.MkdirAll(dlqDir, 0o755); err != nil {
+	if env.dlqDir != "" {
+		if err := os.MkdirAll(env.dlqDir, 0o755); err != nil {
 			return nil, fmt.Errorf("dlq: %w", err)
 		}
-		dlq, err := ops.OpenDLQ(filepath.Join(dlqDir, "rows.dlq"))
+		dlq, err := ops.OpenDLQ(filepath.Join(env.dlqDir, "rows.dlq"))
 		if err != nil {
 			return nil, fmt.Errorf("dlq: %w", err)
 		}
@@ -821,10 +849,7 @@ func (s *rowSink) write(rows []byte, n int) {
 	if err == nil {
 		return
 	}
-	s.deadRows.Add(int64(n))
-	if s.dead != nil {
-		s.dead.Add(int64(n))
-	}
+	s.dead.Add(int64(n))
 	if s.dlq != nil {
 		if aerr := s.dlq.Append(ops.Record{Reason: err.Error(), Count: n, Payload: rows}); aerr != nil {
 			fmt.Fprintf(s.stderr, "dlq: %v\n", aerr)
@@ -833,85 +858,102 @@ func (s *rowSink) write(rows []byte, n int) {
 }
 
 // finish prints the loss summary and releases the DLQ handle.
-func (s *rowSink) finish(stderr io.Writer) {
+func (s *rowSink) finish() {
 	trips, recoveries := s.brk.Counts()
-	if n := s.deadRows.Load(); n > 0 || trips > 0 {
-		fmt.Fprintf(stderr, "breaker: %d rows dead-lettered (trips %d, recoveries %d)\n", n, trips, recoveries)
+	if n := s.dead.Value(); n > 0 || trips > 0 {
+		fmt.Fprintf(s.stderr, "breaker: %d rows dead-lettered (trips %d, recoveries %d)\n", n, trips, recoveries)
 	}
 	if s.dlq != nil {
 		if err := s.dlq.Close(); err != nil {
-			fmt.Fprintf(stderr, "dlq: %v\n", err)
+			fmt.Fprintf(s.stderr, "dlq: %v\n", err)
 		}
 	}
 }
 
-func demoEvents(demo int, ooo float64) []stream.Event[float64] {
-	raw := stream.Generate(stream.Football(), demo, 1)
-	ev := make([]stream.Event[float64], len(raw))
-	for i, e := range raw {
-		ev[i] = stream.Event[float64]{Time: e.Time, Seq: e.Seq, Value: e.Value.V}
-	}
-	return stream.Apply(stream.Disorder{Fraction: ooo, MaxDelay: 2000, Seed: 7}, ev)
-}
+// source pushes the input's events, in arrival order, into emit until the
+// input is exhausted or ctx is canceled, and returns what broke the input off
+// early (nil for a clean end or a cancellation).
+type source func(ctx context.Context, emit func(event)) error
 
-// feedCSV parses "timestamp-ms,value" lines as they arrive and hands each
-// event — interleaved with due watermarks — to op immediately. Timestamps
-// are rebased before the watermarker so epoch-scale inputs stay cheap.
-// Canceling ctx abandons the (possibly blocked) read and returns without the
-// Close watermark: shutdown drains the operator explicitly, and the snapshot
-// written there must not see MaxTime as the restored watermark position.
-func feedCSV(ctx context.Context, stdin io.Reader, stderr io.Writer, wm stream.Watermarker, rb *rebaser, op func(stream.Item[float64])) {
-	// The scanner blocks in Read with no way to interrupt it, so it runs in
-	// its own goroutine; the processing loop below stays responsive to ctx.
-	// After cancellation the goroutine parks on the unbuffered send until
-	// the input closes — for a real process that is at exit anyway.
-	lines := make(chan string)
-	go func() {
-		defer close(lines)
-		sc := bufio.NewScanner(stdin)
-		for sc.Scan() {
-			select {
-			case lines <- sc.Text():
-			case <-ctx.Done():
-				return
+// demoSource generates n events of the football profile, a fraction ooo of
+// them delivered late.
+func demoSource(n int, ooo float64) source {
+	return func(ctx context.Context, emit func(event)) error {
+		events := stream.Apply(stream.Disorder{Fraction: ooo, MaxDelay: 2000, Seed: 7},
+			stream.Generate(stream.Football(), n, 1))
+		for _, e := range events {
+			if ctx.Err() != nil {
+				break
 			}
+			emit(e)
 		}
-	}()
-	feeder := stream.NewFeeder[float64](wm)
-	var buf []stream.Item[float64]
-	seq := int64(0)
-	for {
-		var line string
-		var ok bool
-		select {
-		case <-ctx.Done():
-			return
-		case line, ok = <-lines:
-		}
-		if !ok {
-			break
-		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) < 2 {
-			fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-			continue
-		}
-		ts, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
-		v, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err1 != nil || err2 != nil {
-			fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-			continue
-		}
-		buf = feeder.Feed(buf[:0], stream.Event[float64]{Time: rb.shift(ts), Seq: seq, Value: v})
-		seq++
-		for _, it := range buf {
-			op(it)
+		return nil
+	}
+}
+
+// csvSource parses "timestamp-ms,value[,key]" lines (key defaults to 0) as
+// they arrive — each line is parsed, watermarked, and processed before the
+// next is read, so a live -metrics endpoint observes the run in progress
+// instead of a post-hoc summary. Timestamps are rebased before they reach the watermarker so
+// epoch-scale inputs stay cheap. Canceling ctx abandons the (possibly
+// blocked) read. Malformed lines are reported and skipped; a scanner failure
+// (a read error, a line over bufio.MaxScanTokenSize) ends the input and is
+// returned, so the run can drain what it has and exit non-zero instead of
+// passing a truncated stream off as the whole one.
+func csvSource(stdin io.Reader, stderr io.Writer, rb *rebaser) source {
+	return func(ctx context.Context, emit func(event)) error {
+		// The scanner blocks in Read with no way to interrupt it, so it runs
+		// in its own goroutine; the parsing loop below stays responsive to
+		// ctx. After cancellation the goroutine parks on the unbuffered send
+		// until the input closes — for a real process that is at exit anyway.
+		lines := make(chan string)
+		var scanErr error // written before close(lines), read after it
+		go func() {
+			defer close(lines)
+			sc := bufio.NewScanner(stdin)
+			for sc.Scan() {
+				select {
+				case lines <- sc.Text():
+				case <-ctx.Done():
+					return
+				}
+			}
+			scanErr = sc.Err()
+		}()
+		seq := int64(0)
+		for {
+			var line string
+			var ok bool
+			select {
+			case <-ctx.Done():
+				return nil
+			case line, ok = <-lines:
+			}
+			if !ok {
+				return scanErr
+			}
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			parts := strings.Split(line, ",")
+			if len(parts) < 2 || len(parts) > 3 {
+				fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
+				continue
+			}
+			ts, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
+			v, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+			key := int64(0)
+			var err3 error
+			if len(parts) == 3 {
+				key, err3 = strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 32)
+			}
+			if err1 != nil || err2 != nil || err3 != nil {
+				fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
+				continue
+			}
+			emit(event{Time: rb.shift(ts), Seq: seq, Value: stream.Tuple{Key: int32(key), V: v}})
+			seq++
 		}
 	}
-	// No feeder.Close here: EOF and cancellation share the shutdown path in
-	// runQuery, which snapshots the resumable state and then drains.
 }

@@ -98,16 +98,6 @@ func TestStoreFlagSelectsDABA(t *testing.T) {
 	}
 }
 
-func TestUnknownFlagsExitNonZero(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-agg", "nope", "-demo", "10"}, strings.NewReader(""), &out, &errOut); code == 0 {
-		t.Fatal("unknown aggregation should exit non-zero")
-	}
-	if code := run(context.Background(), []string{"-window", "heptagonal", "-demo", "10"}, strings.NewReader(""), &out, &errOut); code == 0 {
-		t.Fatal("unknown window type should exit non-zero")
-	}
-}
-
 // TestEpochTimestampsRebased guards the epoch-scale path end to end: raw
 // epoch-millisecond CSV must finish in O(events) — the window sequence is
 // rebased near the first tuple instead of being walked up from time zero
@@ -308,46 +298,103 @@ func TestCancelDrainsAndWritesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreResumesRun pins the restart half of the contract: a
-// second run over the same checkpoint dir restores the snapshot instead of
-// starting cold, and keeps producing windows for the continuation stream.
+// TestCheckpointRestoreResumesRun pins the restart contract on the one
+// final.sck path, for each operator behind it: a run canceled mid-stream (the
+// SIGINT path) seals its state, a second run over the same checkpoint dir
+// restores it instead of starting cold, and the two together are the
+// uninterrupted run — per window, the last row printed is the same.
 // Epoch-scale timestamps make the internal rebase offset non-zero, so this
 // also pins that the offset is persisted with the snapshot: a resumed run
 // that recomputed it from its own (later) first event would print every
 // window bound shifted by the difference.
 func TestCheckpointRestoreResumesRun(t *testing.T) {
 	const t0 = int64(1722470400000) // 2024-08-01 00:00:00 UTC, ms
-	dir := t.TempDir()
-	args := []string{"-window", "tumbling", "-length", "1000", "-agg", "sum", "-checkpoint-dir", dir}
-	feed := func(offsets ...int64) string {
+	// Two keys, a tuple every 250 ms for 12 s; the unkeyed rows ignore the
+	// key column. The first run gets [0, 6250]: its last line is the first to
+	// push the watermark to 4000, so the [3000, 4000) row on stdout proves
+	// the whole first half was ingested before the cancel.
+	feed := func(from, to int64) string {
 		var b strings.Builder
-		for _, off := range offsets {
-			fmt.Fprintf(&b, "%d,1\n", t0+off)
+		for off := from; off <= to; off += 250 {
+			fmt.Fprintf(&b, "%d,%d,%d\n", t0+off, off/250%5+1, off/250%2+1)
 		}
 		return b.String()
 	}
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		flushed string // a row the first run's last line triggers
+		resumed string // a continuation row only a restored run can produce
+	}{
+		{"window", []string{"-window", "tumbling", "-length", "1000", "-agg", "sum"},
+			fmt.Sprintf("[%d, %d)", t0+3000, t0+4000), fmt.Sprintf("[%d, %d)\t n=4", t0+6000, t0+7000)},
+		{"keyed-window", []string{"-keyed", "-window", "tumbling", "-length", "1000", "-agg", "sum"},
+			fmt.Sprintf("k2\t[%d, %d)", t0+3000, t0+4000), fmt.Sprintf("k1\t[%d, %d)\t n=2", t0+6000, t0+7000)},
+		{"keyed-windows", []string{"-keyed", "-windows", "tumbling:1000,sliding:2000:1000", "-agg", "max"},
+			fmt.Sprintf("k2\tq0\t[%d, %d)", t0+3000, t0+4000), fmt.Sprintf("k1\tq1\t[%d, %d)\t n=4", t0+5000, t0+7000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole := runScotty(t, tc.args, feed(0, 12_000))
+			args := append([]string{"-checkpoint-dir", t.TempDir()}, tc.args...)
 
-	var out1, err1 strings.Builder
-	if code := run(context.Background(), args, strings.NewReader(feed(0, 500, 1500, 2500)), &out1, &err1); code != 0 {
-		t.Fatalf("first run exited %d: %s", code, err1.String())
-	}
-	if want := fmt.Sprintf("[%d, %d)", t0, t0+1000); !strings.Contains(out1.String(), want) {
-		t.Fatalf("first run missing window %s:\n%s", want, out1.String())
-	}
-	if !strings.Contains(err1.String(), "checkpoint: wrote") {
-		t.Fatalf("first run wrote no checkpoint: %s", err1.String())
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			var out1, err1 syncBuffer
+			done := make(chan int, 1)
+			go func() { done <- run(ctx, args, pr, &out1, &err1) }()
+			if _, err := io.WriteString(pw, feed(0, 6250)); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); !strings.Contains(out1.String(), tc.flushed); {
+				if time.Now().After(deadline) {
+					t.Fatalf("first run never printed %s; stdout %q stderr %q", tc.flushed, out1.String(), err1.String())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			cancel() // stdin still open, the scanner still blocked
+			if code := <-done; code != 0 {
+				t.Fatalf("canceled run exited %d: %s", code, err1.String())
+			}
+			if !strings.Contains(err1.String(), "checkpoint: wrote") {
+				t.Fatalf("first run wrote no checkpoint: %s", err1.String())
+			}
 
-	var out2, err2 strings.Builder
-	if code := run(context.Background(), args, strings.NewReader(feed(3500, 4500, 9000)), &out2, &err2); code != 0 {
-		t.Fatalf("second run exited %d: %s", code, err2.String())
+			var out2, err2 strings.Builder
+			if code := run(context.Background(), args, strings.NewReader(feed(6500, 12_000)), &out2, &err2); code != 0 {
+				t.Fatalf("second run exited %d: %s", code, err2.String())
+			}
+			if !strings.Contains(err2.String(), "checkpoint: restored state from") {
+				t.Fatalf("second run did not restore: %s", err2.String())
+			}
+			if !strings.Contains(out2.String(), tc.resumed) {
+				t.Fatalf("restored run missing continuation row %s (state or rebase offset not resumed?):\n%s", tc.resumed, out2.String())
+			}
+			got, want := lastRows(out1.String()+out2.String()), lastRows(whole)
+			for win, row := range want {
+				if got[win] != row {
+					t.Errorf("window %s: canceled+restored runs end on %q, uninterrupted run on %q", win, got[win], row)
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("canceled+restored runs printed %d distinct windows, uninterrupted run %d", len(got), len(want))
+			}
+		})
 	}
-	if !strings.Contains(err2.String(), "checkpoint: restored state from") {
-		t.Fatalf("second run did not restore: %s", err2.String())
+}
+
+// lastRows reduces stdout to the final word on each window: rows keyed by
+// everything up to the bounds (k<key>, q<id>, [start, end)), later rows —
+// updates, or a restored run completing a window its predecessor could only
+// drain provisionally — superseding earlier ones.
+func lastRows(out string) map[string]string {
+	rows := map[string]string{}
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		win, rest, _ := strings.Cut(line, ")\t")
+		rows[win] = strings.TrimSuffix(rest, "  (update)")
 	}
-	if want := fmt.Sprintf("[%d, %d)", t0+4000, t0+5000); !strings.Contains(out2.String(), want) {
-		t.Fatalf("restored run missing continuation window %s (rebase offset not resumed?):\n%s", want, out2.String())
-	}
+	return rows
 }
 
 // keyedLine matches one keyed result row: "k<key>\t[start, end)\t n=N\t value".
@@ -386,18 +433,5 @@ func TestKeyedCSVKeyColumn(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestKeyedFlagValidation pins the spill flag requirements.
-func TestKeyedFlagValidation(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-mem-budget", "1024"}, strings.NewReader(""), &out, &errOut); code != 2 {
-		t.Errorf("-mem-budget without -keyed exited %d, want 2", code)
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run(context.Background(), []string{"-keyed", "-spill-dir", t.TempDir()}, strings.NewReader(""), &out, &errOut); code != 2 {
-		t.Errorf("-spill-dir without -mem-budget exited %d, want 2", code)
 	}
 }

@@ -588,13 +588,9 @@ func tearEvenSnapshots(path string, data []byte) error {
 	if n, _ := fmt.Sscanf(name, "ckpt-%d-p%d.sck", &id, &part); n == 2 && id%2 == 0 && len(data) > 8 {
 		data = data[: len(data)-5 : len(data)-5]
 	}
-	// Mirror the engine's atomic default writer: the tear is in the payload,
-	// not in the write.
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	// The engine's own default writer: the tear is in the payload, not in
+	// the write.
+	return checkpoint.WriteFileAtomic(path, data)
 }
 
 // Equivalent reports whether two runs emitted identical results: the same

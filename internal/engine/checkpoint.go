@@ -151,17 +151,6 @@ func decodeCkptFile(data []byte) (ckptFile, error) {
 	return f, dec.Err()
 }
 
-// atomicWriteFile is the default snapshot writer: a torn process leaves
-// either the previous file or the complete new one, never a partial write
-// (partial tmp files are ignored by recovery).
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // restorePoint is a complete, validated checkpoint: consistent metadata plus
 // every partition's state.
 type restorePoint struct {

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scotty/internal/checkpoint"
 	"scotty/internal/obs"
 	"scotty/internal/ops"
 	"scotty/internal/stream"
@@ -460,7 +461,7 @@ func runAttempt[V any](cfg Config[V], items []stream.Item[V], procs []Processor[
 	ckOn := ck.Interval > 0
 	writeFile := ck.WriteFile
 	if writeFile == nil {
-		writeFile = atomicWriteFile
+		writeFile = checkpoint.WriteFileAtomic
 	}
 
 	// Batch buffers cycle source → edge → worker → pool → source: each

@@ -259,9 +259,9 @@ func TestTornSnapshotFallsBackToOlderCheckpoint(t *testing.T) {
 		// one even, one odd — so recovery must skip the newest (torn, even)
 		// and restore its odd predecessor.
 		if id%2 == 0 && !crash.fired[0].Load() {
-			return atomicWriteFile(path, data[:len(data)-5])
+			return checkpoint.WriteFileAtomic(path, data[:len(data)-5])
 		}
-		return atomicWriteFile(path, data)
+		return checkpoint.WriteFileAtomic(path, data)
 	}
 	got := mustRun(t, cfg, items)
 	if lastCkpt.Load() < 2 {

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"scotty/internal/checkpoint"
 	"scotty/internal/rle"
 )
 
@@ -212,13 +213,7 @@ func (b *Batch) Commit() error {
 	s := b.s
 	id := s.nextSeg
 	path := s.segPath(id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b.buf, 0o644); err != nil {
-		return fmt.Errorf("spill: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		//lint:ignore errflow the temp file is garbage either way; the rename error is the one the caller acts on
-		_ = os.Remove(tmp)
+	if err := checkpoint.WriteFileAtomic(path, b.buf); err != nil {
 		return fmt.Errorf("spill: %w", err)
 	}
 	s.nextSeg++

@@ -17,6 +17,20 @@ go run ./cmd/slicelint ./...
 echo '== go test ./...'
 go test ./...
 
+echo '== bench: vet, short tests, smoke run vs the oracle (skip with SKIP_BENCH=1)'
+# bench/ is its own module, so the legs above never see it. The smoke run
+# (~30 s) builds cmd/scotty, drives it over pipes on all four BENCHMARK.json
+# workloads at half scale, parses every output row, and checks each window
+# against internal/reference: it is the row-format and result guard on the
+# path users run. Its numbers mean nothing; only the verdict line is read.
+if [ "${SKIP_BENCH:-0}" = "1" ]; then
+  echo 'skipped (SKIP_BENCH=1)'
+else
+  go vet -C bench ./...
+  go test -C bench -short ./...
+  sh bench/run.sh -smoke | tail -n 1 | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,'
+fi
+
 echo '== go test -shuffle=on (order-independence; skip with SKIP_SHUFFLE=1)'
 # Shuffled test order shakes out hidden inter-test state (shared registries,
 # leaked goroutines, working-directory residue) that fixed order can mask.
