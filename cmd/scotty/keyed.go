@@ -17,14 +17,21 @@ import (
 	"scotty/internal/stream"
 )
 
-// keyedOp adapts core.Keyed to the operator surface. Its results already
-// carry their key; the adapter adds the spill teardown.
+// keyedOp adapts core.Keyed to the operator surface: rows carry the result's
+// key, and Close owns the spill teardown.
 type keyedOp[A any, Out any] struct {
 	*core.Keyed[int32, stream.Tuple, A, Out]
 	spill   *spill.Store // nil without -mem-budget
 	dir     string
 	scratch bool // dir is the per-process default, removed on exit
 	stderr  io.Writer
+}
+
+func (k *keyedOp[A, Out]) ProcessBatch(batch []item, rows *rowBuf[Out]) {
+	rs := k.Keyed.ProcessBatch(batch)
+	for i := range rs {
+		rows.add(rs[i].Key, &rs[i].Result)
+	}
 }
 
 // SliceSnapshot is empty under -keyed: every key has its own slice ring, and

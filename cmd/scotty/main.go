@@ -12,12 +12,15 @@
 //
 // Every run is the same pipeline over stream.Tuple: one source (the CSV feed
 // or the demo generator, behind the optional -backpressure ingest edge), one
-// operator, one row sink (optionally guarded by -breaker). The flags only
-// choose which operator sits in the middle: a bare slicing core, a -windows
-// fleet, or — with -keyed — one core per key (keyed.go). Key partitioning is
-// the boundary the stream is split on (paper §5.3), nothing more: the key
-// column is parsed in every mode and ignored unless -keyed is set, and an
-// unkeyed run prints exactly what a one-key keyed run prints minus the key.
+// operator, one row sink (optionally guarded by -breaker). What moves through
+// it is a batch: the events of one read of the input, parsed in place, cut
+// behind each watermark they release, handed to the operator's ProcessBatch,
+// its result rows appended to one reused buffer. The flags only choose which
+// operator sits in the middle: a bare slicing core, a -windows fleet, or —
+// with -keyed — one core per key (keyed.go). Key partitioning is the boundary
+// the stream is split on (paper §5.3), nothing more: the key column is parsed
+// in every mode and ignored unless -keyed is set, and an unkeyed run prints
+// exactly what a one-key keyed run prints minus the key.
 //
 // -windows runs a fleet of concurrent window queries over one stream through
 // the sharing layer (docs/SHARING.md): exact duplicates are deduplicated and
@@ -38,8 +41,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -206,11 +207,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		// more than one query to tell apart (the historical row shapes).
 		qPrefix: *windows != "" && (!*keyed || len(defs) > 1),
 		budget:  *budget, spillDir: *spillDir, ckptDir: *ckptDir, breaker: *breaker, dlqDir: *dlqDir,
-		src: csvSource(stdin, stderr, rb), wm: wm, policy: policy,
-		rb: rb, ms: ms, reg: reg, stdout: stdout, stderr: stderr,
+		wm: wm, policy: policy, rb: rb, ms: ms, reg: reg, stdout: stdout, stderr: stderr,
 	}
 	if *demo > 0 {
 		env.src = demoSource(*demo, *ooo)
+	} else {
+		env.src = csvSource(stdin, stderr, rb, reg.Counter("scotty_lines_malformed_total"))
 	}
 
 	switch *aggName {
@@ -492,12 +494,13 @@ type runEnv struct {
 // a bare slicing core, a -windows fleet sharing physical work across its
 // members (dedup + factor-window rewrite, docs/SHARING.md), or a core per key.
 // Thin adapters (unkeyedOp here, keyedOp in keyed.go) give all three the same
-// method set over the same result type — a result with its optional key — so
-// the run loop, the row formatter, the metrics publisher, and the checkpoint
+// method set — a batch in, rows with their optional key out — so the run
+// loop, the row formatter, the metrics publisher, and the checkpoint
 // seal/restore path are written once.
 type operator[Out any] interface {
-	ProcessElement(event) []core.KeyedResult[int32, Out]
-	ProcessWatermark(int64) []core.KeyedResult[int32, Out]
+	// ProcessBatch ingests an arrival-ordered batch of events and watermarks
+	// and appends a row for every result it caused, in emission order.
+	ProcessBatch([]item, *rowBuf[Out])
 	SliceSnapshot() []core.SliceInfo
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
@@ -507,37 +510,24 @@ type operator[Out any] interface {
 // single is the method set core.Aggregator and fleet.Fleet share.
 type single[Out any] interface {
 	AddQuery(window.Definition) (int, error)
-	ProcessElement(event) []core.Result[Out]
-	ProcessWatermark(int64) []core.Result[Out]
+	ProcessBatch([]item) []core.Result[Out]
 	SliceSnapshot() []core.SliceInfo
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
 }
 
-// unkeyedOp adapts a bare core or a fleet to the operator surface: results
-// are lifted to key 0 (never printed) through one reused buffer.
-type unkeyedOp[Out any] struct {
-	single[Out]
-	buf []core.KeyedResult[int32, Out]
-}
+// unkeyedOp adapts a bare core or a fleet to the operator surface: its rows
+// carry key 0, which is never printed.
+type unkeyedOp[Out any] struct{ single[Out] }
 
-func (u *unkeyedOp[Out]) lift(rs []core.Result[Out]) []core.KeyedResult[int32, Out] {
-	u.buf = u.buf[:0]
-	for _, r := range rs {
-		u.buf = append(u.buf, core.KeyedResult[int32, Out]{Result: r})
+func (u unkeyedOp[Out]) ProcessBatch(batch []item, rows *rowBuf[Out]) {
+	rs := u.single.ProcessBatch(batch)
+	for i := range rs {
+		rows.add(0, &rs[i])
 	}
-	return u.buf
 }
 
-func (u *unkeyedOp[Out]) ProcessElement(e event) []core.KeyedResult[int32, Out] {
-	return u.lift(u.single.ProcessElement(e))
-}
-
-func (u *unkeyedOp[Out]) ProcessWatermark(wm int64) []core.KeyedResult[int32, Out] {
-	return u.lift(u.single.ProcessWatermark(wm))
-}
-
-func (u *unkeyedOp[Out]) Close() {}
+func (u unkeyedOp[Out]) Close() {}
 
 // newOperator builds the operator the flags select. A nil operator means the
 // returned exit code is final. Registering the query set validates it; under
@@ -563,29 +553,58 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 	if env.fleet {
 		fmt.Fprintf(env.stderr, "%s\n", ag)
 	}
-	return &unkeyedOp[Out]{single: ag}, 0
+	return unkeyedOp[Out]{ag}, 0
 }
 
-// feed runs the source through the watermarker into op — each event preceded
-// by the watermarks that became due — and returns the source's read error.
+// feed runs the source through the watermarker into op, a batch at a time,
+// and returns the source's read error.
+//
+// A batch is what one read of the input returned — never topped up, so a
+// paced source is processed as it arrives — interleaved by the Feeder with
+// the watermarks that became due, and cut behind every item that can make the
+// operator emit. That is a watermark, so that no ProcessBatch call holds more
+// results than one watermark releases and the run loop can flush behind each;
+// an event older than one before it, since only those can be at or behind the
+// watermark, or shift a count window's ranks, and emit update rows; and, in
+// ordered mode, where a tuple doubles as a watermark, every event. A fleet
+// emits a call's factored completions behind its direct ones and a keyed
+// operator groups a call's rows by key: with at most one emitting item to a
+// call, rows come out in the order per-item processing gives, however the
+// input was split into reads. (What a restored run cannot see is how far the
+// run before it got: events behind the restored state that reach it in order
+// and in one read share a call, and their update rows come out grouped.)
 //
 // A non-block policy decouples ingest from processing through a bounded
 // ops.Edge in front of whichever operator runs: the source goroutine parses
-// and sends, this loop receives, and under overload whole events are dropped
-// by the policy — counted, never silent. Watermarks are control flow and
-// never dropped. Drops fall on whatever event is at the queue's edge, so
-// under -keyed the loss is spread over keys in proportion to their traffic.
-func (env *runEnv) feed(op func(item)) error {
+// and sends, this loop receives one-item batches, and under overload whole
+// events are dropped by the policy — counted, never silent. Watermarks are
+// control flow and never dropped. Drops fall on whatever event is at the
+// queue's edge, so under -keyed the loss is spread over keys in proportion to
+// their traffic.
+func (env *runEnv) feed(op func([]item)) error {
 	feeder := stream.NewFeeder[stream.Tuple](env.wm)
-	var buf []item
+	var items []item
+	newest := stream.MinTime // the latest event time seen
 	// No feeder.Close when the source ends: EOF and cancellation share the
 	// shutdown path in runPipeline, which snapshots the resumable state and
 	// then drains — the snapshot must not see MaxTime as the watermark.
-	pump := func(send func(item)) error {
-		return env.src(env.ctx, func(e event) {
-			buf = feeder.Feed(buf[:0], e)
-			for _, it := range buf {
-				send(it)
+	pump := func(send func([]item)) error {
+		return env.src(env.ctx, func(events []event) {
+			items = items[:0]
+			for _, e := range events {
+				items = feeder.Feed(items, e)
+			}
+			start := 0
+			for i := range items {
+				if it := &items[i]; it.Kind == stream.KindEvent && it.Event.Time >= newest && !env.opts.Ordered {
+					newest = it.Event.Time
+					continue
+				}
+				send(items[start : i+1])
+				start = i + 1
+			}
+			if start < len(items) {
+				send(items[start:])
 			}
 		})
 	}
@@ -602,15 +621,20 @@ func (env *runEnv) feed(op func(item)) error {
 	})
 	var err error
 	go func() {
-		err = pump(func(it item) { edge.Send(it) })
+		err = pump(func(batch []item) {
+			for _, it := range batch {
+				edge.Send(it)
+			}
+		})
 		edge.Close()
 	}()
+	var one [1]item
 	for {
-		it, ok := edge.Recv()
-		if !ok {
+		var ok bool
+		if one[0], ok = edge.Recv(); !ok {
 			break
 		}
-		op(it)
+		op(one[:])
 	}
 	if n := dropped.Value(); n > 0 {
 		fmt.Fprintf(env.stderr, "backpressure: dropped %d events (%s)\n", n, env.policy)
@@ -654,10 +678,9 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 		}
 	}
 
-	// The sink sits behind whichever operator runs: buffered stdout, or —
-	// with -breaker — the guarded rowSink.
-	out := bufio.NewWriter(stdout)
-	defer out.Flush()
+	// The sink sits behind whichever operator runs: stdout, or — with
+	// -breaker — the guarded rowSink. Both are handed the one row buffer the
+	// operator appends to.
 	var sink *rowSink
 	if env.breaker {
 		var err error
@@ -667,56 +690,31 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 		}
 		defer sink.finish()
 	}
-	// formatRows is the one row formatter: "[start, end)\t n=N\t value",
-	// prefixed k<key> under -keyed and q<id> for fleets, suffixed
-	// "  (update)" for corrections.
-	var pre []byte
-	formatRows := func(w io.Writer, rs []core.KeyedResult[int32, Out]) {
-		for _, r := range rs {
-			pre = pre[:0]
-			if env.keyed {
-				pre = append(strconv.AppendInt(append(pre, 'k'), int64(r.Key), 10), '\t')
-			}
-			if env.qPrefix {
-				pre = append(strconv.AppendInt(append(pre, 'q'), int64(r.Query), 10), '\t')
-			}
-			tag := ""
-			if r.Update {
-				tag = "  (update)"
-			}
-			s, e := r.Start, r.End
-			if r.Measure == stream.Time {
-				s, e = rb.unshift(s), rb.unshift(e)
-			}
-			w.Write(pre)
-			fmt.Fprintf(w, "[%d, %d)\t n=%d\t %v%s\n", s, e, r.N, r.Value, tag)
+	rows := &rowBuf[Out]{keyed: env.keyed, qPrefix: env.qPrefix, rb: rb, appendValue: valueAppender[Out]()}
+	deliver := func(flush bool) {
+		if rows.n == 0 {
+			return
 		}
-	}
-	emit := func(rs []core.KeyedResult[int32, Out]) {
 		if sink != nil {
-			// Guarded egress writes each result batch straight to the
-			// underlying writer (the sticky bufio error state would defeat
-			// per-batch retry), so a rejected batch is dead-lettered whole.
-			if len(rs) == 0 {
-				return
-			}
-			var buf bytes.Buffer
-			formatRows(&buf, rs)
-			sink.write(buf.Bytes(), len(rs))
+			// Guarded egress offers each result batch to the writer on its
+			// own, so a rejected batch is dead-lettered whole.
+			sink.write(rows.buf, rows.n)
+		} else if flush || len(rows.buf) >= outBufSize {
+			//lint:ignore errflow a writer that rejects rows is what -breaker guards against; without it the run carries on, as it always has
+			_, _ = stdout.Write(rows.buf)
+		} else {
 			return
 		}
-		formatRows(out, rs)
+		rows.buf, rows.n = rows.buf[:0], 0
 	}
-	process := func(it item) {
-		if it.Kind == stream.KindEvent {
-			emit(ag.ProcessElement(it.Event))
-			return
-		}
-		emit(ag.ProcessWatermark(it.Watermark))
+	defer deliver(true)
+	process := func(batch []item) {
+		ag.ProcessBatch(batch, rows)
 		// Watermarks bound the output and debug staleness for a streaming
 		// source: flush emitted rows and publish a fresh slice snapshot.
-		out.Flush()
-		if ms != nil {
+		atWatermark := batch[len(batch)-1].Kind == stream.KindWatermark
+		deliver(atWatermark)
+		if atWatermark && ms != nil {
 			sl := ag.SliceSnapshot()
 			for i := range sl {
 				sl[i].Start = rb.unshift(sl[i].Start)
@@ -749,9 +747,9 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 		ckptDurMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		fmt.Fprintf(stderr, "checkpoint: wrote %s (%d bytes)\n", ckptPath, len(data))
 	}
-	process(stream.WatermarkItem[stream.Tuple](stream.MaxTime))
+	process([]item{stream.WatermarkItem[stream.Tuple](stream.MaxTime)})
 	if feedErr != nil {
-		// The input broke off (a read error, a line past the scanner's
+		// The input broke off (a read error, a line past the length
 		// limit): everything before it was processed and drained above, but
 		// the run is not the whole stream — say so and fail.
 		fmt.Fprintf(stderr, "input: %v\n", feedErr)
@@ -800,6 +798,57 @@ func restoreFinal[Out any](ag operator[Out], rb *rebaser, data []byte) error {
 	}
 	rb.off, rb.set = off, set
 	return nil
+}
+
+// outBufSize is how many bytes of rows may wait for the next watermark before
+// they are written out regardless (what bufio.Writer's default buffer held).
+const outBufSize = 4096
+
+// rowBuf is the one reused output buffer: operators append a rendered row per
+// result, the run loop hands the bytes to the sink and resets it. A row is
+// "[start, end)\t n=N\t value", prefixed k<key> under -keyed and q<id> for
+// fleets, suffixed "  (update)" for corrections.
+type rowBuf[Out any] struct {
+	buf            []byte
+	n              int // rows in buf
+	keyed, qPrefix bool
+	rb             *rebaser
+	appendValue    func([]byte, Out) []byte
+}
+
+//slicelint:hotpath
+func (w *rowBuf[Out]) add(key int32, r *core.Result[Out]) {
+	if w.keyed {
+		w.buf = append(strconv.AppendInt(append(w.buf, 'k'), int64(key), 10), '\t')
+	}
+	if w.qPrefix {
+		w.buf = append(strconv.AppendInt(append(w.buf, 'q'), int64(r.Query), 10), '\t')
+	}
+	s, e := r.Start, r.End
+	if r.Measure == stream.Time {
+		s, e = w.rb.unshift(s), w.rb.unshift(e)
+	}
+	w.buf = strconv.AppendInt(append(w.buf, '['), s, 10)
+	w.buf = strconv.AppendInt(append(w.buf, ", "...), e, 10)
+	w.buf = strconv.AppendInt(append(w.buf, ")\t n="...), r.N, 10)
+	w.buf = w.appendValue(append(w.buf, "\t "...), r.Value)
+	if r.Update {
+		w.buf = append(w.buf, "  (update)"...)
+	}
+	w.buf = append(w.buf, '\n')
+	w.n++
+}
+
+// valueAppender picks how a result value is rendered, once per run: float64
+// results — every aggregate but count and m4 — are appended by strconv in the
+// shortest form that round-trips, which is what fmt's %v prints for a
+// float64; other result types keep fmt.
+func valueAppender[Out any]() func([]byte, Out) []byte {
+	var float any = func(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+	if f, ok := float.(func([]byte, Out) []byte); ok {
+		return f
+	}
+	return func(b []byte, v Out) []byte { return fmt.Append(b, v) }
 }
 
 // rowSink is scotty's guarded egress: every result-row batch passes a
@@ -866,94 +915,6 @@ func (s *rowSink) finish() {
 	if s.dlq != nil {
 		if err := s.dlq.Close(); err != nil {
 			fmt.Fprintf(s.stderr, "dlq: %v\n", err)
-		}
-	}
-}
-
-// source pushes the input's events, in arrival order, into emit until the
-// input is exhausted or ctx is canceled, and returns what broke the input off
-// early (nil for a clean end or a cancellation).
-type source func(ctx context.Context, emit func(event)) error
-
-// demoSource generates n events of the football profile, a fraction ooo of
-// them delivered late.
-func demoSource(n int, ooo float64) source {
-	return func(ctx context.Context, emit func(event)) error {
-		events := stream.Apply(stream.Disorder{Fraction: ooo, MaxDelay: 2000, Seed: 7},
-			stream.Generate(stream.Football(), n, 1))
-		for _, e := range events {
-			if ctx.Err() != nil {
-				break
-			}
-			emit(e)
-		}
-		return nil
-	}
-}
-
-// csvSource parses "timestamp-ms,value[,key]" lines (key defaults to 0) as
-// they arrive — each line is parsed, watermarked, and processed before the
-// next is read, so a live -metrics endpoint observes the run in progress
-// instead of a post-hoc summary. Timestamps are rebased before they reach the watermarker so
-// epoch-scale inputs stay cheap. Canceling ctx abandons the (possibly
-// blocked) read. Malformed lines are reported and skipped; a scanner failure
-// (a read error, a line over bufio.MaxScanTokenSize) ends the input and is
-// returned, so the run can drain what it has and exit non-zero instead of
-// passing a truncated stream off as the whole one.
-func csvSource(stdin io.Reader, stderr io.Writer, rb *rebaser) source {
-	return func(ctx context.Context, emit func(event)) error {
-		// The scanner blocks in Read with no way to interrupt it, so it runs
-		// in its own goroutine; the parsing loop below stays responsive to
-		// ctx. After cancellation the goroutine parks on the unbuffered send
-		// until the input closes — for a real process that is at exit anyway.
-		lines := make(chan string)
-		var scanErr error // written before close(lines), read after it
-		go func() {
-			defer close(lines)
-			sc := bufio.NewScanner(stdin)
-			for sc.Scan() {
-				select {
-				case lines <- sc.Text():
-				case <-ctx.Done():
-					return
-				}
-			}
-			scanErr = sc.Err()
-		}()
-		seq := int64(0)
-		for {
-			var line string
-			var ok bool
-			select {
-			case <-ctx.Done():
-				return nil
-			case line, ok = <-lines:
-			}
-			if !ok {
-				return scanErr
-			}
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			parts := strings.Split(line, ",")
-			if len(parts) < 2 || len(parts) > 3 {
-				fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-				continue
-			}
-			ts, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
-			v, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-			key := int64(0)
-			var err3 error
-			if len(parts) == 3 {
-				key, err3 = strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 32)
-			}
-			if err1 != nil || err2 != nil || err3 != nil {
-				fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-				continue
-			}
-			emit(event{Time: rb.shift(ts), Seq: seq, Value: stream.Tuple{Key: int32(key), V: v}})
-			seq++
 		}
 	}
 }

@@ -1,0 +1,359 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"scotty/internal/core"
+	"scotty/internal/obs"
+	"scotty/internal/stream"
+)
+
+// oracleSource is the CSV feed as the CLI had it before the block reader and
+// the in-place parser: bufio.Scanner, one string per line, Split / TrimSpace /
+// strconv. It is the reference the new path is compared against — same events
+// bit for bit, same lines called malformed, same read error.
+func oracleSource(r io.Reader) (events []event, malformed []string, err error) {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		parts := strings.Split(line, ",")
+		if len(parts) < 2 || len(parts) > 3 {
+			malformed = append(malformed, line)
+			continue
+		}
+		ts, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
+		v, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		key := int64(0)
+		var err3 error
+		if len(parts) == 3 {
+			key, err3 = strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 32)
+		}
+		if err1 != nil || err2 != nil || err3 != nil {
+			malformed = append(malformed, line)
+			continue
+		}
+		events = append(events, event{Time: ts, Seq: int64(len(events)), Value: stream.Tuple{Key: int32(key), V: v}})
+	}
+	return events, malformed, sc.Err()
+}
+
+// checkAgainstOracle runs input through csvSource, read in pieces of at most
+// chunk bytes, and through oracleSource, and compares everything observable.
+func checkAgainstOracle(t *testing.T, input []byte, chunk int) {
+	t.Helper()
+	want, wantBad, wantErr := oracleSource(bytes.NewReader(input))
+
+	var got []event
+	var stderr strings.Builder
+	src := csvSource(&chunkReader{r: bytes.NewReader(input), n: chunk}, &stderr, &rebaser{},
+		obs.NewRegistry().Counter("scotty_lines_malformed_total"))
+	gotErr := src(context.Background(), func(batch []event) { got = append(got, batch...) })
+
+	if !errors.Is(gotErr, wantErr) {
+		t.Fatalf("input %q: read error %v, oracle %v", input, gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("input %q: %d events, oracle %d\n got %v\nwant %v", input, len(got), len(want), got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Time != w.Time || g.Seq != w.Seq || g.Value.Key != w.Value.Key ||
+			math.Float64bits(g.Value.V) != math.Float64bits(w.Value.V) {
+			t.Fatalf("input %q: event %d is %+v, oracle %+v", input, i, g, w)
+		}
+	}
+	var wantStderr strings.Builder
+	for i, line := range wantBad {
+		if i < malformedShown {
+			fmt.Fprintf(&wantStderr, "skipping malformed line: %q\n", line)
+		}
+	}
+	if len(wantBad) > 0 {
+		fmt.Fprintf(&wantStderr, "input: skipped %d malformed lines\n", len(wantBad))
+	}
+	if stderr.String() != wantStderr.String() {
+		t.Fatalf("input %q: stderr\n%s\noracle\n%s", input, stderr.String(), wantStderr.String())
+	}
+}
+
+// chunkReader returns at most n bytes per Read.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
+}
+
+// parseCases are the lines where the in-place parser and strconv could
+// disagree: what the fast path must decline, and the edges of what it takes.
+var parseCases = []string{
+	"5,1", "+5,+1", "-5,-1", "-0,-0", "0,0.0", " 1 , 2 ", "\t1,2\t", "1,2,3", "1,2, 3", "1,2,-3", "1,2,+3",
+	"1,1e3", "1,1E-3", "1,NaN", "1,nan", "1,Inf", "1,-Inf", "1,+inf", "1,infinity", "1,0x1p3", "1,0x1.8p1", "1,1_000",
+	"1,.5", "1,5.", "1,-.5", "1,.", "1,-", "1,+", "1,", ",1", ",", "", "1", "1,2,", "1,2,3,4", "1,,2",
+	"1,123456789012345", "1,1234567890123456", "1,0.123456789012345", "1,0.1234567890123456",
+	"1,12345678.9012345", "1,123456789.0123456", "1,9007199254740993", "1,0.000000000000001",
+	"1,000000000000000000001.5", "1,179769313486231570000000000000000000000",
+	"123456789012345678,1", "1234567890123456789,1", "9223372036854775807,1", "9223372036854775808,1",
+	"-9223372036854775808,1", "-9223372036854775809,1", "1.0,1", "1e3,1", "0x10,1",
+	"1,2,999999999", "1,2,2147483647", "1,2,2147483648", "1,2,-2147483648", "1,2,-2147483649", "1,2,1.0", "1,2,x",
+	"1,2\r", "1,2 \r", "# 1,2", "#", "   ", "1;2", "1,2 3", "1,2\x00", "\xff,1", "1,\u00a02", "\u00a01,2",
+	"١,٢", "1,2,٣",
+}
+
+// TestParseLineMatchesStrconv: same accept/reject and bit-identical
+// (ts, value, key) as the Split/TrimSpace/strconv grammar, line by line and
+// as one input, LF and CRLF, whole and read a byte at a time.
+func TestParseLineMatchesStrconv(t *testing.T) {
+	for _, line := range parseCases {
+		checkAgainstOracle(t, []byte(line), 4096)
+		checkAgainstOracle(t, []byte(line+"\n"), 1)
+	}
+	checkAgainstOracle(t, []byte(strings.Join(parseCases, "\n")), 4096)
+	checkAgainstOracle(t, []byte(strings.Join(parseCases, "\r\n")), 7)
+	// A line split across many reads, and one past the length limit.
+	long := "1," + strings.Repeat("0", 30_000) + "1.5\n2,3\n"
+	checkAgainstOracle(t, []byte(long), 4096)
+	checkAgainstOracle(t, []byte("1,2\n3,"+strings.Repeat("7", maxLine)+"\n4,5\n"), 4096)
+	checkAgainstOracle(t, []byte("1,2\n3,"+strings.Repeat("7", maxLine-3)+"\n4,5\n"), 4096)
+}
+
+func FuzzParseLine(f *testing.F) {
+	for _, line := range parseCases {
+		f.Add([]byte(line), uint8(0))
+	}
+	f.Add([]byte("0,1\r\n\r\n# c\n100,2.5,7\nbad\n200,3"), uint8(3))
+	f.Fuzz(func(t *testing.T, input []byte, chunk uint8) {
+		checkAgainstOracle(t, input, int(chunk)+1)
+	})
+}
+
+// TestRowsMatchFprintf: the appended row is byte for byte the row the one
+// Fprintf used to print, for every prefix shape and value form.
+func TestRowsMatchFprintf(t *testing.T) {
+	values := []float64{0, 1, -1, 42, 1e6, 123456789, 1e20, 1e21, 1.5e300, 0.5, 0.1, 1.0 / 3, 1e-4, 1e-5, 1e-7,
+		5e-324, math.MaxFloat64, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	oldRow := func(keyed, qPrefix bool, key int32, r core.Result[float64], v any) string {
+		pre, tag := "", ""
+		if keyed {
+			pre += fmt.Sprintf("k%d\t", key)
+		}
+		if qPrefix {
+			pre += fmt.Sprintf("q%d\t", r.Query)
+		}
+		if r.Update {
+			tag = "  (update)"
+		}
+		return fmt.Sprintf("%s[%d, %d)\t n=%d\t %v%s\n", pre, r.Start+7000, r.End+7000, r.N, v, tag)
+	}
+	rb := &rebaser{step: 1000, off: 7000, set: true}
+	for _, keyed := range []bool{false, true} {
+		for _, qPrefix := range []bool{false, true} {
+			rows := &rowBuf[float64]{keyed: keyed, qPrefix: qPrefix, rb: rb, appendValue: valueAppender[float64]()}
+			var want strings.Builder
+			for i, v := range values {
+				r := core.Result[float64]{Query: i, Measure: stream.Time, Start: int64(i) * 1000, End: int64(i)*1000 + 2000,
+					Value: v, N: int64(i * i), Update: i%2 == 1}
+				rows.add(int32(-i), &r)
+				want.WriteString(oldRow(keyed, qPrefix, int32(-i), r, v))
+			}
+			if string(rows.buf) != want.String() || rows.n != len(values) {
+				t.Errorf("keyed=%v q=%v: %d rows\n%s\nwant %d\n%s", keyed, qPrefix, rows.n, rows.buf, len(values), want.String())
+			}
+		}
+	}
+	// Count-measure bounds are not rebased, and results that are not float64
+	// still go through fmt.
+	counts := &rowBuf[int64]{rb: rb, appendValue: valueAppender[int64]()}
+	counts.add(0, &core.Result[int64]{Measure: stream.Count, Start: 100, End: 200, Value: 100, N: 100})
+	if want := "[100, 200)\t n=100\t 100\n"; string(counts.buf) != want {
+		t.Errorf("count row %q, want %q", counts.buf, want)
+	}
+}
+
+// boundaryInput is a stream whose rows depend on everything a read boundary
+// could disturb: blank and comment lines, CRLF, a malformed line, no final
+// newline, a gap, four keys, and — twice — several tuples in a row that arrive
+// behind the watermark (update rows from adjacent events, across keys and
+// queries). Without late, the stream is in order, as -store daba requires.
+func boundaryInput(late bool) string {
+	var b strings.Builder
+	b.WriteString("# ts,value,key\r\n\r\n")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "%d,%d,%d\n", i*50, i%9+1, i%4)
+		switch {
+		case i == 100:
+			b.WriteString("oops\n\n")
+		case late && (i == 200 || i == 330):
+			ts := i*50 - 3500
+			fmt.Fprintf(&b, "%d,20,1\r\n%d,30,2\r\n%d,40,1\r\n%d,0.25,3\n", ts, ts+10, ts-400, ts+900)
+		}
+	}
+	b.WriteString("26000,5,2") // a gap: several watermarks fall due at once
+	return b.String()
+}
+
+// TestReadBoundaryIndependence: how the input happens to be split into reads
+// decides how it is batched, and must decide nothing else — stdout, stderr and
+// the exit code are those of the whole-input run.
+func TestReadBoundaryIndependence(t *testing.T) {
+	readers := map[string]func(in string) io.Reader{
+		"one-byte":  func(in string) io.Reader { return iotest.OneByteReader(strings.NewReader(in)) },
+		"7-byte":    func(in string) io.Reader { return &chunkReader{r: strings.NewReader(in), n: 7} },
+		"1000-byte": func(in string) io.Reader { return &chunkReader{r: strings.NewReader(in), n: 1000} },
+		"data+err":  func(in string) io.Reader { return iotest.DataErrReader(strings.NewReader(in)) },
+	}
+	for _, tc := range []struct {
+		updates bool // the late tuples must show as update rows
+		args    []string
+	}{
+		{true, []string{"-window", "sliding", "-length", "2000", "-slide", "500", "-agg", "sum"}},
+		// Two members answered from a factor window, two by queries of
+		// their own: a call's rows come out in two groups.
+		{true, []string{"-windows", "sliding:2000:1000,sliding:3000:1000,tumbling:700,session:120", "-agg", "sum"}},
+		{true, []string{"-windows", "count:50,count:20", "-agg", "sum"}},
+		{true, []string{"-keyed", "-window", "sliding", "-length", "2000", "-slide", "1000", "-agg", "max"}},
+		{true, []string{"-keyed", "-windows", "tumbling:1000,session:120", "-agg", "mean"}},
+		{false, []string{"-keyed", "-window", "count", "-length", "20", "-agg", "sum"}},
+		// Ordered mode: every tuple can emit, and the input must be in order.
+		{false, []string{"-store", "daba", "-windows", "sliding:2000:1000,sliding:3000:1000,tumbling:700", "-agg", "sum"}},
+		{false, []string{"-store", "daba", "-keyed", "-window", "tumbling", "-length", "1000", "-agg", "sum"}},
+	} {
+		args, in := tc.args, boundaryInput(tc.args[0] != "-store")
+		exec := func(r io.Reader) (string, string, int) {
+			var out, errOut strings.Builder
+			code := run(context.Background(), args, r, &out, &errOut)
+			return out.String(), errOut.String(), code
+		}
+		wantOut, wantErr, wantCode := exec(strings.NewReader(in))
+		if wantCode != 0 || !strings.Contains(wantErr, `skipping malformed line: "oops"`) {
+			t.Fatalf("scotty %v exited %d: %s", args, wantCode, wantErr)
+		}
+		if tc.updates && !strings.Contains(wantOut, "  (update)") {
+			t.Fatalf("scotty %v: no update rows, the late tuples are not late:\n%s", args, wantOut)
+		}
+		for name, r := range readers {
+			out, errOut, code := exec(r(in))
+			if out != wantOut || errOut != wantErr || code != wantCode {
+				t.Errorf("scotty %v through a %s reader diverged from the whole-input run (exit %d, want %d)\nstderr:\n%s\nwant:\n%s\nstdout:\n%s\nwant:\n%s",
+					args, name, code, wantCode, errOut, wantErr, out, wantOut)
+			}
+		}
+	}
+}
+
+// TestReadErrorMidLineDrains: a reader that fails in the middle of a line ends
+// the input there; everything ingested is still drained, the error is
+// reported, and the exit code is 1.
+func TestReadErrorMidLineDrains(t *testing.T) {
+	r := io.MultiReader(strings.NewReader("0,1\n100,2\n6000,3\n70"), iotest.ErrReader(errors.New("link down")))
+	var out, errOut strings.Builder
+	code := run(context.Background(), []string{"-window", "tumbling", "-length", "1000"}, r, &out, &errOut)
+	if code != 1 || !strings.Contains(errOut.String(), "input: link down") {
+		t.Errorf("exit %d, stderr %q; want 1 and the read error", code, errOut.String())
+	}
+	for _, row := range []string{"[0, 1000)\t n=2\t 3\n", "[6000, 7000)\t n=1\t 3\n"} {
+		if !strings.Contains(out.String(), row) {
+			t.Errorf("row %q was not drained:\n%s", row, out.String())
+		}
+	}
+}
+
+// TestMalformedLinesAreCountedAndCapped: the first malformedShown malformed
+// lines are echoed, all of them are counted, and the total is reported once.
+func TestMalformedLinesAreCountedAndCapped(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i < 25; i++ {
+		fmt.Fprintf(&in, "%d,1\nbad-%d\n", i*100, i)
+	}
+	var out, errOut strings.Builder
+	if code := run(context.Background(), []string{"-window", "tumbling", "-length", "1000"}, strings.NewReader(in.String()), &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if n := strings.Count(errOut.String(), "skipping malformed line: "); n != malformedShown {
+		t.Errorf("%d malformed lines echoed, want %d:\n%s", n, malformedShown, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), `skipping malformed line: "bad-9"`) || strings.Contains(errOut.String(), "bad-10") {
+		t.Errorf("the echoed lines are not the first %d:\n%s", malformedShown, errOut.String())
+	}
+	if !strings.HasSuffix(errOut.String(), "input: skipped 25 malformed lines\n") {
+		t.Errorf("no summary of the 25 malformed lines:\n%s", errOut.String())
+	}
+}
+
+// inOrderCSV renders n in-order lines, two per event-millisecond.
+func inOrderCSV(n int) []byte {
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d,%d\n", i/2, i%997)
+	}
+	return b.Bytes()
+}
+
+var slidingSum = []string{"-window", "sliding", "-length", "10000", "-slide", "1000", "-agg", "sum"}
+
+// TestIngestPathIsAllocationFree gates the whole run path — block read,
+// in-place parse, feed, ProcessBatch, appended rows, write — at zero
+// allocations per line in steady state: a run over 100 000 more lines of an
+// in-order stream may not allocate more than a run's fixed set-up does.
+func TestIngestPathIsAllocationFree(t *testing.T) {
+	allocs := func(lines int) float64 {
+		in := inOrderCSV(lines)
+		return testing.AllocsPerRun(3, func() {
+			if code := run(context.Background(), slidingSum, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
+				t.Fatalf("scotty exited %d", code)
+			}
+		})
+	}
+	short, long := allocs(50_000), allocs(150_000)
+	if perLine := (long - short) / 100_000; perLine > 0.001 {
+		t.Errorf("%.0f allocations for 50k lines, %.0f for 150k: %.4f per line, want 0", short, long, perLine)
+	}
+}
+
+// BenchmarkIngestVsLineRate states the run path's cost per input line beside
+// the floor for anything that reads the same bytes: the same block-sized reads
+// with the newlines counted and nothing else done.
+func BenchmarkIngestVsLineRate(b *testing.B) {
+	const lines = 150_000
+	in := inOrderCSV(lines)
+	b.Run("scotty", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if code := run(context.Background(), slidingSum, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
+				b.Fatalf("scotty exited %d", code)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
+	})
+	b.Run("count-newlines", func(b *testing.B) {
+		buf := make([]byte, blockSize)
+		for i := 0; i < b.N; i++ {
+			r, n := bytes.NewReader(in), 0
+			for {
+				m, err := r.Read(buf)
+				n += bytes.Count(buf[:m], []byte{'\n'})
+				if err != nil {
+					break
+				}
+			}
+			if n != lines {
+				b.Fatalf("counted %d lines", n)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
+	})
+}

@@ -56,13 +56,16 @@ go test ./internal/chaos/... -race -count=2
 echo '== fuzz smoke (30s total; skip with SKIP_FUZZ=1)'
 # Each fuzz target gets a short randomized burst on top of its checked-in
 # seed corpus: the envelope decoder must never panic on arbitrary bytes
-# (recovery reads checkpoint files straight off disk), and the lint
-# directive parser backs every suppression in the tree.
+# (recovery reads checkpoint files straight off disk), the lint directive
+# parser backs every suppression in the tree, and scotty's block reader and
+# in-place line parser must accept, reject and parse exactly what the
+# Scanner/Split/strconv feed they replaced did.
 if [ "${SKIP_FUZZ:-0}" = "1" ]; then
   echo 'skipped (SKIP_FUZZ=1)'
 else
-  go test ./internal/checkpoint -run '^$' -fuzz '^FuzzDecodeEnvelope$' -fuzztime 15s
-  go test ./internal/lint -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 15s
+  go test ./internal/checkpoint -run '^$' -fuzz '^FuzzDecodeEnvelope$' -fuzztime 10s
+  go test ./internal/lint -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 10s
+  go test ./cmd/scotty -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 10s
 fi
 
 echo '== benchmark smoke (fig 8 quick, JSON artifact)'
