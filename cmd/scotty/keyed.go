@@ -1,8 +1,10 @@
 // Keyed mode: -keyed partitions the stream by key and windows every key's
-// sub-stream independently through core.Keyed. With -mem-budget the per-key
-// state is bounded: cold keys spill to -spill-dir and re-hydrate
-// transparently (docs/MEMORY.md). This file only builds that operator and
-// owns its spill lifecycle; the pipeline around it is main.go's.
+// sub-stream independently through core.Keyed, which keeps one slice ring for
+// all keys when the windows allow it and an operator per key otherwise. With
+// -mem-budget the state is per-key operators under a byte budget: cold keys
+// spill to -spill-dir and re-hydrate transparently (docs/MEMORY.md). This
+// file only builds that operator and owns its spill lifecycle; the pipeline
+// around it is main.go's.
 package main
 
 import (
@@ -34,10 +36,6 @@ func (k *keyedOp[A, Out]) ProcessBatch(batch []item, rows *rowBuf[Out]) {
 	}
 }
 
-// SliceSnapshot is empty under -keyed: every key has its own slice ring, and
-// /debug/slices shows one ring.
-func (k *keyedOp[A, Out]) SliceSnapshot() []core.SliceInfo { return []core.SliceInfo{} }
-
 func (k *keyedOp[A, Out]) Close() {
 	if k.spill == nil {
 		return
@@ -52,7 +50,7 @@ func (k *keyedOp[A, Out]) Close() {
 	}
 }
 
-// newKeyedOperator builds the per-key operator; newOperator has validated the
+// newKeyedOperator builds the keyed operator; newOperator has validated the
 // query set, so the per-key MustAddQuery cannot fail. env.newDefs is a
 // factory, not a slice: ContextFree definitions carry their trigger-cursor state, so every
 // per-key operator needs its own fresh instances — a shared definition would

@@ -17,7 +17,10 @@
 // behind each watermark they release, handed to the operator's ProcessBatch,
 // its result rows appended to one reused buffer. The flags only choose which
 // operator sits in the middle: a bare slicing core, a -windows fleet, or —
-// with -keyed — one core per key (keyed.go). Key partitioning is the boundary
+// with -keyed — core.Keyed, which windows every key's sub-stream on its own
+// (keyed.go; tumbling and sliding time windows share one slice ring across
+// keys, sessions, count windows and -mem-budget get a core per key — the
+// operator decides, no flag does). Key partitioning is the boundary
 // the stream is split on (paper §5.3), nothing more: the key column is parsed
 // in every mode and ignored unless -keyed is set, and an unkeyed run prints
 // exactly what a one-key keyed run prints minus the key.
@@ -472,7 +475,7 @@ type runEnv struct {
 	ctx      context.Context
 	opts     core.Options
 	newDefs  func(stderr io.Writer) ([]window.Definition, int64) // fresh definitions per operator instance
-	keyed    bool                                                // -keyed: one core per key
+	keyed    bool                                                // -keyed: every key's sub-stream windowed on its own
 	fleet    bool                                                // -windows: unkeyed runs go through the sharing layer
 	qPrefix  bool                                                // rows carry q<id>
 	budget   int64
@@ -492,7 +495,7 @@ type runEnv struct {
 
 // operator is the one processing surface of the pipeline: a single window on
 // a bare slicing core, a -windows fleet sharing physical work across its
-// members (dedup + factor-window rewrite, docs/SHARING.md), or a core per key.
+// members (dedup + factor-window rewrite, docs/SHARING.md), or a keyed operator.
 // Thin adapters (unkeyedOp here, keyedOp in keyed.go) give all three the same
 // method set — a batch in, rows with their optional key out — so the run
 // loop, the row formatter, the metrics publisher, and the checkpoint
@@ -531,8 +534,8 @@ func (u unkeyedOp[Out]) Close() {}
 
 // newOperator builds the operator the flags select. A nil operator means the
 // returned exit code is final. Registering the query set validates it; under
-// -keyed the instance built here is only that probe — the per-key operators
-// are built on demand and must not fail mid-stream.
+// -keyed the instance built here is only that probe — per-key operators, where
+// the query set needs them, are built on demand and must not fail mid-stream.
 func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env runEnv) (operator[Out], int) {
 	var ag single[Out]
 	if env.fleet && !env.keyed {
@@ -764,9 +767,11 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 // continuation's first (later) event would misalign the restored state and
 // the new tuples, and every printed bound would be off by the difference.
 // The core, fleet, and keyed snapshot codecs are distinct (a fleet snapshot
-// nests the core's plus the sharing plan, a keyed one nests a core's per key,
-// cold keys' spilled blobs included), so a checkpoint written by one run
-// shape is rejected — and ignored with a warning — when restored by another.
+// nests the core's plus the sharing plan, a keyed one is either the shared
+// slice ring with its key directory or a core's per key, cold keys' spilled
+// blobs included), so a checkpoint written by one run shape is rejected — and
+// ignored with a warning — when restored by another; -keyed with and without
+// -mem-budget are two shapes.
 func sealFinal[Out any](ag operator[Out], rb *rebaser) ([]byte, error) {
 	state, err := ag.Snapshot()
 	if err != nil {

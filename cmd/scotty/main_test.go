@@ -435,3 +435,21 @@ func TestKeyedCSVKeyColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedLateTupleOfSilentKey: key 1 speaks at 100 and falls silent while
+// key 2 carries the watermark past 2000. Key 1's next tuple, at 700, leads
+// key 1's own sub-stream but trails the stream's watermark, so it corrects the
+// row already printed for k1's [0, 1000) — on the shared-ring representation
+// and on the per-key one (-mem-budget selects it), which used to fold the
+// tuple without a row because the key's operator judged it in order.
+func TestKeyedLateTupleOfSilentKey(t *testing.T) {
+	in := "100,1,1\n5000,1,2\n700,10,1\n"
+	for _, extra := range [][]string{nil, {"-mem-budget", "1000000000", "-spill-dir", t.TempDir()}} {
+		args := append([]string{"-keyed", "-window", "tumbling", "-length", "1000", "-agg", "sum"}, extra...)
+		out := runScotty(t, args, in)
+		want := "k1\t[0, 1000)\t n=1\t 1\nk1\t[0, 1000)\t n=2\t 11  (update)\n"
+		if !strings.HasPrefix(out, want) {
+			t.Errorf("scotty %v:\n got:\n%s\nwant it to open with:\n%s", args, out, want)
+		}
+	}
+}

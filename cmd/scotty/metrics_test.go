@@ -39,13 +39,23 @@ var metricsURL = regexp.MustCompile(`metrics: (http://\S+)/metrics`)
 // TestMetricsEndpointDuringRun drives scotty through a stdin pipe and polls
 // the -metrics endpoint while the stream is still open: the counters and
 // gauges must show the run in progress, and /debug/slices must serve the
-// live slice layout.
+// live slice layout — under -keyed too, where context-free windows share one
+// slice ring across keys and core_keys_live needs no -mem-budget.
 func TestMetricsEndpointDuringRun(t *testing.T) {
+	t.Run("unkeyed", func(t *testing.T) { metricsEndpointDuringRun(t, false) })
+	t.Run("keyed", func(t *testing.T) { metricsEndpointDuringRun(t, true) })
+}
+
+func metricsEndpointDuringRun(t *testing.T, keyed bool) {
+	args := []string{"-window", "tumbling", "-length", "2000", "-agg", "sum", "-metrics", "127.0.0.1:0"}
+	if keyed {
+		args = append(args, "-keyed")
+	}
 	pr, pw := io.Pipe()
 	var out, errOut syncBuffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run(context.Background(), []string{"-window", "tumbling", "-length", "2000", "-agg", "sum", "-metrics", "127.0.0.1:0"}, pr, &out, &errOut)
+		done <- run(context.Background(), args, pr, &out, &errOut)
 	}()
 
 	// The endpoint URL appears on stderr as soon as the listener is up.
@@ -63,7 +73,7 @@ func TestMetricsEndpointDuringRun(t *testing.T) {
 
 	// Stream events spanning many watermark periods, keeping stdin open.
 	for i := 0; i < 200; i++ {
-		if _, err := fmt.Fprintf(pw, "%d,1\n", i*100); err != nil {
+		if _, err := fmt.Fprintf(pw, "%d,1,%d\n", i*100, i%4); err != nil { // the key column only matters under -keyed
 			t.Fatal(err)
 		}
 	}
@@ -122,12 +132,26 @@ func TestMetricsEndpointDuringRun(t *testing.T) {
 	if slices.Count == 0 || len(slices.Slices) != slices.Count {
 		t.Fatalf("debug snapshot empty or inconsistent: %+v", slices)
 	}
+	if keyed {
+		if got := metricValue(snap.Metrics, "core_keys_live"); got != 4 {
+			t.Errorf("core_keys_live = %d, want the stream's 4 keys", got)
+		}
+		for _, sl := range slices.Slices {
+			if sl.Keys == 0 || sl.Keys > 4 || sl.N == 0 || sl.End-sl.Start != 2000 {
+				t.Errorf("shared ring slice %+v: want a 2000 ms cell holding tuples of 1-4 keys", sl)
+			}
+		}
+	}
 
 	pw.Close()
 	if code := <-done; code != 0 {
 		t.Fatalf("scotty exited %d: %s", code, errOut.String())
 	}
-	checkRows(t, out.String())
+	rows := out.String()
+	if keyed {
+		rows = regexp.MustCompile(`(?m)^k\d\t`).ReplaceAllString(rows, "")
+	}
+	checkRows(t, rows)
 }
 
 // TestFleetMetricsOnEndpoint runs a -windows fleet with the metrics endpoint

@@ -95,6 +95,12 @@ type query[V any] struct {
 	// produce updates either — the query never announced them, and without
 	// stored tuples their boundaries may not even be answerable.
 	updFloor int64
+	// seeded marks a floor raised by seedWatermark on a fresh operator, not
+	// by a registration that drained older data: windows below it hold
+	// nothing the operator cannot answer — they closed before its first
+	// tuple — so a late tuple landing in one announces it instead of being
+	// swallowed.
+	seeded bool
 }
 
 // Aggregator is the general stream slicing window operator (Fig 3/7). It
@@ -299,6 +305,7 @@ func (ag *Aggregator[V, A, Out]) seedWatermark(wm int64) {
 				// this operator will itself announce.
 				if f := q.cf.NextTrigger(ag.st) + 1; f > q.updFloor {
 					q.updFloor = f
+					q.seeded = true
 				}
 			} else if f := wm + 1; f > q.updFloor {
 				q.updFloor = f
@@ -342,7 +349,7 @@ func (ag *Aggregator[V, A, Out]) addQuery(def window.Definition, resumed bool) (
 		if ag.currWM != stream.MinTime {
 			drainTo = ag.currWM
 		}
-		if p, ok := def.(interface{ Params() (length, slide int64) }); ok &&
+		if p, ok := def.(periodicParams); ok &&
 			def.Measure() == stream.Time && !ag.st.keepTuples && ag.st.totalCount > 0 {
 			// Aggregate-only slices holding pre-registration data cannot
 			// serve this query: its edges may fall strictly inside them
@@ -364,7 +371,7 @@ func (ag *Aggregator[V, A, Out]) addQuery(def window.Definition, resumed bool) (
 			// cursor is exact (NextTrigger); other kinds fall back to the
 			// drain horizon.
 			q.updFloor = drainTo + 1
-			if _, ok := def.(interface{ Params() (length, slide int64) }); ok {
+			if _, ok := def.(periodicParams); ok {
 				q.updFloor = q.cf.NextTrigger(ag.st)
 				if def.Measure() == stream.Time {
 					q.updFloor++ // NextTrigger reports end-1 for time
@@ -566,7 +573,7 @@ func (ag *Aggregator[V, A, Out]) nextWake() int64 {
 		switch {
 		case q.cf != nil && q.def.Measure() == stream.Time:
 			w = q.cf.NextTrigger(ag.st)
-			if p, ok := q.def.(interface{ Params() (length, slide int64) }); ok {
+			if p, ok := q.def.(periodicParams); ok {
 				length, _ := p.Params()
 				// Trigger postpones windows entirely after the last
 				// observed tuple (the MaxSeenTime cap); only new data can
@@ -672,13 +679,29 @@ func (ag *Aggregator[V, A, Out]) ingestElement(e stream.Event[V]) {
 		// canonical position.
 		inOrder = false
 	}
-	if inOrder {
+	// A tuple can lead this operator's own stream and still sit at or behind
+	// its watermark: a key of a Keyed operator that was silent while other
+	// keys advanced the broadcast watermark. Windows ending at or before the
+	// watermark are announced, so such a tuple is late — it obeys the lateness
+	// horizon and corrects announced windows through the out-of-order
+	// pipeline — even though no earlier tuple outranks it. (A lone operator's
+	// watermark trails its maxSeen, so this never fires there.)
+	behindWM := inOrder && !ag.opts.Ordered && ag.currWM != stream.MinTime && e.Time <= ag.currWM
+	if (!inOrder || behindWM) && ag.currWM != stream.MinTime && e.Time <= ag.currWM-ag.opts.Lateness {
+		ag.m.dropped.Inc()
+		return
+	}
+	switch {
+	case behindWM:
+		// Cut the edges up to the tuple first, so it lands in a slice of its
+		// own windows, not in an open slice spanning everything since the
+		// key's previous tuple.
+		ag.advanceTimeEdges(e.Time)
+		ag.st.maxSeen = e.Time
+		ag.processOutOfOrder(e)
+	case inOrder:
 		ag.processInOrder(e)
-	} else {
-		if ag.currWM != stream.MinTime && e.Time <= ag.currWM-ag.opts.Lateness {
-			ag.m.dropped.Inc()
-			return
-		}
+	default:
 		ag.processOutOfOrder(e)
 	}
 	if ag.evictCountdown--; ag.evictCountdown <= 0 {
@@ -798,7 +821,18 @@ func (ag *Aggregator[V, A, Out]) processOutOfOrder(e stream.Event[V]) {
 					return // not yet emitted; the regular trigger will cover it
 				}
 				if en < q.updFloor {
-					return // window predates this query's registration
+					if !q.seeded {
+						return // window predates this query's registration
+					}
+					// The window closed before this operator's first tuple
+					// (a key that joined late), so it was never announced;
+					// the tuple makes it non-empty. Announce it now; from
+					// here on late tuples correct it with updates.
+					// WindowsTouched lists windows latest first, so the
+					// floor steps down one window at a time.
+					q.updFloor = en
+					ag.emit(q, s, en, false)
+					return
 				}
 				ag.emit(q, s, en, true)
 			})

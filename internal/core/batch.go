@@ -71,7 +71,16 @@ func (ag *Aggregator[V, A, Out]) fastPrefix(batch []stream.Item[V]) int {
 	// aggregation order or canonical ranks matter (see ProcessElement), so
 	// those workloads require strictly ascending times.
 	strict := !ag.opts.Ordered && (!ag.st.props.Commutative || ag.needRank)
-	return stream.EventPrefix(batch, ag.st.maxSeen, strict)
+	floor := ag.st.maxSeen
+	if !ag.opts.Ordered && ag.currWM != stream.MinTime && ag.currWM >= floor {
+		// Events at or behind the watermark are late even when they lead
+		// this operator's stream (ingestElement); keep them off the run.
+		if ag.currWM == stream.MaxTime {
+			return 0
+		}
+		floor = ag.currWM + 1
+	}
+	return stream.EventPrefix(batch, floor, strict)
 }
 
 // runLength returns the largest n such that folding items[:n] into the open

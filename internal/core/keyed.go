@@ -1,6 +1,9 @@
 package core
 
-import "scotty/internal/stream"
+import (
+	"scotty/internal/stream"
+	"scotty/internal/window"
+)
 
 // KeyedResult is a window aggregate of one key's sub-stream.
 type KeyedResult[K comparable, Out any] struct {
@@ -8,19 +11,35 @@ type KeyedResult[K comparable, Out any] struct {
 	Result[Out]
 }
 
-// Keyed wraps one Aggregator per key, mirroring the keyed window operators of
-// dataflow systems: each key's sub-stream is windowed and aggregated
-// independently, watermarks are broadcast to every key (§5.3
+// Keyed windows and aggregates every key's sub-stream independently,
+// mirroring the keyed window operators of dataflow systems (§5.3
 // Parallelization — key partitioning is the sharing boundary; within a key,
-// all queries still share slices).
+// all queries still share slices). Watermarks apply to every key.
 //
-// Keys appear lazily on first use and are dropped again once they have been
-// idle past the allowed lateness and hold no unemitted state worth keeping
+// It keeps one of two representations, chosen once in NewKeyed by the rule in
+// decision.go (sliceMajorKeyed), never by the caller:
+//
+//   - slice-major, when every query is a context-free periodic time window
+//     over a commutative aggregate: such windows cut the same slice edges for
+//     every key, so the keys share one slice ring whose slices each hold a
+//     key→partial table, and a key costs a directory entry and a trigger
+//     cursor per query (keyed_slicemajor.go);
+//   - one Aggregator per key otherwise: sessions and count windows slice on
+//     the data, so their slices really are per key. EnableSpill also selects
+//     it — the spill tier evicts whole per-key operators.
+//
+// Both emit the same rows in the same order on an in-order stream. Keys
+// appear lazily on first use and are dropped again once they have been idle
+// past the allowed lateness and hold no unemitted state worth keeping
 // (bounding state for rotating key spaces). With EnableSpill, resident state
 // is additionally bounded by a byte budget: cold keys' operator state moves
 // to disk and transparently re-hydrates on the key's next tuple or due
 // emission (docs/MEMORY.md).
 type Keyed[K comparable, V, A, Out any] struct {
+	// sm is the slice-major representation; nil selects the per-key one,
+	// which is everything below.
+	sm *sliceMajor[K, V, A, Out]
+
 	newOp func() *Aggregator[V, A, Out]
 	keyOf func(V) K
 	ops   map[K]*keyedEntry[V, A, Out]
@@ -38,9 +57,11 @@ type Keyed[K comparable, V, A, Out any] struct {
 	// must agree with the operators' horizon, including for keys that are
 	// currently cold or not materialized at all.
 	lateness int64
-	// dropped counts tuples discarded at the keyed layer: too late to land
-	// in any still-open window of a key with no resident operator. The
-	// operators count their own late drops; Stats sums both.
+	// tuples and dropped count what the keyed layer accepted and what it
+	// discarded as at or behind currWM-lateness, whichever key it names.
+	// Counting here keeps Stats exact when keys expire or spill and take
+	// their operators' counters with them.
+	tuples  int64
 	dropped int64
 
 	// spill, when non-nil, bounds resident state (EnableSpill).
@@ -78,20 +99,38 @@ type keyedEntry[V, A, Out any] struct {
 // advance a single cursor for all keys and silence every operator but the
 // first to trigger. idleTTL > 0 expires keys idle for that many milliseconds
 // of event time.
+//
+// newOp is called once here: the operator it returns states the workload —
+// function, options, query set — from which the representation is chosen, and
+// on the slice-major one it is the only operator ever built.
 func NewKeyed[K comparable, V, A, Out any](keyOf func(V) K, idleTTL int64, newOp func() *Aggregator[V, A, Out]) *Keyed[K, V, A, Out] {
-	return &Keyed[K, V, A, Out]{
+	probe := newOp()
+	k := &Keyed[K, V, A, Out]{
 		newOp:    newOp,
 		keyOf:    keyOf,
 		ops:      map[K]*keyedEntry[V, A, Out]{},
 		scratch:  map[K]int{},
 		currWM:   stream.MinTime,
 		idleTTL:  idleTTL,
-		lateness: newOp().opts.Lateness,
+		lateness: probe.opts.Lateness,
 	}
+	defs := make([]window.Definition, len(probe.queries))
+	for i, q := range probe.queries {
+		defs[i] = q.def
+	}
+	if sliceMajorKeyed(probe.opts, probe.st.keepTuples, len(probe.taps) > 0, defs) {
+		k.sm = newSliceMajor(keyOf, idleTTL, probe)
+	}
+	return k
 }
 
 // Keys returns the number of live keys (resident and spilled).
-func (k *Keyed[K, V, A, Out]) Keys() int { return len(k.ops) }
+func (k *Keyed[K, V, A, Out]) Keys() int {
+	if k.sm != nil {
+		return len(k.sm.ids)
+	}
+	return len(k.ops)
+}
 
 // entry returns the key's aggregator slot, creating it on first use.
 func (k *Keyed[K, V, A, Out]) entry(key K) *keyedEntry[V, A, Out] {
@@ -138,18 +177,24 @@ func (k *Keyed[K, V, A, Out]) ready(key K, ent *keyedEntry[V, A, Out]) {
 // ProcessElement routes the tuple to its key's aggregator. The returned
 // slice is reused across calls.
 func (k *Keyed[K, V, A, Out]) ProcessElement(e stream.Event[V]) []KeyedResult[K, Out] {
+	if k.sm != nil {
+		k.sm.results = k.sm.results[:0]
+		k.sm.ingest(e)
+		return k.sm.results
+	}
 	k.results = k.results[:0]
-	key := k.keyOf(e.Value)
-	ent := k.ops[key]
-	if (ent == nil || ent.op == nil) && k.tooLate(e.Time) {
+	if k.tooLate(e.Time) {
 		// Too late to land anywhere: the operator's own lateness check
-		// would drop the tuple right after materialization (or
-		// re-hydration), so drop it here and leave the key absent or
-		// cold. Without this, a key fed exclusively too-late data is
-		// re-created — and re-drained — every single watermark.
+		// would drop the tuple (right after materialization or
+		// re-hydration, if the key is absent or cold), so drop it here.
+		// Without this, a key fed exclusively too-late data is re-created —
+		// and re-drained — every single watermark.
 		k.dropped++
 		return k.results
 	}
+	k.tuples++
+	key := k.keyOf(e.Value)
+	ent := k.ops[key]
 	if ent == nil {
 		ent = k.entry(key)
 	} else {
@@ -168,6 +213,11 @@ func (k *Keyed[K, V, A, Out]) ProcessElement(e stream.Event[V]) []KeyedResult[K,
 // ProcessWatermark broadcasts the watermark to every key and expires idle
 // keys. The returned slice is reused across calls.
 func (k *Keyed[K, V, A, Out]) ProcessWatermark(wm int64) []KeyedResult[K, Out] {
+	if k.sm != nil {
+		k.sm.results = k.sm.results[:0]
+		k.sm.watermark(wm)
+		return k.sm.results
+	}
 	k.results = k.results[:0]
 	k.broadcastWatermark(wm)
 	return k.results
@@ -219,20 +269,27 @@ func (k *Keyed[K, V, A, Out]) broadcastWatermark(wm int64) {
 	}
 }
 
-// ProcessBatch ingests a whole arrival-ordered batch. Events are grouped by
-// key — one scratch-map lookup per key-run rather than one per tuple — and
-// each key's sub-batch is handed to its aggregator's ProcessBatch, so the
-// per-key fast path sees maximal runs. Watermarks segment the batch: all
-// events before a watermark are flushed to their keys first, then the
-// watermark is broadcast.
+// ProcessBatch ingests a whole arrival-ordered batch of events and watermarks
+// and returns every result it caused. The returned slice is reused across
+// calls.
 //
-// Results arrive grouped by key (keys in first-appearance order within each
-// segment), not interleaved in per-tuple arrival order; the set of results
-// and every per-key subsequence match the per-element path exactly. The
-// returned slice is reused across calls.
+// On the slice-major representation results arrive in arrival order: a late
+// tuple's update rows where the tuple stood, a watermark's rows where the
+// watermark stood. On the per-key one, events are grouped by key — one
+// scratch-map lookup per key-run rather than one per tuple — and each key's
+// sub-batch is handed to its aggregator's ProcessBatch, so the per-key fast
+// path sees maximal runs; watermarks segment the batch (all events before a
+// watermark are flushed to their keys first, then the watermark is
+// broadcast), and results arrive grouped by key (keys in first-appearance
+// order within each segment), not interleaved in per-tuple arrival order. On
+// both, the set of results and every per-key subsequence match the
+// per-element path exactly.
 //
 //slicelint:hotpath
 func (k *Keyed[K, V, A, Out]) ProcessBatch(batch []stream.Item[V]) []KeyedResult[K, Out] {
+	if k.sm != nil {
+		return k.sm.processBatch(batch)
+	}
 	k.results = k.results[:0]
 	for len(batch) > 0 {
 		if batch[0].Kind != stream.KindEvent {
@@ -258,6 +315,13 @@ func (k *Keyed[K, V, A, Out]) processEventSegment(seg []stream.Item[V]) {
 	var curKey K
 	cur := -1
 	for i := range seg {
+		if k.tooLate(seg[i].Event.Time) {
+			// Mirror the element path's keyed-layer late drop. No watermark
+			// falls inside a segment, so one horizon serves all of it.
+			k.dropped++
+			continue
+		}
+		k.tuples++
 		key := k.keyOf(seg[i].Event.Value)
 		if cur < 0 || key != curKey {
 			idx, ok := k.scratch[key]
@@ -282,23 +346,6 @@ func (k *Keyed[K, V, A, Out]) processEventSegment(seg []stream.Item[V]) {
 		delete(k.scratch, key)
 		items := k.runs[idx]
 		ent := k.ops[key]
-		if ent == nil || ent.op == nil {
-			// Mirror the element path's keyed-layer late drop: while the
-			// key has no resident operator, too-late items are discarded
-			// without materializing one. The first acceptable item
-			// materializes (or re-hydrates) the operator; later too-late
-			// items in the run are the operator's own business, exactly
-			// as in per-element processing.
-			i := 0
-			for i < len(items) && k.tooLate(items[i].Event.Time) {
-				i++
-			}
-			k.dropped += int64(i)
-			items = items[i:]
-			if len(items) == 0 {
-				continue
-			}
-		}
 		if ent == nil {
 			ent = k.entry(key)
 		} else {
@@ -316,12 +363,17 @@ func (k *Keyed[K, V, A, Out]) processEventSegment(seg []stream.Item[V]) {
 	}
 }
 
-// Stats sums the per-key operator statistics of resident keys plus the
-// keyed layer's own late drops. Spilled keys' counters rejoin the sum when
-// they re-hydrate; registry-backed metrics are unaffected by spilling.
+// Stats reports the operator statistics. Tuples and Dropped are counted at
+// the keyed layer and exact on both representations — Dropped is every tuple
+// at or behind currWM-lateness, whichever key it names; the slicing counters
+// are summed over the resident per-key operators (spilled keys' rejoin the
+// sum when they re-hydrate; the slice-major ring reports its slice count and
+// never splits, merges or recomputes).
 func (k *Keyed[K, V, A, Out]) Stats() Stats {
-	var total Stats
-	total.Dropped = k.dropped
+	if k.sm != nil {
+		return k.sm.stats()
+	}
+	total := Stats{Tuples: k.tuples, Dropped: k.dropped}
 	for _, ent := range k.ops {
 		if ent.op == nil {
 			continue
@@ -332,8 +384,16 @@ func (k *Keyed[K, V, A, Out]) Stats() Stats {
 		total.Merges += s.Merges
 		total.Recomputes += s.Recomputes
 		total.Shifts += s.Shifts
-		total.Dropped += s.Dropped
-		total.Tuples += s.Tuples
 	}
 	return total
+}
+
+// SliceSnapshot copies the shared slice ring's layout for debug endpoints:
+// bounds, tuples and keys present per slice. It is empty on the per-key
+// representation, where every key has a ring of its own.
+func (k *Keyed[K, V, A, Out]) SliceSnapshot() []SliceInfo {
+	if k.sm == nil {
+		return []SliceInfo{}
+	}
+	return k.sm.sliceSnapshot()
 }

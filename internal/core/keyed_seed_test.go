@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"scotty/internal/aggregate"
 	"scotty/internal/stream"
 	"scotty/internal/window"
 )
@@ -187,14 +188,32 @@ func TestKeyedLateOnlyKeyStaysAbsent(t *testing.T) {
 func TestKeyedSeededKeySkipsOriginSlices(t *testing.T) {
 	for _, d := range drivers() {
 		t.Run(d.name, func(t *testing.T) {
-			k := lateKeyed(0)
+			// The session member keeps the operator on the per-key
+			// representation, where a key owns a slicer to seed (a
+			// tumbling-only set shares one slice ring, which has no origin
+			// to backfill from). Its rows are left out of the comparison.
+			k := NewKeyed(func(v kv) int { return v.Key }, 0, func() *Aggregator[kv, float64, float64] {
+				ag := New(keyedSum(), Options{Lateness: 50})
+				ag.MustAddQuery(window.Tumbling(stream.Time, 100))
+				ag.MustAddQuery(window.Session[kv](30))
+				return ag
+			})
+			tumbling := func(rs []KeyedResult[int, float64]) []KeyedResult[int, float64] {
+				var out []KeyedResult[int, float64]
+				for _, r := range rs {
+					if r.Query == 0 {
+						out = append(out, r)
+					}
+				}
+				return out
+			}
 
 			// Key 1 drags the watermark 1000 windows downstream.
 			d.feed(k, []stream.Item[kv]{ev(1, 10, 1), wm[kv](100_000)})
 
 			// Key 2 materializes now; its slicer must not backfill
 			// [0,100), [100,200), ... up to the first tuple.
-			rs := d.feed(k, []stream.Item[kv]{ev(2, 100_010, 4), wm[kv](100_200)})
+			rs := tumbling(d.feed(k, []stream.Item[kv]{ev(2, 100_010, 4), wm[kv](100_200)}))
 			wantResults(t, "seeded emission", byKey(rs, 2), []string{"[100000,100100) n=1 v=4 upd=false"})
 
 			ent, ok := k.ops[2]
@@ -208,5 +227,109 @@ func TestKeyedSeededKeySkipsOriginSlices(t *testing.T) {
 				t.Errorf("first slice starts at %d, want >= lateness horizon %d", start, 100_000-50)
 			}
 		})
+	}
+}
+
+// TestBehindWatermarkTupleIsLate is the regression test for a tuple that leads
+// its operator's stream but trails the watermark — a key of a Keyed operator
+// that was silent while other keys advanced the broadcast watermark. The
+// operator used to judge "in order" against its own maxSeen alone and fold the
+// tuple through the in-order pipeline: no update row for the announced window
+// it lands in, no lateness horizon.
+func TestBehindWatermarkTupleIsLate(t *testing.T) {
+	feeds := map[string]func(*Aggregator[float64, float64, float64], []stream.Item[float64]) []Result[float64]{
+		"element": func(ag *Aggregator[float64, float64, float64], items []stream.Item[float64]) []Result[float64] {
+			var out []Result[float64]
+			for _, it := range items {
+				if it.Kind == stream.KindEvent {
+					out = append(out, ag.ProcessElement(it.Event)...)
+				} else {
+					out = append(out, ag.ProcessWatermark(it.Watermark)...)
+				}
+			}
+			return out
+		},
+		"batch": func(ag *Aggregator[float64, float64, float64], items []stream.Item[float64]) []Result[float64] {
+			return append([]Result[float64](nil), ag.ProcessBatch(items)...)
+		},
+	}
+	e := func(t int64, v float64) stream.Item[float64] {
+		return stream.EventItem(stream.Event[float64]{Time: t, Seq: t, Value: v})
+	}
+	for name, feed := range feeds {
+		t.Run(name, func(t *testing.T) {
+			ag := New[float64](aggregate.Sum[float64](ident), Options{Lateness: 200})
+			ag.MustAddQuery(window.Tumbling(stream.Time, 100))
+			var rows []string
+			for _, r := range feed(ag, []stream.Item[float64]{
+				e(10, 1), wm[float64](250), // announces [0,100) n=1
+				e(60, 2),            // leads the stream (60 >= 10), trails the watermark: corrects [0,100)
+				e(40, 4),            // 40 <= 250-200: beyond the lateness horizon
+				e(70, 8), e(80, 16), // a run behind the watermark must not take the batch fast path
+				wm[float64](stream.MaxTime),
+			}) {
+				rows = append(rows, fmt.Sprintf("[%d,%d) n=%d v=%g upd=%v", r.Start, r.End, r.N, r.Value, r.Update))
+			}
+			wantResults(t, "rows", rows, []string{
+				"[0,100) n=1 v=1 upd=false",
+				"[0,100) n=2 v=3 upd=true",
+				"[0,100) n=3 v=11 upd=true",
+				"[0,100) n=4 v=27 upd=true",
+			})
+			if got := ag.Stats().Dropped; got != 1 {
+				t.Errorf("Stats().Dropped = %d, want the one tuple beyond the horizon", got)
+			}
+		})
+	}
+}
+
+// TestKeyedSilentKeyLateTuple is the same defect where users met it: on both
+// representations, a key's tuple behind the stream's watermark corrects the
+// window announced for that key, and one in a window that closed before the
+// key existed announces it.
+func TestKeyedSilentKeyLateTuple(t *testing.T) {
+	for _, perKey := range []bool{false, true} {
+		for _, d := range drivers() {
+			t.Run(fmt.Sprintf("perKey=%v/%s", perKey, d.name), func(t *testing.T) {
+				k := newDiffKeyed(t, []periodicDef{{1000, 1000}}, perKey, 0)
+				periodic := func(rs []KeyedResult[int, float64], key int) []string {
+					var out []KeyedResult[int, float64]
+					for _, r := range rs {
+						if r.Query == 0 {
+							out = append(out, r)
+						}
+					}
+					return byKey(out, key)
+				}
+				// Key 2 drives the watermark to 3000; key 1 spoke once, at 100.
+				rs := d.feed(k, []stream.Item[kv]{ev(1, 100, 1), ev(2, 5001, 1), wm[kv](1000), wm[kv](2000), wm[kv](3000)})
+				wantResults(t, "announced", periodic(rs, 1), []string{"[0,1000) n=1 v=1 upd=false"})
+				// 1500 leads key 1's stream, trails the watermark, and lands in
+				// a window not announced for the key (it trails one window
+				// length behind its last tuple): nothing now, the regular row
+				// at the next watermark.
+				rs = d.feed(k, []stream.Item[kv]{ev(1, 1500, 2)})
+				if perKey {
+					// The per-key operator does not know the window is
+					// unannounced and sends a correction ahead of it.
+					wantResults(t, "unannounced window", periodic(rs, 1), []string{"[1000,2000) n=1 v=2 upd=true"})
+				} else {
+					wantResults(t, "unannounced window", periodic(rs, 1), nil)
+				}
+				// 1200 is out of order for the key and corrects nothing
+				// announced either; 3100 is ahead of the watermark.
+				rs = d.feed(k, []stream.Item[kv]{ev(1, 3100, 4), wm[kv](3500)})
+				wantResults(t, "caught up", periodic(rs, 1), []string{"[1000,2000) n=1 v=2 upd=false", "[2000,3000) n=0 v=0 upd=false"})
+				rs = d.feed(k, []stream.Item[kv]{ev(1, 1900, 8)})
+				wantResults(t, "correction", periodic(rs, 1), []string{"[1000,2000) n=2 v=10 upd=true"})
+				// Key 3 appears at 1600, behind the watermark: [1000,2000)
+				// closed before it existed and is announced on the spot.
+				rs = d.feed(k, []stream.Item[kv]{ev(3, 1600, 16), ev(3, 1700, 32)})
+				wantResults(t, "late-born key", periodic(rs, 3), []string{"[1000,2000) n=1 v=16 upd=false", "[1000,2000) n=2 v=48 upd=true"})
+				if st := k.Stats(); st.Tuples != 7 || st.Dropped != 0 {
+					t.Errorf("stats %+v, want 7 tuples and no drops", st)
+				}
+			})
+		}
 	}
 }

@@ -79,11 +79,15 @@ type spillMetrics struct {
 // operator's snapshot payload types need registered checkpoint codecs (the
 // same requirement Snapshot has), which is validated here rather than at the
 // first budget breach.
+//
+// The spill tier moves whole per-key operators to disk, so enabling it puts
+// the (still empty) operator on the per-key representation whatever the query
+// set would have allowed.
 func (k *Keyed[K, V, A, Out]) EnableSpill(cfg SpillConfig) error {
 	if k.spill != nil {
 		return fmt.Errorf("core: spill already enabled")
 	}
-	if len(k.ops) > 0 {
+	if k.Keys() > 0 {
 		return fmt.Errorf("core: EnableSpill must run before the first key materializes")
 	}
 	if cfg.Budget <= 0 || cfg.Store == nil {
@@ -116,6 +120,11 @@ func (k *Keyed[K, V, A, Out]) EnableSpill(cfg SpillConfig) error {
 		}
 	}
 	k.spill = s
+	if k.sm != nil {
+		// Watermarks, and tuples behind them, may have come before any key.
+		k.currWM, k.dropped = k.sm.currWM, k.sm.dropped
+		k.sm = nil
+	}
 	return nil
 }
 
@@ -123,17 +132,22 @@ func (k *Keyed[K, V, A, Out]) EnableSpill(cfg SpillConfig) error {
 // compressed bytes on disk. Without spilling every key is resident.
 func (k *Keyed[K, V, A, Out]) SpillStats() (resident, cold int, diskBytes int64) {
 	if k.spill == nil {
-		return len(k.ops), 0, 0
+		return k.Keys(), 0, 0
 	}
 	return len(k.ops) - k.spill.cold, k.spill.cold, k.spill.store.Bytes()
 }
 
-// ResidentBytesEstimate estimates the heap bytes held by live per-key
-// operator state: up to 64 resident operators are measured with memsize and
-// the average is extrapolated to the live key count. Cold (spilled) keys hold
-// no aggregator state and contribute nothing. The walk is reflective and
-// O(sampled state), so this is a reporting call, not a hot-path one.
+// ResidentBytesEstimate estimates the heap bytes held by live keyed state. On
+// the slice-major representation that is a measurement: the key directory,
+// the cursors and every slice's table and cells. On the per-key one, up to 64
+// resident operators are measured with memsize and the average is
+// extrapolated to the live key count; cold (spilled) keys hold no aggregator
+// state and contribute nothing. The walk is reflective and O(sampled state),
+// so this is a reporting call, not a hot-path one.
 func (k *Keyed[K, V, A, Out]) ResidentBytesEstimate() int64 {
+	if k.sm != nil {
+		return k.sm.residentBytes()
+	}
 	const sampleCap = 64
 	var sum int64
 	sampled := 0

@@ -48,6 +48,9 @@ type SliceInfo struct {
 	End    int64 `json:"end"`
 	CStart int64 `json:"cstart"`
 	N      int64 `json:"n"`
+	// Keys is the number of keys holding a partial in the slice; only a
+	// keyed operator's shared ring (Keyed.SliceSnapshot) reports it.
+	Keys int `json:"keys,omitempty"`
 }
 
 // SliceSnapshot copies the current slice layout. It must be called from the

@@ -21,6 +21,10 @@ const (
 	queryStateNone = byte(iota) // stateless context-free definition
 	queryStateCF                // stateful context-free definition (trigger cursor)
 	queryStateCtx               // context-aware: serialized window context
+
+	// queryStateSeeded is or-ed into the discriminator of a query whose
+	// update floor was raised by seedWatermark (query.seeded).
+	queryStateSeeded = byte(0x80)
 )
 
 // Snapshot serializes the aggregator's complete mutable state — the slice
@@ -92,6 +96,10 @@ func (ag *Aggregator[V, A, Out]) encodeState(enc *checkpoint.Encoder) error {
 		enc.Int(q.id)
 		enc.String(describeQuery(q.def))
 		enc.Int64(q.updFloor)
+		var seeded byte
+		if q.seeded {
+			seeded = queryStateSeeded
+		}
 		if q.ctx != nil {
 			// Context-aware: the context holds the mutable state.
 			ss, ok := q.ctx.(window.StateSnapshot)
@@ -102,10 +110,10 @@ func (ag *Aggregator[V, A, Out]) encodeState(enc *checkpoint.Encoder) error {
 			ss.SnapshotState(enc)
 		} else if ss, ok := q.cf.(window.StateSnapshot); ok {
 			// Context-free but stateful (periodic trigger cursors).
-			enc.Byte(queryStateCF)
+			enc.Byte(queryStateCF | seeded)
 			ss.SnapshotState(enc)
 		} else {
-			enc.Byte(queryStateNone)
+			enc.Byte(queryStateNone | seeded)
 		}
 	}
 
@@ -209,6 +217,8 @@ func (ag *Aggregator[V, A, Out]) decodeState(dec *checkpoint.Decoder) error {
 			return dec.Err()
 		}
 		q.updFloor = floor
+		q.seeded = kind&queryStateSeeded != 0
+		kind &^= queryStateSeeded
 		if id != q.id || desc != describeQuery(q.def) || (kind == queryStateCtx) != (q.ctx != nil) {
 			return fmt.Errorf("%w: query %d is %q in the snapshot, %q in the operator", ErrSnapshotMismatch, i, desc, describeQuery(q.def))
 		}
@@ -371,6 +381,12 @@ func (k *Keyed[K, V, A, Out]) Snapshot() ([]byte, error) {
 		return nil, err
 	}
 	enc := checkpoint.NewEncoder()
+	if k.sm != nil {
+		if err := k.sm.encodeState(enc, keyC); err != nil {
+			return nil, err
+		}
+		return enc.Seal(), nil
+	}
 	enc.String(keyC.Name)
 	enc.Int64(k.currWM)
 	enc.Int64(k.idleTTL)
@@ -406,7 +422,7 @@ func (k *Keyed[K, V, A, Out]) Snapshot() ([]byte, error) {
 // with the same keyOf/newOp/idleTTL configuration; per-key aggregators are
 // rebuilt through newOp and restored in place.
 func (k *Keyed[K, V, A, Out]) Restore(data []byte) error {
-	if len(k.ops) > 0 {
+	if k.Keys() > 0 {
 		return fmt.Errorf("%w: restore target has live keys", ErrSnapshotMismatch)
 	}
 	keyC, err := checkpoint.For[K]()
@@ -417,7 +433,16 @@ func (k *Keyed[K, V, A, Out]) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if k.sm != nil {
+		if err := k.sm.decodeState(dec, keyC); err != nil {
+			return err
+		}
+		return dec.Err()
+	}
 	if name := dec.String(); dec.Err() == nil && name != keyC.Name {
+		if name == sliceMajorSnapshot {
+			return fmt.Errorf("%w: snapshot holds slice-major keyed state, operator keeps one operator per key", ErrSnapshotMismatch)
+		}
 		return fmt.Errorf("%w: snapshot key type %q, operator uses %q", ErrSnapshotMismatch, name, keyC.Name)
 	}
 	k.currWM = dec.Int64()
@@ -437,6 +462,7 @@ func (k *Keyed[K, V, A, Out]) Restore(data []byte) error {
 		}
 		k.ops[key] = &keyedEntry[V, A, Out]{op: op, lastSeen: lastSeen, wake: stream.MinTime}
 		k.order = append(k.order, key)
+		k.tuples += op.st.totalCount // what the live keys took in; expired keys' and drops are not in the payload
 	}
 	if err := dec.Err(); err != nil {
 		return err
@@ -451,6 +477,184 @@ func (k *Keyed[K, V, A, Out]) Restore(data []byte) error {
 		k.spill.cold = 0
 		k.spill.cursor = 0
 		k.publishSpillGauges()
+	}
+	return nil
+}
+
+// sliceMajorSnapshot opens a slice-major keyed payload, where a per-key one
+// carries the key codec's name: either layout offered to the other is told
+// apart on the first field and refused.
+const sliceMajorSnapshot = "keyed/slice-major/1"
+
+// encodeState writes the slice-major state: the key directory in
+// first-appearance order with every key's cursors, then the slice ring with
+// every live cell. Ids are renumbered by position in that order — emission
+// depends on the order, never on the ids — so freed ids and the cells idle
+// keys left behind do not travel.
+func (s *sliceMajor[K, V, A, Out]) encodeState(enc *checkpoint.Encoder, keyC checkpoint.Codec[K]) error {
+	aggC, err := checkpoint.For[A]()
+	if err != nil {
+		return err
+	}
+	enc.String(sliceMajorSnapshot)
+	enc.String(keyC.Name)
+	enc.String(aggC.Name)
+	enc.Int64(s.idleTTL)
+	enc.Int64(s.lateness)
+	enc.Int(len(s.qs))
+	for i := range s.qs {
+		enc.Int(s.qs[i].id)
+		enc.String(s.qs[i].desc)
+	}
+	enc.Int64(s.currWM)
+	enc.Int64(s.tuples)
+	enc.Int64(s.dropped)
+	enc.Int64(s.maxSeen)
+
+	const unmapped = ^uint32(0)
+	pos := make([]uint32, len(s.keys)) // id -> position in order
+	for i := range pos {
+		pos[i] = unmapped
+	}
+	queued := make([]bool, len(s.keys))
+	for _, id := range s.fed {
+		queued[id] = true
+	}
+	enc.Int(len(s.order))
+	for i, id := range s.order {
+		pos[id] = uint32(i)
+		kk := &s.keys[id]
+		keyC.Encode(enc, kk.key)
+		enc.Int64(kk.maxSeen)
+		enc.Bool(kk.behind)
+		enc.Bool(queued[id])
+		for _, c := range s.cur[int(id)*len(s.qs):][:len(s.qs)] {
+			enc.Int64(c.nextEnd)
+			enc.Int64(c.floor)
+		}
+	}
+
+	enc.Int(len(s.ring))
+	for _, sl := range s.ring {
+		enc.Int64(sl.start)
+		enc.Int64(sl.end)
+		live := 0
+		for i := range sl.cells {
+			if c := &sl.cells[i]; pos[c.id] != unmapped && s.keys[c.id].gen == c.gen {
+				live++
+			}
+		}
+		enc.Int(live)
+		for i := range sl.cells {
+			if c := &sl.cells[i]; pos[c.id] != unmapped && s.keys[c.id].gen == c.gen {
+				enc.Uint32(pos[c.id])
+				enc.Int64(c.n)
+				aggC.Encode(enc, c.a)
+			}
+		}
+	}
+	return nil
+}
+
+// decodeState restores state written by encodeState into a fresh operator.
+func (s *sliceMajor[K, V, A, Out]) decodeState(dec *checkpoint.Decoder, keyC checkpoint.Codec[K]) error {
+	aggC, err := checkpoint.For[A]()
+	if err != nil {
+		return err
+	}
+	if tag := dec.String(); dec.Err() == nil && tag != sliceMajorSnapshot {
+		return fmt.Errorf("%w: operator keeps slice-major keyed state, snapshot does not (it opens with %q)", ErrSnapshotMismatch, tag)
+	}
+	if name := dec.String(); dec.Err() == nil && name != keyC.Name {
+		return fmt.Errorf("%w: snapshot key type %q, operator uses %q", ErrSnapshotMismatch, name, keyC.Name)
+	}
+	if name := dec.String(); dec.Err() == nil && name != aggC.Name {
+		return fmt.Errorf("%w: snapshot partial type %q, operator uses %q", ErrSnapshotMismatch, name, aggC.Name)
+	}
+	if ttl, late := dec.Int64(), dec.Int64(); dec.Err() == nil && (ttl != s.idleTTL || late != s.lateness) {
+		return fmt.Errorf("%w: snapshot idleTTL %d and lateness %d, operator uses %d and %d", ErrSnapshotMismatch, ttl, late, s.idleTTL, s.lateness)
+	}
+	nq := dec.Count()
+	if dec.Err() == nil && nq != len(s.qs) {
+		return fmt.Errorf("%w: snapshot has %d queries, operator has %d", ErrSnapshotMismatch, nq, len(s.qs))
+	}
+	for i := 0; i < nq; i++ {
+		id, desc := dec.Int(), dec.String()
+		if dec.Err() != nil {
+			return dec.Err()
+		}
+		if q := &s.qs[i]; id != q.id || desc != q.desc {
+			return fmt.Errorf("%w: query %d is %q in the snapshot, %q in the operator", ErrSnapshotMismatch, i, desc, q.desc)
+		}
+	}
+	s.currWM = dec.Int64()
+	s.tuples = dec.Int64()
+	s.dropped = dec.Int64()
+	s.maxSeen = dec.Int64()
+	// The shared counters are considered already published, as in the
+	// per-key restore: a registry must not re-count restored tuples.
+	s.tuplesPublished = s.tuples
+
+	nk := dec.Count()
+	for i := 0; i < nk; i++ {
+		key, err := keyC.Decode(dec)
+		if err != nil {
+			return err
+		}
+		id := uint32(i)
+		kk := smKey[K]{key: key, maxSeen: dec.Int64(), seq: uint64(i), behind: dec.Bool()}
+		if dec.Bool() {
+			s.fed = append(s.fed, id)
+		}
+		for j := 0; j < nq; j++ {
+			s.cur = append(s.cur, smCursor{nextEnd: dec.Int64(), floor: dec.Int64()})
+		}
+		if dec.Err() != nil {
+			return dec.Err()
+		}
+		s.keys = append(s.keys, kk)
+		s.ids[key] = id
+		s.order = append(s.order, id)
+		s.idlesAfter(kk.maxSeen)
+	}
+	s.nextSeq = uint64(nk)
+	if len(s.ids) != nk {
+		return fmt.Errorf("%w: duplicate key in the directory", checkpoint.ErrCorruptSnapshot)
+	}
+
+	for i, ns := 0, dec.Count(); i < ns; i++ {
+		sl := &smSlice[A]{start: dec.Int64(), end: dec.Int64()}
+		nc := dec.Count()
+		size := smMinTable
+		for size < nc*2 {
+			size *= 2
+		}
+		sl.setTable(size)
+		for j := 0; j < nc; j++ {
+			c := smCell[A]{id: dec.Uint32(), n: dec.Int64()}
+			if c.a, err = aggC.Decode(dec); err != nil {
+				return err
+			}
+			if dec.Err() != nil {
+				return dec.Err()
+			}
+			if int(c.id) >= nk || sl.find(c.id) >= 0 {
+				return fmt.Errorf("%w: slice cell names key %d of %d", checkpoint.ErrCorruptSnapshot, c.id, nk)
+			}
+			sl.cells = append(sl.cells, c)
+			sl.index(j)
+			sl.n += c.n
+		}
+		if n := len(s.ring); dec.Err() == nil && (sl.start >= sl.end || n > 0 && sl.start < s.ring[n-1].end) {
+			return fmt.Errorf("%w: slice [%d,%d) out of order", checkpoint.ErrCorruptSnapshot, sl.start, sl.end)
+		}
+		s.ring = append(s.ring, sl)
+	}
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if s.currWM != stream.MinTime {
+		s.nextDue = s.dueAfter(s.currWM)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -50,8 +51,17 @@ type membRun struct {
 // key aggregates exactly one tumbling window, which the block-boundary
 // watermark emits while the key is still recent — so under a budget the LRU
 // spills only keys that are done emitting, and correctness never forces a
-// re-load. budget <= 0 runs unbounded.
+// re-load.
+//
+// budget <= 0 is the unbounded baseline: the same per-key operators under a
+// budget that never binds (math.MaxInt64). The spill tier is enabled there
+// too because it decides the operator's representation — without it,
+// core.NewKeyed would keep this query set on one shared slice ring, and the
+// figure would compare two state layouts instead of pricing the budget.
 func runMembound(keys int, budget int64) (membRun, error) {
+	if budget <= 0 {
+		budget = math.MaxInt64
+	}
 	hot := keys / 100
 	if hot < 16 {
 		hot = 16
@@ -72,24 +82,21 @@ func runMembound(keys int, budget int64) (membRun, error) {
 	}
 	k := core.NewKeyed(func(v stream.Tuple) int32 { return v.Key }, 0, newOp)
 
-	var reg *obs.Registry
-	if budget > 0 {
-		dir, err := os.MkdirTemp("", "membound-spill-")
-		if err != nil {
-			return membRun{}, err
-		}
-		defer func() {
-			//lint:ignore errflow spill blobs are scratch; a failed sweep leaves temp-dir garbage, not results
-			_ = os.RemoveAll(dir)
-		}()
-		st, err := spill.Open(dir)
-		if err != nil {
-			return membRun{}, err
-		}
-		reg = obs.NewRegistry()
-		if err := k.EnableSpill(core.SpillConfig{Budget: budget, Store: st, Metrics: reg}); err != nil {
-			return membRun{}, err
-		}
+	dir, err := os.MkdirTemp("", "membound-spill-")
+	if err != nil {
+		return membRun{}, err
+	}
+	defer func() {
+		//lint:ignore errflow spill blobs are scratch; a failed sweep leaves temp-dir garbage, not results
+		_ = os.RemoveAll(dir)
+	}()
+	st, err := spill.Open(dir)
+	if err != nil {
+		return membRun{}, err
+	}
+	reg := obs.NewRegistry()
+	if err := k.EnableSpill(core.SpillConfig{Budget: budget, Store: st, Metrics: reg}); err != nil {
+		return membRun{}, err
 	}
 
 	blocks := (keys + hot - 1) / hot
@@ -125,10 +132,8 @@ func runMembound(keys int, budget int64) (membRun, error) {
 	}
 	r.resident = k.ResidentBytesEstimate()
 	_, r.cold, _ = k.SpillStats()
-	if reg != nil {
-		r.stores = reg.Counter("core_spill_stores_total").Value()
-		r.loads = reg.Counter("core_spill_loads_total").Value()
-	}
+	r.stores = reg.Counter("core_spill_stores_total").Value()
+	r.loads = reg.Counter("core_spill_loads_total").Value()
 	if dropped := k.Stats().Dropped; dropped != 0 {
 		return membRun{}, fmt.Errorf("membound: %d tuples dropped as late from an in-order stream", dropped)
 	}
@@ -136,7 +141,8 @@ func runMembound(keys int, budget int64) (membRun, error) {
 }
 
 // FigMemBound — cold-state spilling (docs/MEMORY.md): per-key state of one
-// keyed operator with and without a memory budget, across key cardinalities.
+// keyed operator with and without a binding memory budget, across key
+// cardinalities (both series on the per-key representation, see runMembound).
 // The bounded series runs at 10% of the unbounded run's measured residency;
 // scripts/checkbench.go gates the recorded artifact (BENCH_membound.json) on
 // the bounded series staying under its budget at every cardinality while

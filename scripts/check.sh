@@ -44,6 +44,9 @@ echo '== go test -race -short (engine, ops, core, stream, obs)'
 # The engine leg covers the batched pipeline too (BatchProcessor handoff,
 # buffer-pool recycling, keyed ProcessBatch behind parallel partitions); the
 # ops leg hammers the backpressure edges, breaker, and DLQ under concurrency.
+# The core leg carries the keyed differential (TestKeyedDifferential: both
+# representations of core.Keyed against internal/reference, keys x windows x
+# disorder x batch size); -short shrinks its streams, it never skips.
 go test -race -short ./internal/engine ./internal/ops ./internal/core ./internal/stream ./internal/obs
 
 echo '== chaos: crash/torn-snapshot/barrier-fault equivalence'
