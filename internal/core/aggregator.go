@@ -84,6 +84,10 @@ type query[V any] struct {
 	def window.Definition
 	cf  window.ContextFree
 	ctx window.Context[V]
+	// time and keep cache what reconfigure needs of the definition on every
+	// registration change: whether its measure is time, and whether it alone
+	// makes the operator store tuples (Fig 4).
+	time, keep bool
 	// tapped marks a query whose emissions are consumed as raw partial
 	// aggregates by a registered tap (SetPartialTap) instead of being
 	// lowered into Results. The tap itself lives in Aggregator.taps (it
@@ -341,6 +345,8 @@ func (ag *Aggregator[V, A, Out]) addQuery(def window.Definition, resumed bool) (
 	default:
 		return 0, fmt.Errorf("core: window type %T implements neither ContextFree nor ContextAware", def)
 	}
+	q.time = def.Measure() == stream.Time
+	q.keep = needTuples(ag.opts.Ordered, ag.f.Props(), []window.Definition{def})
 	if !ag.opts.Ordered && def.Measure() != ag.extentMeasure() && len(ag.queries) > 0 {
 		return 0, fmt.Errorf("core: mixing %v- and %v-extent queries requires an in-order stream; use one aggregator per measure", def.Measure(), ag.extentMeasure())
 	}
@@ -381,7 +387,18 @@ func (ag *Aggregator[V, A, Out]) addQuery(def window.Definition, resumed bool) (
 	}
 	ag.nextID++
 	ag.queries = append(ag.queries, q)
-	ag.reconfigure()
+	if len(ag.queries) > 1 && ag.st.totalCount == 0 && ag.currWM == stream.MinTime {
+		// No input yet: nothing derived from the other queries has moved
+		// since it was last computed, so the new query's share is added to
+		// it and registering n queries costs n, not n².
+		ag.classify(q)
+		ag.decideTuples(ag.st.keepTuples || q.keep)
+		ag.syncDabaRings()
+		ag.lowerCFEdge(q)
+		ag.lowerTriggerWake(q)
+	} else {
+		ag.reconfigure()
+	}
 	return q.id, nil
 }
 
@@ -474,23 +491,36 @@ func (ag *Aggregator[V, A, Out]) extentMeasure() stream.Measure {
 func (ag *Aggregator[V, A, Out]) reconfigure() {
 	ag.hasCFTime, ag.hasCFCount, ag.hasCA, ag.needRank = false, false, false, false
 	ag.ctxQueries = ag.ctxQueries[:0]
-	defs := make([]window.Definition, 0, len(ag.queries))
+	// Fig 4 is an "at least one" over the queries on top of what the function
+	// and the stream order decide alone, so each query's share is taken once,
+	// at registration.
+	keep := needTuples(ag.opts.Ordered, ag.f.Props(), nil)
 	for _, q := range ag.queries {
-		defs = append(defs, q.def)
-		switch {
-		case q.cf != nil && q.def.Measure() == stream.Time:
-			ag.hasCFTime = true
-		case q.cf != nil:
-			ag.hasCFCount = true
-		default:
-			ag.hasCA = true
-			ag.ctxQueries = append(ag.ctxQueries, q)
-		}
-		if q.def.Measure() == stream.Count {
-			ag.needRank = true
-		}
+		ag.classify(q)
+		keep = keep || q.keep
 	}
-	keep := needTuples(ag.opts.Ordered, ag.f.Props(), defs)
+	ag.decideTuples(keep)
+	ag.syncDabaRings()
+	ag.refreshCFEdges()
+	ag.refreshTriggerWake()
+}
+
+// classify adds one query's share to the workload flags.
+func (ag *Aggregator[V, A, Out]) classify(q *query[V]) {
+	switch {
+	case q.cf != nil && q.time:
+		ag.hasCFTime = true
+	case q.cf != nil:
+		ag.hasCFCount = true
+	default:
+		ag.hasCA = true
+		ag.ctxQueries = append(ag.ctxQueries, q)
+	}
+	ag.needRank = ag.needRank || !q.time
+}
+
+// decideTuples applies the Fig 4 decision keep (the ablation override wins).
+func (ag *Aggregator[V, A, Out]) decideTuples(keep bool) {
 	if ag.opts.KeepTuples != nil {
 		keep = *ag.opts.KeepTuples
 	}
@@ -506,9 +536,6 @@ func (ag *Aggregator[V, A, Out]) reconfigure() {
 		}
 	}
 	ag.st.keepTuples = keep
-	ag.syncDabaRings()
-	ag.refreshCFEdges()
-	ag.refreshTriggerWake()
 }
 
 // openStart and openCStart are the slicer's cut positions: the boundary of
@@ -520,17 +547,22 @@ func (ag *Aggregator[V, A, Out]) refreshCFEdges() {
 	ag.cachedCFTimeEdge = stream.MaxTime
 	ag.cachedCFCountEdge = stream.MaxTime
 	for _, q := range ag.queries {
-		if q.cf == nil {
-			continue
+		ag.lowerCFEdge(q)
+	}
+}
+
+// lowerCFEdge lowers the cached next edge to q's, if that comes sooner.
+func (ag *Aggregator[V, A, Out]) lowerCFEdge(q *query[V]) {
+	if q.cf == nil {
+		return
+	}
+	if q.time {
+		if e := q.cf.NextEdge(ag.openStart(), ag.opts.Ordered); e < ag.cachedCFTimeEdge {
+			ag.cachedCFTimeEdge = e
 		}
-		if q.def.Measure() == stream.Time {
-			if e := q.cf.NextEdge(ag.openStart(), ag.opts.Ordered); e < ag.cachedCFTimeEdge {
-				ag.cachedCFTimeEdge = e
-			}
-		} else {
-			if e := q.cf.NextEdge(ag.openCStart(), ag.opts.Ordered); e < ag.cachedCFCountEdge {
-				ag.cachedCFCountEdge = e
-			}
+	} else {
+		if e := q.cf.NextEdge(ag.openCStart(), ag.opts.Ordered); e < ag.cachedCFCountEdge {
+			ag.cachedCFCountEdge = e
 		}
 	}
 }
@@ -540,17 +572,22 @@ func (ag *Aggregator[V, A, Out]) refreshTriggerWake() {
 	ag.cfTriggerWakeTime = stream.MaxTime
 	ag.cfTriggerWakeCount = stream.MaxTime
 	for _, q := range ag.queries {
-		if q.cf == nil {
-			continue
+		ag.lowerTriggerWake(q)
+	}
+}
+
+// lowerTriggerWake lowers the cached trigger wake to q's, if that comes sooner.
+func (ag *Aggregator[V, A, Out]) lowerTriggerWake(q *query[V]) {
+	if q.cf == nil {
+		return
+	}
+	nt := q.cf.NextTrigger(ag.st)
+	if q.time {
+		if nt < ag.cfTriggerWakeTime {
+			ag.cfTriggerWakeTime = nt
 		}
-		nt := q.cf.NextTrigger(ag.st)
-		if q.def.Measure() == stream.Time {
-			if nt < ag.cfTriggerWakeTime {
-				ag.cfTriggerWakeTime = nt
-			}
-		} else if nt < ag.cfTriggerWakeCount {
-			ag.cfTriggerWakeCount = nt
-		}
+	} else if nt < ag.cfTriggerWakeCount {
+		ag.cfTriggerWakeCount = nt
 	}
 }
 

@@ -158,3 +158,61 @@ func TestResultsBufferReuseContract(t *testing.T) {
 		t.Fatal("results buffer is not reused across calls")
 	}
 }
+
+// TestRegistrationBeforeInputIsIncremental: on an operator that has seen no
+// input, AddQuery adds the new query's share to the derived configuration
+// instead of re-deriving it from every query. What it leaves behind must be
+// what reconfigure derives from scratch — flags, the Fig 4 decision, the
+// context list, the cached next edges and trigger wakes — for any mix of
+// window types, stores and stream orders, with removals in between.
+func TestRegistrationBeforeInputIsIncremental(t *testing.T) {
+	type derived struct {
+		hasCFTime, hasCFCount, hasCA, needRank, keepTuples bool
+		ctx, rings                                         int
+		timeEdge, countEdge, wakeTime, wakeCount           int64
+	}
+	snap := func(ag *Aggregator[float64, float64, float64]) derived {
+		return derived{ag.hasCFTime, ag.hasCFCount, ag.hasCA, ag.needRank, ag.st.keepTuples,
+			len(ag.ctxQueries), len(ag.dabaRings),
+			ag.cachedCFTimeEdge, ag.cachedCFCountEdge, ag.cfTriggerWakeTime, ag.cfTriggerWakeCount}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		ordered := rng.Intn(2) == 0
+		opts := Options{Ordered: ordered, Store: []StoreKind{StoreLazy, StoreEager, StoreDABA}[rng.Intn(3)]}
+		if !ordered && opts.Store == StoreDABA {
+			opts.Store = StoreLazy
+		}
+		ag := New[float64](aggregate.Sum[float64](ident), opts)
+		var ids []int
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			var def window.Definition
+			switch k := rng.Intn(8); {
+			case k == 0 && ordered:
+				def = window.Sliding(stream.Count, 10+rng.Int63n(50), 5+rng.Int63n(5))
+			case k == 1:
+				def = window.Session[float64](1 + rng.Int63n(500))
+			case k == 2 && ordered:
+				def = window.CountInTime[float64](10, 100)
+			default:
+				slide := 1 + rng.Int63n(900)
+				def = window.Sliding(stream.Time, slide*(1+rng.Int63n(6)), slide)
+			}
+			id, err := ag.AddQuery(def)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			ids = append(ids, id)
+			if rng.Intn(6) == 0 {
+				j := rng.Intn(len(ids))
+				ag.RemoveQuery(ids[j])
+				ids = append(ids[:j], ids[j+1:]...)
+			}
+			got := snap(ag)
+			ag.reconfigure()
+			if want := snap(ag); got != want {
+				t.Fatalf("round %d (%+v), after query %d: incremental %+v, from scratch %+v", round, opts, i, got, want)
+			}
+		}
+	}
+}

@@ -26,6 +26,7 @@ package fleet
 
 import (
 	"fmt"
+	"time"
 
 	"scotty/internal/aggregate"
 	"scotty/internal/core"
@@ -78,9 +79,13 @@ type spec[A any] struct {
 	def   window.Definition
 	subs  []sub // subscribers, registration order
 
-	// Periodic-time parameters (canon.kind == canonPeriodic, measure Time).
+	// Periodic-time parameters (canon.kind == canonPeriodic, measure Time):
+	// own is gcd(length, slide), lg is log2(length), want the factor the last
+	// plan chose for the spec (0 = direct).
 	eligible      bool
 	length, slide int64
+	own, want     int64
+	lg            float64
 
 	mode    mode
 	physID  int // core query id while direct/draining; -1 when factored
@@ -144,19 +149,26 @@ type Fleet[V, A, Out any] struct {
 	ag   *core.Aggregator[V, A, Out]
 
 	logical map[int]*spec[A] // logical id -> spec
-	order   []int            // logical ids in registration order
 	nextID  int
 	nOpaque int // sequence for non-canonicalizable definitions
 
-	specs   []*spec[A] // first-registration order
-	byCanon map[canon]*spec[A]
-	byPhys  map[int]*spec[A] // core id -> owning spec (direct/draining)
-	groups  []*group[A]
+	// specs holds the distinct specs in first-registration order; groups the
+	// factor windows in creation order. The core hands out physical ids in
+	// ascending order, so its registration order — which a snapshot must
+	// reproduce — is the sorted ids of byPhys and groups, and no list mirrors
+	// it. A released spec (no subscribers) stays in specs and in its group's
+	// member list until the next plan compacts both.
+	specs    []*spec[A]
+	byCanon  map[canon]*spec[A]
+	byPhys   map[int]*spec[A] // core id -> owning spec (direct/draining)
+	groups   []*group[A]
+	byFactor map[int64]*group[A]
 
-	// physOrder mirrors the core aggregator's query registration order (ids
-	// of live physical queries, oldest first) so a snapshot can rebuild the
-	// exact physical layout before restoring core state.
-	physOrder []int
+	// dirty: the distinct-spec set changed since the last plan. planEvals
+	// counts the trial merges the planner has priced (the scaling tests
+	// assert on it).
+	dirty     bool
+	planEvals int
 
 	results []core.Result[Out]
 
@@ -175,7 +187,9 @@ type Fleet[V, A, Out any] struct {
 }
 
 // New creates an empty fleet for the given aggregation function. Queries are
-// registered with AddQuery; the physical plan adapts on every change.
+// registered with AddQuery; the physical plan is recomputed on demand — once
+// before the next Process*, Snapshot, Plan or String after the query set
+// changed, however many registrations that was.
 func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Fleet[V, A, Out] {
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
@@ -187,6 +201,7 @@ func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Fleet[V,
 		logical:  make(map[int]*spec[A]),
 		byCanon:  make(map[canon]*spec[A]),
 		byPhys:   make(map[int]*spec[A]),
+		byFactor: make(map[int64]*group[A]),
 		wake:     stream.MaxTime,
 		parkWake: stream.MaxTime,
 		reg:      opts.Metrics,
@@ -197,9 +212,9 @@ func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Fleet[V,
 
 // AddQuery registers a logical window query and returns its id. An exact
 // duplicate of an existing registration shares that registration's physical
-// query (O(1) extra state); a new distinct window re-runs the factoring
-// optimizer, which may rewrite it — and existing queries — onto factor
-// windows.
+// query (O(1) extra state); a new distinct window makes the next plan re-run
+// the factoring optimizer, which may rewrite it — and existing queries — onto
+// factor windows.
 func (fl *Fleet[V, A, Out]) AddQuery(def window.Definition) (int, error) {
 	c := fl.canonOf(def)
 	if sp, ok := fl.byCanon[c]; ok {
@@ -207,14 +222,13 @@ func (fl *Fleet[V, A, Out]) AddQuery(def window.Definition) (int, error) {
 		fl.nextID++
 		sp.subs = append(sp.subs, sub{id: id, floor: fl.subscribeFloor(sp)})
 		fl.logical[id] = sp
-		fl.order = append(fl.order, id)
 		fl.m.logical.Add(1)
 		return id, nil
 	}
 	sp := &spec[A]{canon: c, def: def, mode: modeDirect, physID: -1}
 	if c.kind == canonPeriodic && c.measure == stream.Time {
 		sp.eligible = !fl.opts.NoRewrite
-		sp.length, sp.slide = c.a, c.b
+		sp.setPeriodic(c.a, c.b)
 	}
 	physID, err := fl.ag.AddQuery(def)
 	if err != nil {
@@ -229,7 +243,6 @@ func (fl *Fleet[V, A, Out]) AddQuery(def window.Definition) (int, error) {
 		}
 	}
 	sp.physID = physID
-	fl.physOrder = append(fl.physOrder, physID)
 	fl.byPhys[physID] = sp
 	fl.byCanon[c] = sp
 	fl.specs = append(fl.specs, sp)
@@ -238,10 +251,8 @@ func (fl *Fleet[V, A, Out]) AddQuery(def window.Definition) (int, error) {
 	fl.nextID++
 	sp.subs = append(sp.subs, sub{id: id, floor: stream.MinTime})
 	fl.logical[id] = sp
-	fl.order = append(fl.order, id)
 	fl.m.logical.Add(1)
-
-	fl.plan()
+	fl.dirty = true
 	return id, nil
 }
 
@@ -257,19 +268,13 @@ func (fl *Fleet[V, A, Out]) MustAddQuery(def window.Definition) int {
 // RemoveQuery unregisters a logical query. The last subscriber of a physical
 // spec releases it — its trigger state, its slice edges (merged away by the
 // core), and, when its factor group empties, the factor window itself — and
-// re-runs the optimizer over the remaining fleet.
+// the next plan re-runs the optimizer over the remaining fleet.
 func (fl *Fleet[V, A, Out]) RemoveQuery(id int) {
 	sp, ok := fl.logical[id]
 	if !ok {
 		return
 	}
 	delete(fl.logical, id)
-	for i, l := range fl.order {
-		if l == id {
-			fl.order = append(fl.order[:i], fl.order[i+1:]...)
-			break
-		}
-	}
 	for i, s := range sp.subs {
 		if s.id == id {
 			sp.subs = append(sp.subs[:i], sp.subs[i+1:]...)
@@ -280,46 +285,23 @@ func (fl *Fleet[V, A, Out]) RemoveQuery(id int) {
 	if len(sp.subs) > 0 {
 		return
 	}
-	// Last subscriber gone: drop the spec entirely.
-	if sp.physID >= 0 {
-		fl.removePhys(sp.physID)
-		delete(fl.byPhys, sp.physID)
-	}
-	if sp.grp != nil {
-		sp.grp.removeSpec(sp)
-		if sp.mode == modeDraining {
-			fl.nDraining--
-		}
+	// Last subscriber gone: release the spec. The plan this makes due drops
+	// it from specs and from its group.
+	fl.dropPhys(sp)
+	if sp.mode == modeDraining {
+		fl.nDraining--
 	}
 	delete(fl.byCanon, sp.canon)
-	for i, s := range fl.specs {
-		if s == sp {
-			fl.specs = append(fl.specs[:i], fl.specs[i+1:]...)
-			break
-		}
-	}
-	fl.plan()
+	fl.dirty = true
 }
 
-// removePhys removes a physical query from the core and the mirror order.
-func (fl *Fleet[V, A, Out]) removePhys(id int) {
-	fl.ag.RemoveQuery(id)
-	for i, p := range fl.physOrder {
-		if p == id {
-			fl.physOrder = append(fl.physOrder[:i], fl.physOrder[i+1:]...)
-			return
-		}
+// dropPhys removes a spec's physical query, if it has one, from the core.
+func (fl *Fleet[V, A, Out]) dropPhys(sp *spec[A]) {
+	if sp.physID >= 0 {
+		fl.ag.RemoveQuery(sp.physID)
+		delete(fl.byPhys, sp.physID)
+		sp.physID = -1
 	}
-}
-
-func (g *group[A]) removeSpec(sp *spec[A]) {
-	for i, s := range g.specs {
-		if s == sp {
-			g.specs = append(g.specs[:i], g.specs[i+1:]...)
-			break
-		}
-	}
-	sp.grp = nil
 }
 
 // ------------------------------------------------------------- accessors ---
@@ -350,9 +332,10 @@ type PlanInfo struct {
 
 // Plan reports the current physical plan.
 func (fl *Fleet[V, A, Out]) Plan() PlanInfo {
+	fl.planIfDue()
 	info := PlanInfo{
 		Logical:      len(fl.logical),
-		Physical:     len(fl.physOrder),
+		Physical:     fl.physical(),
 		Specs:        len(fl.specs),
 		Draining:     fl.nDraining,
 		RewriteHits:  fl.m.rewriteHits.Value(),
@@ -369,9 +352,10 @@ func (fl *Fleet[V, A, Out]) Plan() PlanInfo {
 	return info
 }
 
-// String describes the fleet for diagnostics.
+// String describes the fleet for diagnostics; plan is the time spent planning
+// so far.
 func (fl *Fleet[V, A, Out]) String() string {
 	p := fl.Plan()
-	return fmt.Sprintf("fleet(logical=%d physical=%d specs=%d factored=%d groups=%d)",
-		p.Logical, p.Physical, p.Specs, p.Factored, len(p.Factors))
+	return fmt.Sprintf("fleet(logical=%d physical=%d specs=%d factored=%d groups=%d plan=%v)",
+		p.Logical, p.Physical, p.Specs, p.Factored, len(p.Factors), time.Duration(fl.m.planNS.Value()))
 }

@@ -12,11 +12,16 @@ import "scotty/internal/obs"
 //	                                  instead of the slice store
 //	slice_touches_saved_total counter slice folds a direct emission would
 //	                                  have spent minus ring combines spent
+//	fleet_plan_runs_total     counter runs of the factoring optimizer (one
+//	                                  per burst of registrations)
+//	fleet_plan_ns_total       counter wall time those runs took
 type metricsSet struct {
 	logical      *obs.Gauge
 	physical     *obs.Gauge
 	rewriteHits  *obs.Counter
 	touchesSaved *obs.Counter
+	planRuns     *obs.Counter
+	planNS       *obs.Counter
 }
 
 func newMetricsSet(r *obs.Registry) *metricsSet {
@@ -25,5 +30,7 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		physical:     r.Gauge("query_physical_total"),
 		rewriteHits:  r.Counter("rewrite_hits_total"),
 		touchesSaved: r.Counter("slice_touches_saved_total"),
+		planRuns:     r.Counter("fleet_plan_runs_total"),
+		planNS:       r.Counter("fleet_plan_ns_total"),
 	}
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+	"sort"
+	"time"
 
 	"scotty/internal/fat"
 	"scotty/internal/stream"
@@ -58,6 +60,10 @@ func (fl *Fleet[V, A, Out]) canonOf(def window.Definition) canon {
 // query with many overlapping emissions already profits.
 const ringPushCost = 2.0
 
+// tieEps is the margin a saving must clear: a spec or cluster whose factored
+// cost is not strictly below its direct cost stays direct.
+const tieEps = 1e-12
+
 func gcd(a, b int64) int64 {
 	for b != 0 {
 		a, b = b, a%b
@@ -65,36 +71,147 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// cluster is a candidate factor group during planning.
+// setPeriodic records a periodic window's planning parameters; the log2 the
+// cost model needs of it is taken here, once, not on every plan.
+func (sp *spec[A]) setPeriodic(length, slide int64) {
+	sp.length, sp.slide = length, slide
+	sp.own = gcd(length, slide)
+	sp.lg = math.Log2(float64(length))
+}
+
+// cluster is a candidate factor group during planning. Its cost is priced
+// from three sums over the members, so a trial merge is three additions:
+// d = Σ length/slide, s = Σ 1/slide, l = Σ log2(length)/slide.
 type cluster[A any] struct {
-	specs []*spec[A]
-	f     int64
+	f       int64
+	lgf     float64 // log2(f)
+	d, s, l float64
+	specs   []*spec[A]
+
+	best     *cluster[A] // the finer cluster merging into saves most, and
+	bestGain float64     // what it saves; nil when no merge saves anything
 }
 
-func mergedFactor[A any](a, b *cluster[A]) int64 { return gcd(a.f, b.f) }
+// gain is what factoring c saves over running its members direct at slice
+// granularity g, zero when that is not strictly a saving:
+// direct = d/g, factored = 1/g + ringPush/f + l − log2(f)·s + s.
+func (c *cluster[A]) gain(g float64) float64 {
+	if v := (c.d-1)/g - ringPushCost/float64(c.f) - c.l + (c.lgf-1)*c.s; v > tieEps {
+		return v
+	}
+	return 0
+}
 
-func directSum[A any](specs []*spec[A], g int64) float64 {
-	var c float64
+// pays reports whether sp's own emissions get cheaper at c's factor. A spec
+// that only ties stays out.
+func (c *cluster[A]) pays(sp *spec[A]) bool {
+	return float64(sp.directFold)-(sp.lg-c.lgf)-1 > tieEps*float64(sp.slide)
+}
+
+// assignFactors sets every spec's want — the factor of the factor window that
+// should serve it, 0 for direct — and returns how many trial merges it priced.
+//
+// Specs are bucketed by their own gcd(length, slide): members of one bucket
+// share a factor, and the factor window's upkeep (1/g + ringPush/f) is paid
+// once whoever joins, so a spec belongs in its bucket exactly when its own
+// emissions get cheaper. Buckets then merge down the divisor order of their
+// factors, a coarse bucket into a finer one whose factor divides its own:
+// the coarse members fold log2(f/f') more ring nodes per emission, and
+// either a factor window is saved or the fine bucket, not worth its upkeep
+// alone, becomes so. A pair whose factors do not divide would be served at a
+// third, finer factor and is not a candidate.
+func assignFactors[A any](specs []*spec[A]) (evals int) {
+	// Planning slice granularity: what the slicer's slices would look like
+	// if every periodic query ran direct. Sessions and opaque windows also
+	// cut slices, but at data-dependent positions the model cannot price.
+	var gAll int64
 	for _, sp := range specs {
-		c += float64(sp.length/g) / float64(sp.slide)
+		if sp.eligible {
+			gAll = gcd(gAll, sp.own)
+		}
 	}
-	return c
-}
+	g := float64(gAll)
 
-func factoredCost[A any](specs []*spec[A], f, g int64) float64 {
-	c := 1.0/float64(g) + ringPushCost/float64(f)
+	var clusters []*cluster[A]
+	byF := make(map[int64]*cluster[A])
 	for _, sp := range specs {
-		c += (math.Log2(float64(sp.length/f)) + 1.0) / float64(sp.slide)
+		sp.want = 0
+		if !sp.eligible {
+			continue
+		}
+		sp.directFold = sp.length / gAll
+		c := byF[sp.own]
+		if c == nil {
+			c = &cluster[A]{f: sp.own, lgf: math.Log2(float64(sp.own))}
+			byF[sp.own] = c
+			clusters = append(clusters, c)
+		}
+		evals++
+		if c.pays(sp) {
+			sl := float64(sp.slide)
+			c.d, c.s, c.l = c.d+float64(sp.length)/sl, c.s+1/sl, c.l+sp.lg/sl
+			c.specs = append(c.specs, sp)
+		}
 	}
-	return c
-}
 
-func clusterCost[A any](c *cluster[A], g int64) float64 {
-	d := directSum(c.specs, g)
-	if fc := factoredCost(c.specs, c.f, g); fc < d {
-		return fc
+	sort.Slice(clusters, func(i, j int) bool { return clusters[i].f > clusters[j].f })
+	// Best delta first. Each cluster remembers the finer cluster (t.f divides
+	// c.f) that merging into saves most; a merge changes the two clusters it
+	// touches and nothing else, and a cluster that grew only got more
+	// attractive, so a round re-prices one row per touched cluster and one
+	// pair per cluster coarser than the target.
+	try := func(c, t *cluster[A]) {
+		if c.f%t.f != 0 || len(c.specs) == 0 {
+			return
+		}
+		evals++
+		m := cluster[A]{f: t.f, lgf: t.lgf, d: t.d + c.d, s: t.s + c.s, l: t.l + c.l}
+		if d := m.gain(g) - c.gain(g) - t.gain(g); d > c.bestGain {
+			c.best, c.bestGain = t, d
+		}
 	}
-	return d
+	scan := func(i int) {
+		c := clusters[i]
+		c.best, c.bestGain = nil, tieEps
+		for _, t := range clusters[i+1:] {
+			try(c, t)
+		}
+	}
+	for i := range clusters {
+		scan(i)
+	}
+	for {
+		var from *cluster[A]
+		for _, c := range clusters {
+			if c.best != nil && (from == nil || c.bestGain > from.bestGain) {
+				from = c
+			}
+		}
+		if from == nil {
+			break
+		}
+		to := from.best
+		to.d, to.s, to.l = to.d+from.d, to.s+from.s, to.l+from.l
+		to.specs = append(to.specs, from.specs...)
+		*from = cluster[A]{f: from.f, lgf: from.lgf}
+		for i, c := range clusters {
+			if c == from || c == to || c.best == from {
+				scan(i)
+			} else if c.f > to.f {
+				try(c, to)
+			}
+		}
+	}
+	for _, c := range clusters {
+		if c.gain(g) > 0 {
+			for _, sp := range c.specs {
+				if c.pays(sp) {
+					sp.want = c.f
+				}
+			}
+		}
+	}
+	return evals
 }
 
 // subscribeFloor computes the lowest window end a duplicate subscriber may
@@ -149,126 +266,89 @@ func (fl *Fleet[V, A, Out]) subscribeFloor(sp *spec[A]) int64 {
 	return stream.MinTime // opaque definitions never dedup
 }
 
-// plan recomputes the physical plan for the current spec set and reconciles
-// the running state towards it. Called on every distinct-spec change
-// (duplicate registrations leave the plan untouched).
-func (fl *Fleet[V, A, Out]) plan() {
-	defer fl.refreshSchedule()
-
-	// Planning slice granularity: what the slicer's slices would look like
-	// if every periodic query ran direct. Sessions and opaque windows also
-	// cut slices, but at data-dependent positions the model cannot price.
-	var gAll int64
-	for _, sp := range fl.specs {
-		if sp.canon.kind == canonPeriodic && sp.canon.measure == stream.Time {
-			gAll = gcd(gAll, gcd(sp.length, sp.slide))
-		}
+// planIfDue runs the plan if the spec set changed since the last one.
+// AddQuery and RemoveQuery only mark it dirty; Process*, Snapshot, Plan and
+// String call this first, so a burst of registrations costs one plan and the
+// tuple path one predictable branch.
+func (fl *Fleet[V, A, Out]) planIfDue() {
+	if fl.dirty {
+		fl.plan()
 	}
-
-	var elig []*spec[A]
-	for _, sp := range fl.specs {
-		if sp.eligible {
-			elig = append(elig, sp)
-			sp.directFold = sp.length / gAll
-		}
-	}
-
-	// Greedy agglomerative clustering: seed one cluster per eligible spec,
-	// merge the pair with the largest cost reduction until no merge helps.
-	// Merging coarse windows onto a finer common factor trades ring size for
-	// shared pane production; the cost model arbitrates.
-	var clusters []*cluster[A]
-	for _, sp := range elig {
-		clusters = append(clusters, &cluster[A]{specs: []*spec[A]{sp}, f: gcd(sp.length, sp.slide)})
-	}
-	for len(clusters) > 1 {
-		bestI, bestJ := -1, -1
-		bestDelta := -1e-12
-		for i := 0; i < len(clusters); i++ {
-			for j := i + 1; j < len(clusters); j++ {
-				m := &cluster[A]{f: mergedFactor(clusters[i], clusters[j])}
-				m.specs = append(append(m.specs, clusters[i].specs...), clusters[j].specs...)
-				d := clusterCost(m, gAll) - clusterCost(clusters[i], gAll) - clusterCost(clusters[j], gAll)
-				if d < bestDelta {
-					bestDelta, bestI, bestJ = d, i, j
-				}
-			}
-		}
-		if bestI < 0 {
-			break
-		}
-		ci, cj := clusters[bestI], clusters[bestJ]
-		ci.specs = append(ci.specs, cj.specs...)
-		ci.f = gcd(ci.f, cj.f)
-		clusters = append(clusters[:bestJ], clusters[bestJ+1:]...)
-	}
-
-	// Desired factor per spec: 0 = direct.
-	desired := make(map[*spec[A]]int64, len(elig))
-	for _, c := range clusters {
-		if factoredCost(c.specs, c.f, gAll) < directSum(c.specs, gAll) {
-			for _, sp := range c.specs {
-				desired[sp] = c.f
-			}
-		}
-	}
-
-	fl.reconcile(desired)
 }
 
-// reconcile moves the running fleet towards the desired plan: specs leave
-// groups they no longer belong to (resuming their direct physical query),
-// groups nobody wants dissolve, missing groups are created, and newly covered
-// specs attach — instantly on a virgin stream, via a draining hand-over
-// mid-stream (see maybeFlip).
-func (fl *Fleet[V, A, Out]) reconcile(desired map[*spec[A]]int64) {
-	// 1. Detach every grouped spec whose desired factor differs.
-	for _, g := range fl.groups {
-		members := append([]*spec[A](nil), g.specs...)
-		for _, sp := range members {
-			if desired[sp] != g.factor {
-				fl.detach(sp)
-			}
-		}
-	}
-	// 2. Dissolve groups with no remaining demand.
-	live := fl.groups[:0]
-	for _, g := range fl.groups {
-		if len(g.specs) == 0 {
-			fl.removePhys(g.physID)
-			continue
-		}
-		live = append(live, g)
-	}
-	fl.groups = live
-	// 3. Create missing groups and attach newly covered specs.
+// physical counts the live physical queries on the core: one per direct or
+// draining spec, one per factor window.
+func (fl *Fleet[V, A, Out]) physical() int { return len(fl.byPhys) + len(fl.groups) }
+
+// plan recomputes the physical plan for the current spec set and reconciles
+// the running state towards it. The clock is read here and nowhere on the
+// tuple path.
+func (fl *Fleet[V, A, Out]) plan() {
+	start := time.Now()
+	fl.dirty = false
+	live := fl.specs[:0]
 	for _, sp := range fl.specs {
-		f := desired[sp]
-		if f == 0 || (sp.grp != nil && sp.grp.factor == f) {
-			continue
+		if len(sp.subs) > 0 { // RemoveQuery leaves released specs in place
+			live = append(live, sp)
 		}
-		g := fl.groupFor(f)
-		if g == nil {
-			continue // factor query rejected by the core; spec stays direct
-		}
-		fl.attach(sp, g)
 	}
-	// 4. Refresh retention bounds.
+	clear(fl.specs[len(live):])
+	fl.specs = live
+	fl.planEvals += assignFactors(fl.specs)
+	fl.reconcile()
+	fl.refreshSchedule()
+	fl.m.planRuns.Inc()
+	fl.m.planNS.Add(int64(time.Since(start)))
+}
+
+// reconcile moves the running fleet towards the planned factors (spec.want):
+// specs leave groups they no longer belong to (resuming their direct physical
+// query), groups nobody wants dissolve, missing groups are created, and newly
+// covered specs attach — instantly on a virgin stream, via a draining
+// hand-over mid-stream (see maybeFlip).
+func (fl *Fleet[V, A, Out]) reconcile() {
+	// 1. Drop released specs, detach members whose planned factor differs,
+	// dissolve groups left without demand.
+	groups := fl.groups[:0]
 	for _, g := range fl.groups {
+		keep := g.specs[:0]
 		g.maxLen = 0
 		for _, sp := range g.specs {
-			if sp.length > g.maxLen {
-				g.maxLen = sp.length
+			if len(sp.subs) == 0 {
+				continue
 			}
+			if sp.want != g.factor {
+				fl.detach(sp)
+				continue
+			}
+			keep = append(keep, sp)
+			g.maxLen = max(g.maxLen, sp.length)
+		}
+		clear(g.specs[len(keep):])
+		g.specs = keep
+		if len(keep) == 0 {
+			fl.ag.RemoveQuery(g.physID)
+			delete(fl.byFactor, g.factor)
+			continue
+		}
+		groups = append(groups, g)
+	}
+	clear(fl.groups[len(groups):])
+	fl.groups = groups
+	// 2. Create missing groups and attach newly covered specs.
+	for _, sp := range fl.specs {
+		if sp.want == 0 || sp.grp != nil {
+			continue // direct, or kept by step 1: already on its planned factor
+		}
+		if g := fl.groupFor(sp.want); g != nil { // nil: the core rejected the factor query; the spec stays direct
+			fl.attach(sp, g)
 		}
 	}
 }
 
 func (fl *Fleet[V, A, Out]) groupFor(f int64) *group[A] {
-	for _, g := range fl.groups {
-		if g.factor == f {
-			return g
-		}
+	if g := fl.byFactor[f]; g != nil {
+		return g
 	}
 	def := window.Tumbling(stream.Time, f)
 	physID, err := fl.ag.AddQuery(def)
@@ -279,23 +359,20 @@ func (fl *Fleet[V, A, Out]) groupFor(f int64) *group[A] {
 	g.tree = fat.New(func(x, y pane[A]) pane[A] {
 		return pane[A]{a: fl.f.Combine(x.a, y.a), n: x.n + y.n}
 	}, pane[A]{a: fl.f.Identity()})
-	fl.physOrder = append(fl.physOrder, physID)
 	fl.ag.SetPartialTap(physID, fl.tapFor(g))
 	fl.groups = append(fl.groups, g)
+	fl.byFactor[f] = g
 	return g
 }
 
-// detach returns a grouped spec to direct execution. A draining spec still
-// owns its physical query; a factored spec re-registers its original —
-// stateful — definition, whose trigger cursor the pump advanced under exactly
-// the completion rule the core uses (window/periodic.go Trigger): the direct
-// query resumes precisely after the last factored emission, with no
-// duplicates and no holes.
+// detach returns a grouped spec to direct execution (reconcile drops it from
+// the group's member list). A draining spec still owns its physical query; a
+// factored spec re-registers its original — stateful — definition, whose
+// trigger cursor the pump advanced under exactly the completion rule the core
+// uses (window/periodic.go Trigger): the direct query resumes precisely after
+// the last factored emission, with no duplicates and no holes.
 func (fl *Fleet[V, A, Out]) detach(sp *spec[A]) {
-	if sp.grp == nil {
-		return
-	}
-	sp.grp.removeSpec(sp)
+	sp.grp = nil
 	switch sp.mode {
 	case modeDraining:
 		fl.nDraining--
@@ -311,7 +388,6 @@ func (fl *Fleet[V, A, Out]) detach(sp *spec[A]) {
 		}
 		sp.minNextEnd = sp.nextEnd
 		sp.physID = id
-		fl.physOrder = append(fl.physOrder, id)
 		fl.byPhys[id] = sp
 	}
 	sp.mode = modeDirect
@@ -322,15 +398,11 @@ func (fl *Fleet[V, A, Out]) detach(sp *spec[A]) {
 // mid-stream the spec keeps its physical query and drains until the ring
 // covers its next window (maybeFlip).
 func (fl *Fleet[V, A, Out]) attach(sp *spec[A], g *group[A]) {
-	if sp.grp != nil {
-		fl.detach(sp)
-	}
 	sp.grp = g
 	g.specs = append(g.specs, sp)
+	g.maxLen = max(g.maxLen, sp.length)
 	if fl.virgin() {
-		fl.removePhys(sp.physID)
-		delete(fl.byPhys, sp.physID)
-		sp.physID = -1
+		fl.dropPhys(sp)
 		sp.mode = modeFactored
 		sp.nextEnd = sp.resumeEnd()
 		sp.lastEnd = 0

@@ -8,6 +8,7 @@ import (
 // ProcessElement ingests one event and returns every logical-query result it
 // produced. The returned slice is reused across calls.
 func (fl *Fleet[V, A, Out]) ProcessElement(e stream.Event[V]) []core.Result[Out] {
+	fl.planIfDue()
 	fl.results = fl.results[:0]
 	fl.ingest(fl.ag.ProcessElement(e))
 	fl.pump()
@@ -17,6 +18,7 @@ func (fl *Fleet[V, A, Out]) ProcessElement(e stream.Event[V]) []core.Result[Out]
 // ProcessWatermark ingests a low watermark, triggering completed windows
 // across the fleet.
 func (fl *Fleet[V, A, Out]) ProcessWatermark(wm int64) []core.Result[Out] {
+	fl.planIfDue()
 	fl.results = fl.results[:0]
 	fl.ingest(fl.ag.ProcessWatermark(wm))
 	fl.pump()
@@ -29,6 +31,7 @@ func (fl *Fleet[V, A, Out]) ProcessWatermark(wm int64) []core.Result[Out] {
 // completions that an unbatched run would have interleaved; final per-window
 // values are identical either way.
 func (fl *Fleet[V, A, Out]) ProcessBatch(items []stream.Item[V]) []core.Result[Out] {
+	fl.planIfDue()
 	fl.results = fl.results[:0]
 	fl.ingest(fl.ag.ProcessBatch(items))
 	fl.pump()
@@ -132,13 +135,11 @@ func (fl *Fleet[V, A, Out]) maybeFlip(g *group[A], sp *spec[A]) {
 	if g.base*g.factor > next-sp.length {
 		return
 	}
-	fl.removePhys(sp.physID)
-	delete(fl.byPhys, sp.physID)
-	sp.physID = -1
+	fl.dropPhys(sp)
 	sp.mode = modeFactored
 	fl.nDraining--
 	sp.nextEnd = next
-	fl.m.physical.Set(int64(len(fl.physOrder)))
+	fl.m.physical.Set(int64(fl.physical()))
 }
 
 // emitFactored answers one window of a factored spec from the pane ring and
@@ -301,5 +302,5 @@ func (fl *Fleet[V, A, Out]) refreshSchedule() {
 		}
 	}
 	fl.wake, fl.parkWake = wake, park
-	fl.m.physical.Set(int64(len(fl.physOrder)))
+	fl.m.physical.Set(int64(fl.physical()))
 }

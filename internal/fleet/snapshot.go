@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 
 	"scotty/internal/checkpoint"
 	"scotty/internal/core"
@@ -24,6 +25,7 @@ const fleetMagic = "scotty-fleet-v1"
 // non-parametric definitions (punctuation, custom) must also be registered on
 // the restore target.
 func (fl *Fleet[V, A, Out]) Snapshot() ([]byte, error) {
+	fl.planIfDue()
 	aggC, err := checkpoint.For[A]()
 	if err != nil {
 		return nil, err
@@ -36,8 +38,23 @@ func (fl *Fleet[V, A, Out]) Snapshot() ([]byte, error) {
 	enc.String(fleetMagic)
 	enc.Int(fl.nextID)
 	enc.Int(fl.nOpaque)
-	enc.Int(len(fl.order))
-	for _, id := range fl.order {
+	// Logical and physical ids are handed out in ascending order, so sorted
+	// ids are registration order.
+	order := make([]int, 0, len(fl.logical))
+	for id := range fl.logical {
+		order = append(order, id)
+	}
+	physOrder := make([]int, 0, len(fl.byPhys)+len(fl.groups))
+	for id := range fl.byPhys {
+		physOrder = append(physOrder, id)
+	}
+	for _, g := range fl.groups {
+		physOrder = append(physOrder, g.physID)
+	}
+	sort.Ints(order)
+	sort.Ints(physOrder)
+	enc.Int(len(order))
+	for _, id := range order {
 		enc.Int(id)
 	}
 
@@ -81,8 +98,8 @@ func (fl *Fleet[V, A, Out]) Snapshot() ([]byte, error) {
 		}
 	}
 
-	enc.Int(len(fl.physOrder))
-	for _, id := range fl.physOrder {
+	enc.Int(len(physOrder))
+	for _, id := range physOrder {
 		enc.Int(id)
 	}
 	enc.Bytes(coreBytes)
@@ -114,9 +131,8 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 
 	nextID := dec.Int()
 	nOpaque := dec.Int()
-	order := make([]int, 0, 16)
 	for i, n := 0, dec.Count(); i < n; i++ {
-		order = append(order, dec.Int())
+		dec.Int() // logical ids in registration order: the specs' subscriber lists carry them too
 	}
 
 	ns := dec.Count()
@@ -237,11 +253,10 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 	fl.ag = ag
 	fl.nextID = nextID
 	fl.nOpaque = nOpaque
-	fl.order = order
 	fl.specs = specs
 	fl.groups = groups
-	fl.physOrder = physOrder
 	fl.byPhys = byPhys
+	fl.dirty = false // the receiver's own registrations are replaced, their plan with them
 	fl.nDraining = nDraining
 	fl.logical = make(map[int]*spec[A])
 	fl.byCanon = make(map[canon]*spec[A])
@@ -253,7 +268,9 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 		}
 		logicalTotal += len(sp.subs)
 	}
+	fl.byFactor = make(map[int64]*group[A], len(groups))
 	for _, g := range groups {
+		fl.byFactor[g.factor] = g
 		fl.ag.SetPartialTap(g.physID, fl.tapFor(g))
 	}
 	fl.m.logical.Set(int64(logicalTotal))
@@ -268,7 +285,7 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 func (fl *Fleet[V, A, Out]) resolveDef(sp *spec[A]) error {
 	switch sp.canon.kind {
 	case canonPeriodic:
-		sp.length, sp.slide = sp.canon.a, sp.canon.b
+		sp.setPeriodic(sp.canon.a, sp.canon.b)
 		sp.eligible = sp.canon.measure == stream.Time && !fl.opts.NoRewrite
 		sp.def = window.Sliding(sp.canon.measure, sp.length, sp.slide)
 		return nil
