@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -819,6 +820,12 @@ type rowBuf[Out any] struct {
 	keyed, qPrefix bool
 	rb             *rebaser
 	appendValue    func([]byte, Out) []byte
+	// A fleet's watermark releases a row per query for the same window end:
+	// "q<id>\t" per query id and ", <end>)\t n=" of the last end printed are
+	// rendered once and copied.
+	qTags  [][]byte
+	end    int64
+	endTag []byte
 }
 
 //slicelint:hotpath
@@ -827,16 +834,21 @@ func (w *rowBuf[Out]) add(key int32, r *core.Result[Out]) {
 		w.buf = append(strconv.AppendInt(append(w.buf, 'k'), int64(key), 10), '\t')
 	}
 	if w.qPrefix {
-		w.buf = append(strconv.AppendInt(append(w.buf, 'q'), int64(r.Query), 10), '\t')
+		if r.Query >= len(w.qTags) {
+			w.growTags(r.Query)
+		}
+		w.buf = append(w.buf, w.qTags[r.Query]...)
 	}
 	s, e := r.Start, r.End
 	if r.Measure == stream.Time {
 		s, e = w.rb.unshift(s), w.rb.unshift(e)
 	}
-	w.buf = strconv.AppendInt(append(w.buf, '['), s, 10)
-	w.buf = strconv.AppendInt(append(w.buf, ", "...), e, 10)
-	w.buf = strconv.AppendInt(append(w.buf, ")\t n="...), r.N, 10)
-	w.buf = w.appendValue(append(w.buf, "\t "...), r.Value)
+	if e != w.end || len(w.endTag) == 0 {
+		w.end = e
+		w.endTag = append(strconv.AppendInt(append(w.endTag[:0], ", "...), e, 10), ")\t n="...)
+	}
+	w.buf = append(strconv.AppendInt(append(w.buf, '['), s, 10), w.endTag...)
+	w.buf = w.appendValue(append(strconv.AppendInt(w.buf, r.N, 10), "\t "...), r.Value)
 	if r.Update {
 		w.buf = append(w.buf, "  (update)"...)
 	}
@@ -844,16 +856,35 @@ func (w *rowBuf[Out]) add(key int32, r *core.Result[Out]) {
 	w.n++
 }
 
+//slicelint:coldpath runs once per query id, the first time a row carries it
+func (w *rowBuf[Out]) growTags(id int) {
+	for id >= len(w.qTags) {
+		w.qTags = append(w.qTags, append(strconv.AppendInt([]byte{'q'}, int64(len(w.qTags)), 10), '\t'))
+	}
+}
+
 // valueAppender picks how a result value is rendered, once per run: float64
-// results — every aggregate but count and m4 — are appended by strconv in the
-// shortest form that round-trips, which is what fmt's %v prints for a
-// float64; other result types keep fmt.
+// results — every aggregate but count and m4 — are appended in the shortest
+// form that round-trips, which is what fmt's %v prints for a float64; other
+// result types keep fmt.
 func valueAppender[Out any]() func([]byte, Out) []byte {
-	var float any = func(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+	var float any = appendFloat
 	if f, ok := float.(func([]byte, Out) []byte); ok {
 		return f
 	}
 	return func(b []byte, v Out) []byte { return fmt.Append(b, v) }
+}
+
+// appendFloat appends v as strconv's 'g', -1 does. That format only turns to
+// an exponent at 1e6, so an integral value below it (other than -0) is its
+// integer's digits, which spares the shortest-round-trip search.
+func appendFloat(b []byte, v float64) []byte {
+	if -1e6 < v && v < 1e6 {
+		if i := int64(v); float64(i) == v && (i != 0 || !math.Signbit(v)) {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // rowSink is scotty's guarded egress: every result-row batch passes a

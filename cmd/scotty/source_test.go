@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -147,7 +149,9 @@ func FuzzParseLine(f *testing.F) {
 // Fprintf used to print, for every prefix shape and value form.
 func TestRowsMatchFprintf(t *testing.T) {
 	values := []float64{0, 1, -1, 42, 1e6, 123456789, 1e20, 1e21, 1.5e300, 0.5, 0.1, 1.0 / 3, 1e-4, 1e-5, 1e-7,
-		5e-324, math.MaxFloat64, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+		5e-324, math.MaxFloat64, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		// Either side of where integral values stop being printed as integers.
+		999999, -999999, 1e6 - 0.5, -1e6, 1 << 53, 1e15, 100000, 99999.5}
 	oldRow := func(keyed, qPrefix bool, key int32, r core.Result[float64], v any) string {
 		pre, tag := "", ""
 		if keyed {
@@ -167,7 +171,8 @@ func TestRowsMatchFprintf(t *testing.T) {
 			rows := &rowBuf[float64]{keyed: keyed, qPrefix: qPrefix, rb: rb, appendValue: valueAppender[float64]()}
 			var want strings.Builder
 			for i, v := range values {
-				r := core.Result[float64]{Query: i, Measure: stream.Time, Start: int64(i) * 1000, End: int64(i)*1000 + 2000,
+				// Query ids and window ends repeat: their rendered forms are reused.
+				r := core.Result[float64]{Query: i % 7, Measure: stream.Time, Start: int64(i) * 1000, End: int64(i/3)*3000 + 2000,
 					Value: v, N: int64(i * i), Update: i%2 == 1}
 				rows.add(int32(-i), &r)
 				want.WriteString(oldRow(keyed, qPrefix, int32(-i), r, v))
@@ -184,6 +189,24 @@ func TestRowsMatchFprintf(t *testing.T) {
 	if want := "[100, 200)\t n=100\t 100\n"; string(counts.buf) != want {
 		t.Errorf("count row %q, want %q", counts.buf, want)
 	}
+}
+
+// FuzzRowValueMatchesFprintf: whatever float64 a result carries, the row shows
+// it as %v does — in particular across the integers the row renders without
+// strconv's shortest-digits search.
+func FuzzRowValueMatchesFprintf(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 999999, -999999, 1e6 - 0.5, 1e6, -1e6, 1 << 53, 1e15, 0.1, math.NaN(), math.Inf(-1), 5e-324} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		// Random bits are rarely a small integer: try one derived from them too.
+		for _, v := range []float64{v, math.Trunc(math.Mod(v, 2e6))} {
+			if got, want := string(appendFloat(nil, v)), fmt.Sprintf("%v", v); got != want {
+				t.Fatalf("%#x: %b rendered %q, %%v prints %q", bits, v, got, want)
+			}
+		}
+	})
 }
 
 // boundaryInput is a stream whose rows depend on everything a read boundary
@@ -360,4 +383,70 @@ func BenchmarkIngestVsLineRate(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
 	})
+}
+
+// fleet64Args is the csv-ooo-fleet64 invocation: 64 sliding max queries 1 s to
+// 64 s long, all sliding by 1 s, two seconds of allowed lateness.
+var fleet64Args = func() []string {
+	specs := make([]string, 64)
+	for i := range specs {
+		specs[i] = fmt.Sprintf("sliding:%d:1000", (i+1)*1000)
+	}
+	return []string{"-windows", strings.Join(specs, ","), "-agg", "max", "-lateness", "2000"}
+}()
+
+// fleet64CSV renders the csv-ooo-fleet64 stream: one tuple per 50 event-ms
+// with an integer payload below 1000, a fifth of them arriving up to 3.5 s
+// late — past the watermark lag but inside the allowed lateness, so they come
+// out as update rows.
+func fleet64CSV(n int) []byte {
+	r := rand.New(rand.NewSource(1))
+	ev := make([]stream.Event[stream.Tuple], n)
+	for i := range ev {
+		ev[i] = stream.Event[stream.Tuple]{Time: int64(i) * 50, Value: stream.Tuple{V: float64(r.Intn(1000))}}
+	}
+	var b bytes.Buffer
+	for _, e := range stream.Apply(stream.Disorder{Fraction: 0.2, MaxDelay: 3500, Seed: 1}, ev) {
+		fmt.Fprintf(&b, "%d,%d\n", e.Time, int64(e.Value.V))
+	}
+	return b.Bytes()
+}
+
+// lineCounter counts the rows written to it.
+type lineCounter struct{ rows int }
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	c.rows += bytes.Count(p, []byte{'\n'})
+	return len(p), nil
+}
+
+// BenchmarkFleet64Emit is the in-process rung for csv-ooo-fleet64: run() over
+// that workload's stream and query set, where the time goes into factored
+// emission and row rendering (docs/PERFORMANCE.md "Fleet emission"). allocs/row
+// is marginal — what the second half of the stream allocates per row it emits.
+func BenchmarkFleet64Emit(b *testing.B) {
+	const tuples = 20_000
+	in := fleet64CSV(tuples)
+	measure := func(in []byte) (rows int, mallocs uint64) {
+		var out lineCounter
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if code := run(context.Background(), fleet64Args, bytes.NewReader(in), &out, io.Discard); code != 0 {
+			b.Fatalf("scotty exited %d", code)
+		}
+		runtime.ReadMemStats(&after)
+		return out.rows, after.Mallocs - before.Mallocs
+	}
+	half := in[:bytes.LastIndexByte(in[:len(in)/2], '\n')+1]
+	halfRows, halfMallocs := measure(half)
+	rows, mallocs := measure(in)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := run(context.Background(), fleet64Args, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
+			b.Fatalf("scotty exited %d", code)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/tuple")
+	b.ReportMetric(float64(rows)/tuples, "rows/tuple")
+	b.ReportMetric((float64(mallocs)-float64(halfMallocs))/float64(rows-halfRows), "allocs/row")
 }

@@ -177,14 +177,15 @@ type Aggregator[V, A, Out any] struct {
 	dabaHits   int64
 	dabaMisses int64
 
-	// Reusable trigger callback: window triggers take a func(s, e int64)
-	// emitter, and binding it fresh per call would capture the loop's query
-	// variable and allocate one closure per completed window. emitFn is
-	// allocated once at construction and routes through triggerQ, which
-	// trigger sets before each Trigger call (the aggregator is
+	// Reusable window callbacks: window triggers and WindowsTouched take a
+	// func(s, e int64) emitter, and binding it fresh per call would capture
+	// the loop's query variable and allocate one closure per completed
+	// window or per query a late tuple reaches. emitFn and touchFn are
+	// allocated once at construction and route through triggerQ, which
+	// trigger and processOutOfOrder set before each call (the aggregator is
 	// single-threaded, so the hand-off cannot race).
-	emitFn   func(s, e int64)
-	triggerQ *query[V]
+	emitFn, touchFn func(s, e int64)
+	triggerQ        *query[V]
 }
 
 type pendingUpdate struct {
@@ -222,6 +223,7 @@ func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Aggregat
 		evictCountdown:    evictEvery,
 	}
 	ag.emitFn = func(s, e int64) { ag.emit(ag.triggerQ, s, e, false) }
+	ag.touchFn = ag.windowTouched
 	return ag
 }
 
@@ -853,29 +855,34 @@ func (ag *Aggregator[V, A, Out]) processOutOfOrder(e stream.Event[V]) {
 			if q.def.Measure() == stream.Count {
 				pos = rank
 			}
-			q.cf.WindowsTouched(ag.st, pos, func(s, en int64) {
-				if q.def.Measure() == stream.Time && en-1 > ag.currWM {
-					return // not yet emitted; the regular trigger will cover it
-				}
-				if en < q.updFloor {
-					if !q.seeded {
-						return // window predates this query's registration
-					}
-					// The window closed before this operator's first tuple
-					// (a key that joined late), so it was never announced;
-					// the tuple makes it non-empty. Announce it now; from
-					// here on late tuples correct it with updates.
-					// WindowsTouched lists windows latest first, so the
-					// floor steps down one window at a time.
-					q.updFloor = en
-					ag.emit(q, s, en, false)
-					return
-				}
-				ag.emit(q, s, en, true)
-			})
+			ag.triggerQ = q
+			q.cf.WindowsTouched(ag.st, pos, ag.touchFn)
 		}
 	}
 	ag.flushUpdates()
+}
+
+// windowTouched is processOutOfOrder's WindowsTouched callback for triggerQ:
+// an update emission for a window the late tuple changed.
+func (ag *Aggregator[V, A, Out]) windowTouched(s, en int64) {
+	q := ag.triggerQ
+	if q.def.Measure() == stream.Time && en-1 > ag.currWM {
+		return // not yet emitted; the regular trigger will cover it
+	}
+	if en < q.updFloor {
+		if !q.seeded {
+			return // window predates this query's registration
+		}
+		// The window closed before this operator's first tuple (a key that
+		// joined late), so it was never announced; the tuple makes it
+		// non-empty. Announce it now; from here on late tuples correct it
+		// with updates. WindowsTouched lists windows latest first, so the
+		// floor steps down one window at a time.
+		q.updFloor = en
+		ag.emit(q, s, en, false)
+		return
+	}
+	ag.emit(q, s, en, true)
 }
 
 // rankAt computes the canonical rank an out-of-order event will occupy given

@@ -138,6 +138,22 @@ type group[A any] struct {
 	maxLen int64 // longest member window, bounds ring retention
 }
 
+// due is one member's share of an emission pass (a drain of one group or one
+// reEmitCovering): n windows ending at end, end+step, …, emitted in that
+// order; their folds sit at Fleet.folded[at:at+n].
+type due[A any] struct {
+	sp        *spec[A]
+	end, step int64
+	n, at     int
+}
+
+// suffix is the longest window folded so far at one window end of an emission
+// pass: length 0 and the identity pane until a window ends there.
+type suffix[A any] struct {
+	length int64
+	p      pane[A]
+}
+
 // Fleet hosts a dynamic fleet of logical window queries over one slicing
 // aggregator, sharing physical work between correlated queries. It exposes the
 // same processing surface as core.Aggregator (ProcessElement /
@@ -171,6 +187,15 @@ type Fleet[V, A, Out any] struct {
 	planEvals int
 
 	results []core.Result[Out]
+
+	// Emission scratch, rebuilt by every emission pass and meaningless
+	// between passes (process.go emitDue): the members with windows to emit
+	// in emission order, their indices in ascending window length, the folded
+	// windows, and the suffix each window end has reached.
+	due    []due[A]
+	byLen  []int
+	folded []pane[A]
+	memo   []suffix[A]
 
 	// Emission scheduling for factored specs: wake is the lowest watermark
 	// at which any factored spec can emit; parkWake is the lowest MaxSeen

@@ -10,8 +10,9 @@ import "scotty/internal/obs"
 //	                                  including factor windows
 //	rewrite_hits_total        counter emissions answered from a factor ring
 //	                                  instead of the slice store
-//	slice_touches_saved_total counter slice folds a direct emission would
-//	                                  have spent minus ring combines spent
+//	slice_touches_saved_total counter slice folds direct emissions would have
+//	                                  spent minus the ring and chain combines
+//	                                  an emission pass spent
 //	fleet_plan_runs_total     counter runs of the factoring optimizer (one
 //	                                  per burst of registrations)
 //	fleet_plan_ns_total       counter wall time those runs took

@@ -199,16 +199,18 @@ func TestPlanMetrics(t *testing.T) {
 	}
 }
 
-// TestModelPredictsTouchesSaved holds the cost model against the counter it
-// is supposed to predict. On the csv-ooo-fleet64 shape over an in-order
-// stream the model says an emission of a factored spec folds
-// log2(length/f)+1 ring nodes where a direct one folds length/g slices; the
-// fleet counts what its FlatFAT ring really combined and adds the difference
-// to slice_touches_saved_total. The two must agree within 5% (0.1% when this
-// was written): the saving is mostly the slices not folded, so what the model
-// gets wrong about the ring — it charges a full root-to-leaf walk where a
-// range aligned with the ring's subtrees combines fewer nodes — is second
-// order.
+// TestModelPredictsTouchesSaved holds the emission cost against the counter
+// that measures it. On the csv-ooo-fleet64 shape over an in-order stream every
+// factored member has a window at every window end, so emission is one chain
+// per end (emitDue): the shortest member folds its own length/f panes from the
+// ring — log2(panes)+1 nodes by the planner's pricing — and every longer one
+// extends the member before it by the panes between their starts, a plain
+// read when that is one pane, plus one Combine. A direct emission folds
+// length/g slices; the fleet counts what ring and chain really combined and
+// adds the difference to slice_touches_saved_total. The two must agree within
+// 5% (0.02% when this was written). plan.go still prices every factored
+// emission at log2(length/f)+1, which for members that end together is an
+// upper bound (docs/SHARING.md "Emission").
 func TestModelPredictsTouchesSaved(t *testing.T) {
 	fl := newSumFleet(Options{})
 	ids := register(fl, fleet64Shape(64))
@@ -227,16 +229,26 @@ func TestModelPredictsTouchesSaved(t *testing.T) {
 			count(fl.ProcessWatermark(int64(i) * dt))
 		}
 	}
+	ringFold := func(panes int64) float64 {
+		if panes == 1 {
+			return 0
+		}
+		return math.Log2(float64(panes)) + 1
+	}
 	var predicted float64
-	factored := 0
-	for _, id := range ids {
+	factored, shorter := 0, int64(0)
+	for _, id := range ids { // registered in ascending length: chain order
 		sp := fl.logical[id]
 		if sp.mode != modeFactored {
 			continue
 		}
 		factored++
-		perEmission := float64(sp.directFold) - (math.Log2(float64(sp.length/sp.grp.factor)) + 1)
-		predicted += perEmission * float64(emissions[id])
+		cost := ringFold((sp.length - shorter) / sp.grp.factor)
+		if shorter > 0 {
+			cost++ // the chain's own Combine
+		}
+		shorter = sp.length
+		predicted += (float64(sp.directFold) - cost) * float64(emissions[id])
 	}
 	observed := float64(fl.Plan().TouchesSaved)
 	if factored != 62 || predicted <= 0 {

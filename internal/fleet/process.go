@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"cmp"
+	"slices"
+
 	"scotty/internal/core"
 	"scotty/internal/stream"
 )
@@ -89,15 +92,13 @@ func (fl *Fleet[V, A, Out]) drain(wm, maxSeen int64) {
 			if sp.mode != modeFactored {
 				continue
 			}
-			hi := wm
-			if cap := maxSeen + sp.length; hi > cap {
-				hi = cap
-			}
-			for sp.nextEnd-1 <= hi {
-				fl.emitFactored(g, sp, sp.nextEnd-sp.length, sp.nextEnd, false)
-				sp.nextEnd += sp.slide
+			if hi := min(wm, maxSeen+sp.length); sp.nextEnd-1 <= hi {
+				n := (hi-sp.nextEnd+1)/sp.slide + 1
+				fl.due = append(fl.due, due[A]{sp: sp, end: sp.nextEnd, step: sp.slide, n: int(n)})
+				sp.nextEnd += n * sp.slide
 			}
 		}
+		fl.emitDue(g, false)
 		fl.evictPanes(g)
 	}
 	fl.refreshSchedule()
@@ -124,7 +125,7 @@ func (fl *Fleet[V, A, Out]) checkFlips() {
 // safe once the ring's oldest pane is at or before the spec's next window
 // start: every later window is then fully answerable from panes (panes arrive
 // contiguously — the factor query's trigger never skips — and trailing panes
-// missing from the ring are provably empty, see paneRange). The physical
+// missing from the ring are provably empty, see foldPanes). The physical
 // query has emitted windows strictly in order up to lastEnd, so the factored
 // cursor resumes at exactly the next one.
 func (fl *Fleet[V, A, Out]) maybeFlip(g *group[A], sp *spec[A]) {
@@ -142,51 +143,109 @@ func (fl *Fleet[V, A, Out]) maybeFlip(g *group[A], sp *spec[A]) {
 	fl.m.physical.Set(int64(fl.physical()))
 }
 
-// emitFactored answers one window of a factored spec from the pane ring and
-// fans the result out to the spec's subscribers. The slice-touch savings —
-// what a direct emission would have folded minus the ring combines actually
-// spent — feed the slice_touches_saved_total counter.
-func (fl *Fleet[V, A, Out]) emitFactored(g *group[A], sp *spec[A], s, e int64, update bool) {
-	c0 := g.tree.Combines()
-	p := fl.paneRange(g, s, e)
-	if saved := sp.directFold - (g.tree.Combines() - c0); saved > 0 {
-		fl.m.touchesSaved.Add(saved)
+// emitDue folds the windows collected in fl.due from the pane ring, fans the
+// results out to each member's subscribers, and empties fl.due.
+//
+// Folding is end-major: members are visited in ascending window length, and a
+// window ending where a shorter member's window ends is that window extended
+// to the left — Combine(fold(panes[start, shorter start)), shorter fold) — so
+// windows that end together cost one ring read and one Combine each, not one
+// O(log panes) range query each; a window alone at its end is the plain range
+// query. The extension is always on the left and the gap is folded in leaf
+// order, so non-commutative aggregates see the panes in stream order. memo
+// holds, per window end of this pass, the longest fold so far; nothing is
+// kept between passes, so ring writes and evictions have nothing to
+// invalidate. Results are then appended member by member in fl.due's order —
+// the order the unshared per-query path emits in.
+//
+// The slice-touch savings — what direct emissions would have folded minus
+// the ring and chain combines actually spent — feed slice_touches_saved_total.
+func (fl *Fleet[V, A, Out]) emitDue(g *group[A], update bool) {
+	if len(fl.due) == 0 {
+		return
 	}
-	fl.m.rewriteHits.Inc()
-	v := fl.f.Lower(p.a)
-	for _, sb := range sp.subs {
-		if e < sb.floor {
-			continue // subscriber registered after this window
+	lo, hi, total, sorted := stream.MaxTime, stream.MinTime, 0, true
+	fl.byLen = fl.byLen[:0]
+	for i := range fl.due {
+		d := &fl.due[i]
+		d.at = total
+		total += d.n
+		last := d.end + int64(d.n-1)*d.step
+		lo, hi = min(lo, d.end, last), max(hi, d.end, last)
+		sorted = sorted && (i == 0 || fl.due[i-1].sp.length <= d.sp.length)
+		fl.byLen = append(fl.byLen, i)
+	}
+	if !sorted { // members registered shortest first are in chain order already
+		slices.SortFunc(fl.byLen, func(a, b int) int { return cmp.Compare(fl.due[a].sp.length, fl.due[b].sp.length) })
+	}
+	ends := int((hi-lo)/g.factor) + 1
+	fl.folded = slices.Grow(fl.folded[:0], total)[:total]
+	fl.memo = slices.Grow(fl.memo[:0], ends)[:ends]
+	none := suffix[A]{p: pane[A]{a: fl.f.Identity()}}
+	for i := range fl.memo {
+		fl.memo[i] = none
+	}
+	spent := -g.tree.Combines()
+	for _, i := range fl.byLen {
+		d := &fl.due[i]
+		for k, e := 0, d.end; k < d.n; k, e = k+1, e+d.step {
+			m := &fl.memo[(e-lo)/g.factor]
+			p, ok := fl.foldPanes(g, e-d.sp.length, e-m.length)
+			if !ok {
+				p = m.p
+			} else if m.length > 0 {
+				p = pane[A]{a: fl.f.Combine(p.a, m.p.a), n: p.n + m.p.n}
+				spent++
+			}
+			m.length, m.p = d.sp.length, p
+			fl.folded[d.at+k] = p
 		}
-		fl.results = append(fl.results, core.Result[Out]{
-			Query: sb.id, Measure: stream.Time,
-			Start: s, End: e, Value: v, N: p.n, Update: update,
-		})
 	}
+	spent += g.tree.Combines()
+	var direct int64
+	for i := range fl.due {
+		d := &fl.due[i]
+		direct += int64(d.n) * d.sp.directFold
+		for k, e := 0, d.end; k < d.n; k, e = k+1, e+d.step {
+			p := &fl.folded[d.at+k]
+			v := fl.f.Lower(p.a)
+			for _, sb := range d.sp.subs {
+				if e < sb.floor {
+					continue // subscriber registered after this window
+				}
+				fl.results = append(fl.results, core.Result[Out]{
+					Query: sb.id, Measure: stream.Time,
+					Start: e - d.sp.length, End: e, Value: v, N: p.n, Update: update,
+				})
+			}
+		}
+	}
+	if direct > spent {
+		fl.m.touchesSaved.Add(direct - spent)
+	}
+	fl.m.rewriteHits.Add(int64(total))
+	fl.due = fl.due[:0]
 }
 
-// paneRange folds the panes covering [s, e). Window edges of factored specs
-// are multiples of the factor, so the span maps exactly onto ring leaves.
-// Panes missing beyond the ring's tail contain no tuples — the factor
-// trigger's MaxSeen cap is the only thing that postpones a due pane, and it
-// only postpones empty ones — so clamping to the ring is exact.
-func (fl *Fleet[V, A, Out]) paneRange(g *group[A], s, e int64) pane[A] {
-	ident := pane[A]{a: fl.f.Identity()}
+// foldPanes folds the panes covering [s, e), reporting false when there are
+// none. Window edges of factored specs are multiples of the factor, so the
+// span maps exactly onto ring leaves. Panes missing beyond the ring's tail
+// contain no tuples — the factor trigger's MaxSeen cap is the only thing that
+// postpones a due pane, and it only postpones empty ones — so clamping to the
+// ring is exact.
+func (fl *Fleet[V, A, Out]) foldPanes(g *group[A], s, e int64) (pane[A], bool) {
 	if g.base < 0 {
-		return ident
+		return pane[A]{}, false
 	}
-	lo := s/g.factor - g.base
-	hi := e/g.factor - g.base // exclusive leaf bound
-	if n := int64(g.tree.Len()); hi > n {
-		hi = n
+	lo := max(s/g.factor-g.base, 0)
+	hi := min(e/g.factor-g.base, int64(g.tree.Len())) // exclusive leaf bound
+	switch {
+	case lo >= hi:
+		return pane[A]{}, false
+	case lo+1 == hi:
+		return g.tree.Get(int(lo)), true
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return ident
-	}
-	return g.tree.Query(int(lo), int(hi))
+	return g.tree.Query(int(lo), int(hi)), true
 }
 
 // tapFor builds the partial-aggregate consumer for a factor group's physical
@@ -222,26 +281,24 @@ func (fl *Fleet[V, A, Out]) tapFor(g *group[A]) func(s, e int64, a A, n int64, u
 // the updated pane [ps, pe), mirroring the unshared core's WindowsTouched
 // order: per spec, containing windows in descending start order, update
 // emissions only for windows the cursor has already passed (the regular
-// trigger covers the rest). Draining members are skipped — their own physical
-// query emits their updates.
+// trigger covers the rest) since the spec's own registration floor — only
+// those were ever announced. Draining members are skipped — their own
+// physical query emits their updates.
 func (fl *Fleet[V, A, Out]) reEmitCovering(g *group[A], ps, pe int64) {
 	for _, sp := range g.specs {
 		if sp.mode != modeFactored {
 			continue
 		}
-		for k := ps / sp.slide; k >= 0; k-- {
-			s := k * sp.slide
-			e := s + sp.length
-			if e < pe {
-				break // no earlier window reaches the pane either
-			}
-			if e < sp.nextEnd && e >= sp.minNextEnd {
-				// Only windows the cursor has passed since the spec's own
-				// registration floor were ever announced.
-				fl.emitFactored(g, sp, s, e, true)
-			}
+		// Window k is [k*slide, k*slide+length): the newest one that starts
+		// at or before the pane and has been announced, down to the oldest
+		// one that still reaches the pane and the floor.
+		newest := min(ps, sp.nextEnd-sp.slide-sp.length) / sp.slide
+		oldest := max(0, (max(pe, sp.minNextEnd)-sp.length+sp.slide-1)/sp.slide)
+		if newest >= oldest {
+			fl.due = append(fl.due, due[A]{sp: sp, end: newest*sp.slide + sp.length, step: -sp.slide, n: int(newest - oldest + 1)})
 		}
 	}
+	fl.emitDue(g, true)
 }
 
 // evictPanes drops ring panes no live window can ever touch again: panes
