@@ -24,8 +24,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,10 +42,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchmark", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "", "experiment id: 8..17, table1, taillat, ablation, or all")
+	fig := fs.String("fig", "", "experiment id: 8..17, table1, taillat, fleet, membound, ablation, or all")
 	full := fs.Bool("full", false, "run at the paper-sized scale")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonPath := fs.String("json", "", "also write the results as machine-readable JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -63,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sc = experiments.Full()
 		scaleName = "full"
 	}
-	if *jsonPath != "" {
-		benchutil.StartRecording(*fig, scaleName)
-		defer benchutil.StopRecording()
-	}
 	fmt.Fprintf(stdout, "general stream slicing benchmark — GOMAXPROCS=%d, scale=%s\n",
 		runtime.GOMAXPROCS(0), scaleName)
 	known, err := experiments.Run(*fig, stdout, sc)
@@ -78,28 +71,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "experiment %s: %v\n", *fig, err)
 		return 1
 	}
-	if *jsonPath != "" {
-		if err := writeRecording(benchutil.StopRecording(), *jsonPath); err != nil {
-			fmt.Fprintf(stderr, "writing %s: %v\n", *jsonPath, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
-	}
 	return 0
-}
-
-// writeRecording renders the recording to path and verifies the artifact is
-// parseable, non-empty JSON — the file is a CI contract, not just a log.
-func writeRecording(rec *benchutil.Recording, path string) error {
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		return err
-	}
-	if !json.Valid(buf.Bytes()) {
-		return fmt.Errorf("recording is not valid JSON")
-	}
-	if len(rec.Points) == 0 {
-		return fmt.Errorf("recording holds no data points")
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

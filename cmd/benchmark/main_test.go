@@ -1,14 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"scotty/internal/benchutil"
 )
 
 func TestTable1SmokeRun(t *testing.T) {
@@ -45,86 +39,5 @@ func TestUnknownFigureExitsNonZero(t *testing.T) {
 	}
 	if code := run(nil, &out, &errOut); code == 0 {
 		t.Fatal("missing -fig should exit non-zero")
-	}
-}
-
-func TestJSONRecordingArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fig15.json")
-	var out, errOut strings.Builder
-	if code := run([]string{"-fig", "15", "-json", path}, &out, &errOut); code != 0 {
-		t.Fatalf("benchmark -json exited %d: %s", code, errOut.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchutil.Recording
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, raw)
-	}
-	if rec.Figure != "15" || rec.Scale != "quick" || len(rec.Points) == 0 {
-		t.Fatalf("unexpected recording: figure=%q scale=%q points=%d", rec.Figure, rec.Scale, len(rec.Points))
-	}
-	for _, p := range rec.Points {
-		if p.Series == "" {
-			t.Fatalf("point without series: %+v", p)
-		}
-	}
-	if !strings.Contains(out.String(), "wrote "+path) {
-		t.Fatalf("missing confirmation line:\n%s", out.String())
-	}
-	// The recording must be detached after the run.
-	if benchutil.Rec != nil {
-		t.Fatal("recording left active after run")
-	}
-}
-
-// TestJSONLatencyQuantiles drives the tail-latency figure through the -json
-// path and checks the contract the benchdiff p99 gate depends on: every
-// point of every slice-store series carries latency quantiles that are
-// finite, positive, and monotone (p50 <= p99 <= p999 <= max). A +Inf or
-// inverted quantile here would silently corrupt the committed reference the
-// CI gate diffs against.
-func TestJSONLatencyQuantiles(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_taillat.json")
-	var out, errOut strings.Builder
-	if code := run([]string{"-fig", "taillat", "-json", path}, &out, &errOut); code != 0 {
-		t.Fatalf("benchmark -fig taillat -json exited %d: %s", code, errOut.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchutil.Recording
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if rec.Figure != "taillat" || len(rec.Points) == 0 {
-		t.Fatalf("unexpected recording: figure=%q points=%d", rec.Figure, len(rec.Points))
-	}
-	seen := map[string]int{}
-	for _, p := range rec.Points {
-		seen[p.Series]++
-		q := p.LatencyNS
-		if q == nil {
-			t.Fatalf("point %s x=%v has no latency quantiles", p.Series, p.X)
-		}
-		for _, name := range []string{"p50", "p99", "p999", "max"} {
-			v, ok := q[name]
-			if !ok {
-				t.Fatalf("point %s x=%v missing quantile %q: %v", p.Series, p.X, name, q)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				t.Fatalf("point %s x=%v quantile %s = %v, want finite positive", p.Series, p.X, name, v)
-			}
-		}
-		if !(q["p50"] <= q["p99"] && q["p99"] <= q["p999"] && q["p999"] <= q["max"]) {
-			t.Fatalf("point %s x=%v quantiles not monotone: %v", p.Series, p.X, q)
-		}
-	}
-	for _, series := range []string{"lazy-slicing", "eager-slicing", "daba-slicing"} {
-		if seen[series] == 0 {
-			t.Fatalf("taillat recording missing series %q (saw %v)", series, seen)
-		}
 	}
 }

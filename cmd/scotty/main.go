@@ -585,15 +585,34 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 // control flow and never dropped. Drops fall on whatever event is at the
 // queue's edge, so under -keyed the loss is spread over keys in proportion to
 // their traffic.
+//
+// Ordered mode (-store daba) has no path for a late tuple: the first event
+// older than one before it (on its key under -keyed, where every key has an
+// operator of its own) ends the input. What came before it is processed and
+// drained, and feed returns an error naming it.
 func (env *runEnv) feed(op func([]item)) error {
 	feeder := stream.NewFeeder[stream.Tuple](env.wm)
 	var items []item
-	newest := stream.MinTime // the latest event time seen
+	newest := stream.MinTime  // the latest event time seen
+	last := map[int32]int64{} // ordered mode: the latest event time per key
+	var orderErr error        // set by the first out-of-order event in ordered mode
+	ctx, stop := context.WithCancel(env.ctx)
+	defer stop()
 	// No feeder.Close when the source ends: EOF and cancellation share the
 	// shutdown path in runPipeline, which snapshots the resumable state and
 	// then drains — the snapshot must not see MaxTime as the watermark.
 	pump := func(send func([]item)) error {
-		return env.src(env.ctx, func(events []event) {
+		err := env.src(ctx, func(events []event) {
+			if orderErr != nil {
+				return
+			}
+			if env.opts.Ordered {
+				var n int
+				if n, orderErr = env.inOrderPrefix(events, last); orderErr != nil {
+					events = events[:n]
+					stop()
+				}
+			}
 			items = items[:0]
 			for _, e := range events {
 				items = feeder.Feed(items, e)
@@ -611,6 +630,10 @@ func (env *runEnv) feed(op func([]item)) error {
 				send(items[start:])
 			}
 		})
+		if orderErr != nil {
+			return orderErr
+		}
+		return err
 	}
 	if env.policy == ops.Block {
 		return pump(op)
@@ -644,6 +667,30 @@ func (env *runEnv) feed(op func([]item)) error {
 		fmt.Fprintf(env.stderr, "backpressure: dropped %d events (%s)\n", n, env.policy)
 	}
 	return err
+}
+
+// inOrderPrefix returns how many leading events may follow, in ordered mode,
+// what came before them — last holds the latest event time per key, one key
+// unless -keyed — and, if that is not all of them, an error naming the first
+// that may not.
+func (env *runEnv) inOrderPrefix(events []event, last map[int32]int64) (int, error) {
+	for i := range events {
+		e := &events[i]
+		k := int32(0)
+		if env.keyed {
+			k = e.Value.Key
+		}
+		if prev, seen := last[k]; seen && e.Time < prev {
+			on := ""
+			if env.keyed {
+				on = fmt.Sprintf(" on key %d", k)
+			}
+			return i, fmt.Errorf("timestamp %d after %d%s is out of order; -store daba takes in-order input only",
+				env.rb.unshift(e.Time), env.rb.unshift(prev), on)
+		}
+		last[k] = e.Time
+	}
+	return len(events), nil
 }
 
 // runPipeline is the one run loop: restore, source → operator → sink until

@@ -118,6 +118,47 @@ func TestOverlongLineFailsTheRun(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderInputFailsAnOrderedRun pins that -store daba, whose in-order
+// mode has no path for a late tuple, reports out-of-order input and fails the
+// run instead of panicking: what came before the offending event is drained,
+// nothing after it is read. Under -keyed order is per key, as each key has an
+// operator of its own.
+func TestOutOfOrderInputFailsAnOrderedRun(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		in        string
+		code      int
+		want, not string
+	}{
+		{[]string{"-store", "daba"}, "1000,1\n3000,2\n2000,3\n5000,4\n", 1,
+			"[2000, 4000)\t n=1\t 2\n", "[4000, 6000)"},
+		{[]string{"-store", "daba", "-backpressure", "shed"}, "1000,1\n3000,2\n2000,3\n5000,4\n", 1,
+			"[2000, 4000)\t n=1\t 2\n", "[4000, 6000)"},
+		{[]string{"-store", "daba", "-windows", "tumbling:2000"}, "1000,1\n3000,2\n2000,3\n5000,4\n", 1,
+			"q0\t[2000, 4000)\t n=1\t 2\n", "[4000, 6000)"},
+		{[]string{"-store", "daba", "-keyed"}, "1000,1,1\n3000,2,1\n2000,3,1\n5000,4,1\n", 1,
+			"k1\t[2000, 4000)\t n=1\t 2\n", "[4000, 6000)"},
+		{[]string{"-store", "daba", "-keyed"}, "1000,1,1\n3000,2,2\n2000,3,1\n5000,4,1\n", 0,
+			"k1\t[4000, 6000)\t n=1\t 4\n", "input: "},
+	} {
+		args := append(tc.args, "-length", "2000")
+		var out, errOut strings.Builder
+		code := run(context.Background(), args, strings.NewReader(tc.in), &out, &errOut)
+		if code != tc.code {
+			t.Errorf("scotty %v exited %d, want %d (stderr: %s)", args, code, tc.code, errOut.String())
+		}
+		if tc.code != 0 && !strings.Contains(errOut.String(), "input: timestamp 2000 after 3000") {
+			t.Errorf("scotty %v: out-of-order event not reported on stderr: %q", args, errOut.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("scotty %v: missing %q:\n%s", args, tc.want, out.String())
+		}
+		if strings.Contains(out.String()+errOut.String(), tc.not) {
+			t.Errorf("scotty %v: unexpected %q:\n%s%s", args, tc.not, out.String(), errOut.String())
+		}
+	}
+}
+
 // TestCSVColumns pins the one feed's line grammar, identical in both modes:
 // ts,value[,key] — the key column is parsed even when -keyed is off (and then
 // ignored), a non-integer key or a fourth column makes the line malformed.

@@ -13,6 +13,7 @@ import (
 	"scotty/internal/baselines"
 	"scotty/internal/core"
 	"scotty/internal/fleet"
+	"scotty/internal/obs"
 	"scotty/internal/stream"
 	"scotty/internal/window"
 )
@@ -292,6 +293,24 @@ func ThroughputBatched(op BatchOp, in Input, batchSize int) (tuplesPerSec float6
 		return 0, r
 	}
 	return float64(in.Events) / elapsed.Seconds(), r
+}
+
+// MeasureTail replays the input like Throughput but times every event and
+// returns the per-tuple latency quantiles in nanoseconds (p50, p90, p95, p99,
+// p999 and max; see obs.Histogram.Quantiles). The per-event clock cost is
+// accepted because the quantiles are the result; no throughput is reported.
+func MeasureTail(op Op, in Input) map[string]float64 {
+	lat := obs.NewHistogram(nil)
+	for _, it := range in.Items {
+		if it.Kind != stream.KindEvent {
+			op(it)
+			continue
+		}
+		t0 := time.Now()
+		op(it)
+		lat.Observe(float64(time.Since(t0).Nanoseconds()))
+	}
+	return lat.Quantiles()
 }
 
 // MeasureLatency samples fn repeatedly and returns the mean latency.

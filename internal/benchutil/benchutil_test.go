@@ -1,6 +1,7 @@
 package benchutil
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,6 +66,29 @@ func TestUnknownTechniqueIsAnError(t *testing.T) {
 	}
 	if _, err := NewBatchOp(Technique("bogus"), SumFn(), w); err == nil {
 		t.Fatal("NewBatchOp accepted an unknown technique")
+	}
+}
+
+// TestMeasureTailQuantiles pins what the tail-latency figure prints from:
+// every slice store's quantile set is finite, positive, and monotone.
+func TestMeasureTailQuantiles(t *testing.T) {
+	for _, tech := range []Technique{LazySlicing, EagerSlicing, DABASlicing} {
+		op, err := NewOp(tech, SumFn(), Workload{
+			Ordered: true,
+			Defs:    func() []window.Definition { return SlidingQueries(10) },
+		})
+		if err != nil {
+			t.Fatalf("NewOp: %v", err)
+		}
+		q := MeasureTail(op, MakeInput(stream.Football(), 5000, stream.Disorder{}, 42))
+		for _, name := range []string{"p50", "p99", "p999", "max"} {
+			if v := q[name]; math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+				t.Fatalf("%s: quantile %s = %v, want finite positive (%v)", tech, name, v, q)
+			}
+		}
+		if !(q["p50"] <= q["p99"] && q["p99"] <= q["p999"] && q["p999"] <= q["max"]) {
+			t.Fatalf("%s: quantiles not monotone: %v", tech, q)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func Ablations(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		tps, _ := benchutil.Measure("count-shift cascade", v.name, op, in)
+		tps, _ := benchutil.Throughput(op, in)
 		tab.Add("count-shift cascade", v.name, tps, "")
 	}
 
@@ -52,7 +52,7 @@ func Ablations(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		tps, _ := benchutil.Measure("holistic slices", "RLE multiset", op, in)
+		tps, _ := benchutil.Throughput(op, in)
 		tab.Add("holistic slices", "RLE multiset", tps, "")
 
 		in = benchutil.MakeInput(stream.Machine(), sc.Events/8, disorder20(31), 42)
@@ -60,7 +60,7 @@ func Ablations(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		tps, _ = benchutil.Measure("holistic slices", "plain sorted values", op, in)
+		tps, _ = benchutil.Throughput(op, in)
 		tab.Add("holistic slices", "plain sorted values", tps, "")
 	}
 
@@ -78,7 +78,7 @@ func Ablations(w io.Writer, sc Scale) error {
 			ag.MustAddQuery(d)
 		}
 		in := benchutil.MakeInput(stream.Football(), sc.Events/2, disorder20(37), 42)
-		tps, _ := benchutil.Measure("Fig 4 adaptivity", v.name, func(it stream.Item[stream.Tuple]) int {
+		tps, _ := benchutil.Throughput(func(it stream.Item[stream.Tuple]) int {
 			if it.Kind == stream.KindEvent {
 				return len(ag.ProcessElement(it.Event))
 			}
@@ -100,7 +100,7 @@ func Ablations(w io.Writer, sc Scale) error {
 			ag.MustAddQuery(d)
 		}
 		in := benchutil.MakeInput(stream.Football(), sc.Events/2, stream.Disorder{}, 42)
-		tps, _ := benchutil.Measure("slicer edge cache", v.name, func(it stream.Item[stream.Tuple]) int {
+		tps, _ := benchutil.Throughput(func(it stream.Item[stream.Tuple]) int {
 			if it.Kind == stream.KindEvent {
 				return len(ag.ProcessElement(it.Event))
 			}

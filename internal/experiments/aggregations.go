@@ -13,7 +13,7 @@ import (
 // fig13Row measures general (lazy) slicing throughput for one aggregation
 // function on time-based and count-based windows (20 concurrent windows, 20%
 // out-of-order tuples with delays up to 2 s — the §6.3.2 setup).
-func fig13Row[A, Out any](sc Scale, name string, f aggregate.Function[stream.Tuple, A, Out]) (timeTps, countTps float64, err error) {
+func fig13Row[A, Out any](sc Scale, f aggregate.Function[stream.Tuple, A, Out]) (timeTps, countTps float64, err error) {
 	events := sc.Events
 	if f.Props().Kind == aggregate.Holistic {
 		events = sc.Events / 4 // holistic merges dominate; keep runtime bounded
@@ -27,11 +27,7 @@ func fig13Row[A, Out any](sc Scale, name string, f aggregate.Function[stream.Tup
 		if err != nil {
 			return 0, 0, err
 		}
-		measure := "time"
-		if i == 1 {
-			measure = "count"
-		}
-		tps, _ := benchutil.Measure(measure, name, op, in)
+		tps, _ := benchutil.Throughput(op, in)
 		if i == 0 {
 			timeTps = tps
 		} else {
@@ -54,23 +50,23 @@ func Fig13(w io.Writer, sc Scale) error {
 		inv         bool
 		run         func() (float64, float64, error)
 	}{
-		{"count", "distributive", true, func() (float64, float64, error) { return fig13Row(sc, "count", aggregate.Count[stream.Tuple]()) }},
-		{"sum", "distributive", true, func() (float64, float64, error) { return fig13Row(sc, "sum", aggregate.Sum(v)) }},
-		{"sum w/o invert", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, "sum w/o invert", aggregate.NaiveSum(v)) }},
-		{"min", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, "min", aggregate.Min(v)) }},
-		{"max", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, "max", aggregate.Max(v)) }},
-		{"mean", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, "mean", aggregate.Mean(v)) }},
-		{"geomean", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, "geomean", aggregate.GeoMean(v)) }},
-		{"stddev", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, "stddev", aggregate.StdDev(v)) }},
-		{"mincount", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "mincount", aggregate.MinCount(v)) }},
-		{"maxcount", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "maxcount", aggregate.MaxCount(v)) }},
-		{"argmin", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "argmin", aggregate.ArgMin(v)) }},
-		{"argmax", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "argmax", aggregate.ArgMax(v)) }},
-		{"first", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "first", aggregate.First(v)) }},
-		{"last", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "last", aggregate.Last(v)) }},
-		{"m4", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, "m4", aggregate.M4(v)) }},
-		{"median", "holistic", true, func() (float64, float64, error) { return fig13Row(sc, "median", aggregate.Median(v)) }},
-		{"90-percentile", "holistic", true, func() (float64, float64, error) { return fig13Row(sc, "90-percentile", aggregate.Percentile(0.9, v)) }},
+		{"count", "distributive", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Count[stream.Tuple]()) }},
+		{"sum", "distributive", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Sum(v)) }},
+		{"sum w/o invert", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.NaiveSum(v)) }},
+		{"min", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.Min(v)) }},
+		{"max", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.Max(v)) }},
+		{"mean", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Mean(v)) }},
+		{"geomean", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.GeoMean(v)) }},
+		{"stddev", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.StdDev(v)) }},
+		{"mincount", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.MinCount(v)) }},
+		{"maxcount", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.MaxCount(v)) }},
+		{"argmin", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.ArgMin(v)) }},
+		{"argmax", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.ArgMax(v)) }},
+		{"first", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.First(v)) }},
+		{"last", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.Last(v)) }},
+		{"m4", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.M4(v)) }},
+		{"median", "holistic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Median(v)) }},
+		{"90-percentile", "holistic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Percentile(0.9, v)) }},
 	}
 	for _, r := range rows {
 		timeTps, countTps, err := r.run()
@@ -117,7 +113,7 @@ func Fig14(w io.Writer, sc Scale) error {
 				if err != nil {
 					return err
 				}
-				tps, _ := benchutil.Measure(q.name+"/"+string(t), p.Name, op, in)
+				tps, _ := benchutil.Throughput(op, in)
 				row = append(row, tps)
 			}
 			tab.Add(row...)

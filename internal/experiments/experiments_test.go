@@ -8,13 +8,12 @@ import (
 
 // tiny is a minimal scale for smoke-testing every experiment end to end.
 func tiny() Scale {
-	return Scale{Events: 4000, SlowEvents: 1500, MaxWindows: 10, MemTuples: 2000, LatencyMax: 2000, Parallelism: 2}
+	return Scale{Events: 4000, SlowEvents: 1500, MaxWindows: 10, MemTuples: 2000, LatencyMax: 2000, Parallelism: 2, MaxKeys: 1000}
 }
 
 func TestEveryExperimentRuns(t *testing.T) {
-	ids := []string{"8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "table1", "ablation"}
-	for _, id := range ids {
-		id := id
+	for _, e := range experimentsByID {
+		id := e.id
 		t.Run("fig"+id, func(t *testing.T) {
 			var buf bytes.Buffer
 			known, err := Run(id, &buf, tiny())

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"scotty/internal/benchutil"
-	"scotty/internal/core"
 	"scotty/internal/fleet"
 	"scotty/internal/stream"
 	"scotty/internal/window"
@@ -27,63 +26,69 @@ func fleetDefs(q int) []window.Definition {
 	return defs
 }
 
+// fleetInput is the stream both fleet series replay: twice the slicing
+// budget, because it must span the longest window (32 s) several times over,
+// or ramp-up — during which long windows have not yet produced a single
+// emission — dominates the run and understates the unshared series'
+// steady-state fold cost.
+func fleetInput(sc Scale) benchutil.Input {
+	return benchutil.MakeInput(stream.Football(), 2*sc.Events, stream.Disorder{}, 42)
+}
+
+// fleetShared replays in through q correlated queries on the sharing layer
+// and returns its throughput (tuples/s) and the plan it ran.
+func fleetShared(q int, in benchutil.Input) (float64, fleet.PlanInfo) {
+	fl := fleet.New(benchutil.SumFn(), fleet.Options{})
+	for _, d := range fleetDefs(q) {
+		fl.MustAddQuery(d)
+	}
+	tps, _ := benchutil.Throughput(func(it stream.Item[stream.Tuple]) int {
+		if it.Kind == stream.KindEvent {
+			return len(fl.ProcessElement(it.Event))
+		}
+		return len(fl.ProcessWatermark(it.Watermark))
+	}, in)
+	return tps, fl.Plan()
+}
+
+// fleetUnshared replays in through the same q queries as independent
+// physical queries on one slicing core and returns its throughput (tuples/s).
+// It replays the identical input as fleetShared: a shorter stream would also
+// span less time than the longer windows, silently deleting the emission
+// work the figure exists to measure.
+func fleetUnshared(q int, in benchutil.Input) (float64, error) {
+	op, err := benchutil.NewOp(benchutil.LazySlicing, benchutil.SumFn(), benchutil.Workload{
+		Defs: func() []window.Definition { return fleetDefs(q) },
+	})
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.Throughput(op, in)
+	return tps, nil
+}
+
 // FigFleet — cost-based factor-window sharing (docs/SHARING.md): q correlated
 // sliding queries through the sharing layer ("fleet-shared") versus the same
 // queries as independent physical queries on one slicing core ("unshared"),
 // football stream, in order. The unshared core pays a full per-query slice
 // fold per emission, so its cost grows linearly in q; the fleet answers every
 // member from one shared pane ring, leaving result fan-out as the only
-// per-query cost. scripts/checkbench.go gates both trends on the recorded
-// artifact (BENCH_fleet.json).
+// per-query cost. TestPaperShapes asserts both trends.
 func FigFleet(w io.Writer, sc Scale) error {
 	tab := benchutil.NewTable("Fig fleet — factor-window sharing across correlated queries (tuples/s)",
 		"queries", "fleet-shared", "unshared", "speedup", "physical", "touches-saved")
+	in := fleetInput(sc)
 	for _, q := range fleetSweep {
-		fl := fleet.New(benchutil.SumFn(), fleet.Options{})
-		for _, d := range fleetDefs(q) {
-			fl.MustAddQuery(d)
+		shared, plan := fleetShared(q, in)
+		unshared, err := fleetUnshared(q, in)
+		if err != nil {
+			return err
 		}
-		fleetOp := func(it stream.Item[stream.Tuple]) int {
-			if it.Kind == stream.KindEvent {
-				return len(fl.ProcessElement(it.Event))
-			}
-			return len(fl.ProcessWatermark(it.Watermark))
-		}
-		// 2x the slicing budget: the stream must span the longest window
-		// (32 s) several times over, or ramp-up — during which long windows
-		// have not yet produced a single emission — dominates the run and
-		// understates the unshared series' steady-state fold cost.
-		in := benchutil.MakeInput(stream.Football(), 2*sc.Events, stream.Disorder{}, 42)
-		sharedTPS, _ := benchutil.Measure("fleet-shared", q, fleetOp, in)
-		plan := fl.Plan()
-		benchutil.AnnotateLast(map[string]float64{
-			"query_logical_total":       float64(plan.Logical),
-			"query_physical_total":      float64(plan.Physical),
-			"rewrite_hits_total":        float64(plan.RewriteHits),
-			"slice_touches_saved_total": float64(plan.TouchesSaved),
-		})
-
-		ag := core.New(benchutil.SumFn(), core.Options{})
-		for _, d := range fleetDefs(q) {
-			ag.MustAddQuery(d)
-		}
-		unsharedOp := func(it stream.Item[stream.Tuple]) int {
-			if it.Kind == stream.KindEvent {
-				return len(ag.ProcessElement(it.Event))
-			}
-			return len(ag.ProcessWatermark(it.Watermark))
-		}
-		// Both series replay the identical input: shrinking the unshared
-		// budget would also shrink the stream's time span below the longer
-		// window lengths, silently deleting the emission work the figure
-		// exists to measure.
-		unsharedTPS, _ := benchutil.Measure("unshared", q, unsharedOp, in)
-
 		speedup := 0.0
-		if unsharedTPS > 0 {
-			speedup = sharedTPS / unsharedTPS
+		if unshared > 0 {
+			speedup = shared / unshared
 		}
-		tab.Add(q, sharedTPS, unsharedTPS, speedup, plan.Physical, plan.TouchesSaved)
+		tab.Add(q, shared, unshared, speedup, plan.Physical, plan.TouchesSaved)
 	}
 	tab.Print(w)
 	return nil

@@ -84,17 +84,6 @@ func fig11For[A any](w io.Writer, sc Scale, title string, sweep []int, f aggrega
 		}, 2, rounds*100)
 		_ = out
 
-		for _, pt := range []struct {
-			series string
-			d      time.Duration
-		}{
-			{"lazy-slicing", lazy}, {"eager-slicing", eager}, {"buckets", bucket},
-		} {
-			benchutil.RecordPoint(benchutil.Measurement{
-				Series: title + "/" + pt.series, X: entries,
-				Extra: map[string]float64{"output_latency_ns": float64(pt.d.Nanoseconds())},
-			})
-		}
 		tab.Add(entries,
 			float64(lazy.Nanoseconds()),
 			float64(eager.Nanoseconds()),
@@ -105,41 +94,38 @@ func fig11For[A any](w io.Writer, sc Scale, title string, sweep []int, f aggrega
 	tab.Print(w)
 }
 
-// FigTailLatency — beyond the paper (the ROADMAP's "tail-latency SLO gates"
-// item): per-tuple processing-latency quantiles under an eviction-heavy
-// in-order sliding workload, sweeping the number of concurrent sliding
-// windows. The three slice stores differ exactly in their tails: the lazy
+// FigTailLatency — beyond the paper: per-tuple processing-latency quantiles
+// under an eviction-heavy in-order sliding workload, sweeping the number of
+// concurrent sliding windows. The three slice stores differ exactly in their tails: the lazy
 // store folds O(window slices) at every emission, the FlatFAT eager store
 // pays O(log s) per update plus occasional leaf-ring compactions, and the
 // DABA ring answers each emission in a worst-case-constant number of
-// combines. The table prints per-tuple p99; the recording carries the full
-// quantile set (p50/p90/p95/p99/p999/max) per point, which the benchdiff
-// -latency-tol gate tracks across commits.
+// combines. Two tables from the same runs: per-tuple p99 and p999.
 func FigTailLatency(w io.Writer, sc Scale) error {
 	techs := []benchutil.Technique{
 		benchutil.LazySlicing, benchutil.EagerSlicing, benchutil.DABASlicing,
 	}
-	tab := benchutil.NewTable("Tail latency — eviction-heavy sliding windows, per-tuple p99 (ns)",
-		append([]string{"windows"}, techniqueNames(techs)...)...)
+	cols := append([]string{"windows"}, techniqueNames(techs)...)
+	p99 := benchutil.NewTable("Tail latency — eviction-heavy sliding windows, per-tuple p99 (ns)", cols...)
+	p999 := benchutil.NewTable("Tail latency — eviction-heavy sliding windows, per-tuple p999 (ns)", cols...)
 	for _, n := range sc.windowsSweep() {
-		row := []any{n}
+		row99, row999 := []any{n}, []any{n}
 		for _, t := range techs {
-			n := n
-			wl := benchutil.Workload{
+			op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{
 				Ordered: true,
 				Defs:    func() []window.Definition { return benchutil.SlidingQueries(n) },
-			}
-			in := benchutil.MakeInput(stream.Football(), sc.events(t, n), stream.Disorder{}, 42)
-			op, err := benchutil.NewOp(t, benchutil.SumFn(), wl)
+			})
 			if err != nil {
 				return err
 			}
-			q := benchutil.MeasureTail(string(t), n, op, in)
-			row = append(row, q["p99"])
+			q := benchutil.MeasureTail(op, benchutil.MakeInput(stream.Football(), sc.events(t, n), stream.Disorder{}, 42))
+			row99, row999 = append(row99, q["p99"]), append(row999, q["p999"])
 		}
-		tab.Add(row...)
+		p99.Add(row99...)
+		p999.Add(row999...)
 	}
-	tab.Print(w)
+	p99.Print(w)
+	p999.Print(w)
 	return nil
 }
 
@@ -166,15 +152,6 @@ func Fig15(w io.Writer, sc Scale) error {
 		med := benchutil.MeasureLatency(func() {
 			s = medF.Lower(aggregate.Recompute[stream.Tuple, *rle.Multiset, float64](medF, ev))
 		}, 1, rounds)
-		for _, pt := range []struct {
-			series string
-			d      time.Duration
-		}{{"sum", sum}, {"median", med}} {
-			benchutil.RecordPoint(benchutil.Measurement{
-				Series: pt.series, X: n,
-				Extra: map[string]float64{"recompute_ns": float64(pt.d.Nanoseconds())},
-			})
-		}
 		tab.Add(n, float64(sum)/float64(time.Microsecond), float64(med)/float64(time.Microsecond))
 	}
 	tab.Print(w)

@@ -21,7 +21,7 @@ import (
 const membPerKey = 64
 
 // membKeys is the key-cardinality sweep (the figure's horizontal axis),
-// capped by the scale: quick stops at 10^4 so the CI smoke leg stays in the
+// capped by the scale: quick stops at 10^4 so TestPaperShapes stays in the
 // sub-second range, full at 10^6 (see Scale.MaxKeys).
 func (sc Scale) membKeys() []int {
 	all := []int{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
@@ -140,47 +140,39 @@ func runMembound(keys int, budget int64) (membRun, error) {
 	return r, nil
 }
 
+// membPoint runs the membound workload at one key cardinality twice: without
+// a binding budget, then under a budget of 10% of the first run's measured
+// residency. It fails if the budget changed the answer.
+func membPoint(keys int) (unbounded, bounded membRun, budget int64, err error) {
+	if unbounded, err = runMembound(keys, 0); err != nil {
+		return
+	}
+	budget = unbounded.resident / 10
+	if bounded, err = runMembound(keys, budget); err != nil {
+		return
+	}
+	if bounded.results != unbounded.results {
+		err = fmt.Errorf("membound: bounded run emitted %d results at %d keys, unbounded %d — spilling changed the answer",
+			bounded.results, keys, unbounded.results)
+	}
+	return
+}
+
 // FigMemBound — cold-state spilling (docs/MEMORY.md): per-key state of one
 // keyed operator with and without a binding memory budget, across key
 // cardinalities (both series on the per-key representation, see runMembound).
-// The bounded series runs at 10% of the unbounded run's measured residency;
-// scripts/checkbench.go gates the recorded artifact (BENCH_membound.json) on
-// the bounded series staying under its budget at every cardinality while
-// sustaining at least half the unbounded throughput at the largest one.
+// TestPaperShapes asserts that the bounded series stays under its budget at
+// every cardinality and keeps a usable share of the unbounded throughput at
+// the largest one.
 func FigMemBound(w io.Writer, sc Scale) error {
 	tab := benchutil.NewTable("Fig membound — keyed state under a memory budget vs key cardinality",
 		"keys", "unbounded t/s", "bounded t/s", "ratio",
 		"resident B", "bounded B", "budget B", "cold", "stores", "loads")
 	for _, keys := range sc.membKeys() {
-		un, err := runMembound(keys, 0)
+		un, bo, budget, err := membPoint(keys)
 		if err != nil {
 			return err
 		}
-		benchutil.RecordPoint(benchutil.Measurement{
-			Series: "unbounded", X: keys, TuplesPerSec: un.tps, Results: un.results, Events: un.events,
-		})
-		benchutil.AnnotateLast(map[string]float64{"resident_bytes": float64(un.resident)})
-
-		budget := un.resident / 10
-		bo, err := runMembound(keys, budget)
-		if err != nil {
-			return err
-		}
-		if bo.results != un.results {
-			return fmt.Errorf("membound: bounded run emitted %d results at %d keys, unbounded %d — spilling changed the answer",
-				bo.results, keys, un.results)
-		}
-		benchutil.RecordPoint(benchutil.Measurement{
-			Series: "bounded", X: keys, TuplesPerSec: bo.tps, Results: bo.results, Events: bo.events,
-		})
-		benchutil.AnnotateLast(map[string]float64{
-			"resident_bytes":     float64(bo.resident),
-			"budget":             float64(budget),
-			"keys_spilled":       float64(bo.cold),
-			"spill_stores_total": float64(bo.stores),
-			"spill_loads_total":  float64(bo.loads),
-		})
-
 		ratio := 0.0
 		if un.tps > 0 {
 			ratio = bo.tps / un.tps

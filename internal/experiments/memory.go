@@ -81,6 +81,14 @@ var memTechniquesCount = []benchutil.Technique{
 	benchutil.TupleBuffer, benchutil.AggTree,
 }
 
+// stateBytes is the retained size of buildState's operator.
+func stateBytes(t benchutil.Technique, m stream.Measure, n, slices int) int64 {
+	return memsize.Of(buildState(t, m, n, slices))
+}
+
+// fig10Tuples is the tuple sweep of Fig 10b/d (500 slices fixed).
+var fig10Tuples = []int{1000, 5000, 10_000, 50_000}
+
 // Fig10 — §6.2.3: memory consumption. (a/c) vary the slices in the allowed
 // lateness at a fixed tuple count; (b/d) vary the tuples at a fixed 500
 // slices. Time-based windows (a/b) let slicing and buckets store aggregates
@@ -96,7 +104,6 @@ func Fig10(w io.Writer, sc Scale) error {
 		{"Fig 10c/d — count-based windows (bytes)", stream.Count, memTechniquesCount},
 	}
 	sliceSweep := []int{10, 50, 100, 500, 1000, 5000}
-	tupleSweep := []int{1000, 5000, 10_000, 50_000}
 
 	for _, p := range panels {
 		tabA := benchutil.NewTable(p.name+": vary slices, "+itoa(sc.MemTuples)+" tuples fixed",
@@ -107,7 +114,7 @@ func Fig10(w io.Writer, sc Scale) error {
 			}
 			row := []any{s}
 			for _, t := range p.techniques {
-				row = append(row, memsize.Of(buildState(t, p.measure, sc.MemTuples, s)))
+				row = append(row, stateBytes(t, p.measure, sc.MemTuples, s))
 			}
 			tabA.Add(row...)
 		}
@@ -115,13 +122,13 @@ func Fig10(w io.Writer, sc Scale) error {
 
 		tabB := benchutil.NewTable(p.name+": vary tuples, 500 slices fixed",
 			append([]string{"tuples"}, techniqueNames(p.techniques)...)...)
-		for _, n := range tupleSweep {
+		for _, n := range fig10Tuples {
 			if n > sc.MemTuples*5 {
 				continue
 			}
 			row := []any{n}
 			for _, t := range p.techniques {
-				row = append(row, memsize.Of(buildState(t, p.measure, n, 500)))
+				row = append(row, stateBytes(t, p.measure, n, 500))
 			}
 			tabB.Add(row...)
 		}
@@ -130,40 +137,53 @@ func Fig10(w io.Writer, sc Scale) error {
 	return nil
 }
 
-// Table1 compares the measured state sizes against the paper's closed-form
-// memory-usage formulas for all eight technique classes.
-func Table1(w io.Writer, sc Scale) error {
+// table1Row is one technique class of Table 1: the paper's closed-form
+// memory usage and the measured size of the same state.
+type table1Row struct {
+	name              string
+	formula, measured int64
+}
+
+// table1Rows sizes all eight technique classes at sc.MemTuples tuples and
+// 500 slices (tumbling, so windows == slices).
+func table1Rows(sc Scale) []table1Row {
 	n := sc.MemTuples
 	s := 500
-	win := n / (n / s) // tumbling: windows == slices
+	win := n / (n / s)
 
 	sizeEvent := int64(reflect.TypeOf(stream.Event[stream.Tuple]{}).Size())
 	sizeAgg := int64(8)                                                                 // float64 partial aggregate
 	sizeSlice := int64(reflect.TypeOf(core.Slice[stream.Tuple, float64]{}).Size()) + 16 // + pointer & list slot
 	sizeBucket := int64(64)                                                             // bucket struct + map slot (approximate)
 
+	return []table1Row{
+		{"1 tuple buffer", int64(n) * sizeEvent,
+			stateBytes(benchutil.TupleBuffer, stream.Time, n, s)},
+		{"2 aggregate tree", int64(n)*sizeEvent + int64(n-1)*sizeAgg,
+			stateBytes(benchutil.AggTree, stream.Time, n, s)},
+		{"3 agg buckets", int64(win) * (sizeAgg + sizeBucket),
+			stateBytes(benchutil.Buckets, stream.Time, n, s)},
+		{"4 tuple buckets", int64(win) * (int64(n/win)*sizeEvent + sizeBucket),
+			stateBytes(benchutil.TupleBuckets, stream.Count, n, s)},
+		{"5 lazy slicing", int64(s) * sizeSlice,
+			stateBytes(benchutil.LazySlicing, stream.Time, n, s)},
+		{"6 eager slicing", int64(s)*sizeSlice + int64(s-1)*sizeAgg,
+			stateBytes(benchutil.EagerSlicing, stream.Time, n, s)},
+		{"7 lazy slicing on tuples", int64(n)*sizeEvent + int64(s)*sizeSlice,
+			stateBytes(benchutil.LazySlicing, stream.Count, n, s)},
+		{"8 eager slicing on tuples", int64(n)*sizeEvent + int64(s)*sizeSlice + int64(s-1)*sizeAgg,
+			stateBytes(benchutil.EagerSlicing, stream.Count, n, s)},
+	}
+}
+
+// Table1 compares the measured state sizes against the paper's closed-form
+// memory-usage formulas for all eight technique classes.
+func Table1(w io.Writer, sc Scale) error {
 	tab := benchutil.NewTable("Table 1 — memory usage: measured vs formula (bytes)",
 		"technique", "formula", "measured", "ratio")
-	add := func(name string, formula int64, measured int64) {
-		tab.Add(name, formula, measured, float64(measured)/float64(formula))
+	for _, r := range table1Rows(sc) {
+		tab.Add(r.name, r.formula, r.measured, float64(r.measured)/float64(r.formula))
 	}
-
-	add("1 tuple buffer", int64(n)*sizeEvent,
-		memsize.Of(buildState(benchutil.TupleBuffer, stream.Time, n, s)))
-	add("2 aggregate tree", int64(n)*sizeEvent+int64(n-1)*sizeAgg,
-		memsize.Of(buildState(benchutil.AggTree, stream.Time, n, s)))
-	add("3 agg buckets", int64(win)*(sizeAgg+sizeBucket),
-		memsize.Of(buildState(benchutil.Buckets, stream.Time, n, s)))
-	add("4 tuple buckets", int64(win)*(int64(n/win)*sizeEvent+sizeBucket),
-		memsize.Of(buildState(benchutil.TupleBuckets, stream.Count, n, s)))
-	add("5 lazy slicing", int64(s)*sizeSlice,
-		memsize.Of(buildState(benchutil.LazySlicing, stream.Time, n, s)))
-	add("6 eager slicing", int64(s)*sizeSlice+int64(s-1)*sizeAgg,
-		memsize.Of(buildState(benchutil.EagerSlicing, stream.Time, n, s)))
-	add("7 lazy slicing on tuples", int64(n)*sizeEvent+int64(s)*sizeSlice,
-		memsize.Of(buildState(benchutil.LazySlicing, stream.Count, n, s)))
-	add("8 eager slicing on tuples", int64(n)*sizeEvent+int64(s)*sizeSlice+int64(s-1)*sizeAgg,
-		memsize.Of(buildState(benchutil.EagerSlicing, stream.Count, n, s)))
 	tab.Print(w)
 	return nil
 }

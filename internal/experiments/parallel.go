@@ -54,14 +54,6 @@ func Fig17(w io.Writer, sc Scale) error {
 			if err != nil {
 				return err
 			}
-			benchutil.RecordPoint(benchutil.Measurement{
-				Series:       string(t),
-				X:            dop,
-				TuplesPerSec: stats.Throughput(),
-				Results:      stats.Results,
-				Events:       in.Events,
-				Extra:        map[string]float64{"cpu_percent": stats.CPUUtilization()},
-			})
 			row = append(row, stats.Throughput(), stats.CPUUtilization())
 		}
 		tab.Add(row...)

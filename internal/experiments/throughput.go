@@ -13,6 +13,25 @@ import (
 // batched pipeline hands one operator instance.
 const fig8BatchSize = 256
 
+// fig8Workload is Fig 8's query set: n concurrent tumbling windows, in order.
+func fig8Workload(n int) benchutil.Workload {
+	return benchutil.Workload{
+		Ordered: true,
+		Defs:    func() []window.Definition { return benchutil.TumblingQueries(n) },
+	}
+}
+
+// fig8Point replays events in-order football tuples through technique t
+// under Fig 8's workload and returns its throughput (tuples/s).
+func fig8Point(t benchutil.Technique, n, events int) (float64, error) {
+	op, err := benchutil.NewOp(t, benchutil.SumFn(), fig8Workload(n))
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.Throughput(op, benchutil.MakeInput(stream.Football(), events, stream.Disorder{}, 42))
+	return tps, nil
+}
+
 // Fig8 — §6.2.1: throughput of in-order processing with context-free
 // windows, sweeping the number of concurrent tumbling windows (lengths
 // equally distributed between 1 and 20 s), sum aggregation, football stream.
@@ -24,29 +43,22 @@ func Fig8(w io.Writer, sc Scale) error {
 		append(append([]string{"windows"}, techniqueNames(benchutil.AllTechniques)...), "lazy-slicing-batch")...)
 	for _, n := range sc.windowsSweep() {
 		row := []any{n}
-		wl := benchutil.Workload{
-			Ordered: true,
-			Defs:    func() []window.Definition { return benchutil.TumblingQueries(n) },
-		}
 		for _, t := range benchutil.AllTechniques {
-			in := benchutil.MakeInput(stream.Football(), sc.events(t, n), stream.Disorder{}, 42)
-			op, err := benchutil.NewOp(t, benchutil.SumFn(), wl)
+			tps, err := fig8Point(t, n, sc.events(t, n))
 			if err != nil {
 				return err
 			}
-			tps, _ := benchutil.Measure(string(t), n, op, in)
 			row = append(row, tps)
 		}
 		// 4x the slicing budget: the batched series is fast enough that the
 		// plain budget finishes in under a millisecond at quick scale, too
-		// short for the benchdiff regression gate to separate signal from
-		// timer noise.
+		// short to separate signal from timer noise.
 		in := benchutil.MakeInput(stream.Football(), 4*sc.events(benchutil.LazySlicing, n), stream.Disorder{}, 42)
-		bop, err := benchutil.NewBatchOp(benchutil.LazySlicing, benchutil.SumFn(), wl)
+		bop, err := benchutil.NewBatchOp(benchutil.LazySlicing, benchutil.SumFn(), fig8Workload(n))
 		if err != nil {
 			return err
 		}
-		tps, _ := benchutil.MeasureBatch("lazy-slicing-batch", n, bop, in, fig8BatchSize)
+		tps, _ := benchutil.ThroughputBatched(bop, in, fig8BatchSize)
 		row = append(row, tps)
 		tab.Add(row...)
 	}
@@ -60,6 +72,23 @@ var fig9Techniques = []benchutil.Technique{
 	benchutil.TupleBuffer, benchutil.AggTree,
 }
 
+// fig9Point replays events tuples of profile p, 20% of them late, through
+// technique t holding n tumbling windows plus a session, and returns its
+// throughput (tuples/s).
+func fig9Point(p stream.Profile, t benchutil.Technique, n, events int) (float64, error) {
+	op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{
+		Lateness: 4000,
+		Defs: func() []window.Definition {
+			return benchutil.WithSession(benchutil.TumblingQueries(n))
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.Throughput(op, benchutil.MakeInput(p, events, disorder20(7), 42))
+	return tps, nil
+}
+
 // Fig9 — §6.2.2: throughput under constraints — the Fig 8 workload plus a
 // session window (gap 1 s) and 20% out-of-order tuples with delays up to 2 s,
 // on both data sets.
@@ -70,17 +99,10 @@ func Fig9(w io.Writer, sc Scale) error {
 		for _, n := range sc.windowsSweep() {
 			row := []any{n}
 			for _, t := range fig9Techniques {
-				in := benchutil.MakeInput(p, sc.events(t, n), disorder20(7), 42)
-				op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{
-					Lateness: 4000,
-					Defs: func() []window.Definition {
-						return benchutil.WithSession(benchutil.TumblingQueries(n))
-					},
-				})
+				tps, err := fig9Point(p, t, n, sc.events(t, n))
 				if err != nil {
 					return err
 				}
-				tps, _ := benchutil.Measure(p.Name+"/"+string(t), n, op, in)
 				row = append(row, tps)
 			}
 			tab.Add(row...)
@@ -90,28 +112,43 @@ func Fig9(w io.Writer, sc Scale) error {
 	return nil
 }
 
+// fig12Point replays events football tuples under disorder d through
+// technique t holding 20 tumbling windows plus a session, and returns its
+// throughput (tuples/s).
+func fig12Point(t benchutil.Technique, d stream.Disorder, lateness int64, events int) (float64, error) {
+	op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{
+		Lateness: lateness,
+		Defs:     func() []window.Definition { return benchutil.WithSession(benchutil.TumblingQueries(20)) },
+	})
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.Throughput(op, benchutil.MakeInput(stream.Football(), events, d, 42))
+	return tps, nil
+}
+
+// fig12aDisorder is Fig 12a's stream order at a given out-of-order fraction.
+func fig12aDisorder(frac float64) stream.Disorder {
+	return stream.Disorder{Fraction: frac, MaxDelay: 2000, Seed: 11}
+}
+
 // Fig12 — §6.3.1: impact of stream order. (a) sweep the fraction of
 // out-of-order tuples; (b) sweep the delay range of out-of-order tuples.
 // 20 concurrent windows + session, sum.
 func Fig12(w io.Writer, sc Scale) error {
-	defs := func() []window.Definition { return benchutil.WithSession(benchutil.TumblingQueries(20)) }
-
 	// The stream span must dwarf the out-of-order delays, so the slow
 	// techniques get a larger budget here than in the window sweeps.
-	slowEvents := sc.SlowEvents * 4
+	events := func(t benchutil.Technique) int { return max(sc.events(t, 20), sc.SlowEvents*4) }
 
 	tabA := benchutil.NewTable("Fig 12a — throughput vs fraction of out-of-order tuples (tuples/s)",
 		append([]string{"ooo-%"}, techniqueNames(fig9Techniques)...)...)
 	for _, frac := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		row := []any{int(frac * 100)}
 		for _, t := range fig9Techniques {
-			d := stream.Disorder{Fraction: frac, MaxDelay: 2000, Seed: 11}
-			in := benchutil.MakeInput(stream.Football(), max(sc.events(t, 20), slowEvents), d, 42)
-			op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{Lateness: 4000, Defs: defs})
+			tps, err := fig12Point(t, fig12aDisorder(frac), 4000, events(t))
 			if err != nil {
 				return err
 			}
-			tps, _ := benchutil.Measure("fraction/"+string(t), int(frac*100), op, in)
 			row = append(row, tps)
 		}
 		tabA.Add(row...)
@@ -124,12 +161,10 @@ func Fig12(w io.Writer, sc Scale) error {
 		row := []any{delay}
 		for _, t := range fig9Techniques {
 			d := stream.Disorder{Fraction: 0.2, MaxDelay: delay, Seed: 13}
-			in := benchutil.MakeInput(stream.Football(), max(sc.events(t, 20), slowEvents), d, 42)
-			op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{Lateness: 2 * delay, Defs: defs})
+			tps, err := fig12Point(t, d, 2*delay, events(t))
 			if err != nil {
 				return err
 			}
-			tps, _ := benchutil.Measure("delay/"+string(t), delay, op, in)
 			row = append(row, tps)
 		}
 		tabB.Add(row...)
@@ -159,11 +194,7 @@ func Fig16(w io.Writer, sc Scale) error {
 				if err != nil {
 					return err
 				}
-				mname := "time"
-				if measure == stream.Count {
-					mname = "count"
-				}
-				tps, _ := benchutil.Measure(string(t)+"-"+mname, n, op, in)
+				tps, _ := benchutil.Throughput(op, in)
 				row = append(row, tps)
 			}
 		}

@@ -65,7 +65,7 @@ func checkErrFlowFunc(p *Pass, decl *ast.FuncDecl) {
 		obj types.Object
 		pos token.Pos
 	}
-	var stores []store   // plain-= assignments to error variables
+	var stores []store // plain-= assignments to error variables
 	reads := map[types.Object][]token.Pos{}
 	var loops []ast.Node // for/range statements, for the in-loop read rule
 

@@ -93,7 +93,7 @@ func f() {}
 }
 
 // TestLoaderSkipsBuildIgnoredFiles pins the go-run-only tool-file
-// convention: a `//go:build ignore` file (scripts/benchdiff.go style) must
+// convention: a `//go:build ignore` file (a `go run file.go` script) must
 // not be compiled into its directory's package — here it would redeclare
 // main and fail type-checking.
 func TestLoaderSkipsBuildIgnoredFiles(t *testing.T) {

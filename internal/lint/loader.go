@@ -355,7 +355,7 @@ func (l *Loader) sources(path string) (map[string]string, string, error) {
 
 // buildIgnored reports whether the source file excludes itself from the
 // package with a `//go:build ignore` constraint — the convention for
-// go-run-only tool files (e.g. scripts/benchdiff.go), which the go toolchain
+// go-run-only tool files (`go run file.go` scripts), which the go toolchain
 // never compiles into the surrounding package. Only the bare `ignore` tag is
 // recognized; the loader does not evaluate general build expressions.
 func buildIgnored(src string) bool {

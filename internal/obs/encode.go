@@ -48,10 +48,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 type MetricJSON struct {
 	Name   string             `json:"name"`
 	Type   string             `json:"type"`
-	Value  *int64             `json:"value,omitempty"`    // counters, gauges
-	Count  *int64             `json:"count,omitempty"`    // histograms
-	Sum    *float64           `json:"sum,omitempty"`      // histograms
-	Mean   *float64           `json:"mean,omitempty"`     // histograms
+	Value  *int64             `json:"value,omitempty"` // counters, gauges
+	Count  *int64             `json:"count,omitempty"` // histograms
+	Sum    *float64           `json:"sum,omitempty"`   // histograms
+	Mean   *float64           `json:"mean,omitempty"`  // histograms
 	Quants map[string]float64 `json:"quantiles,omitempty"`
 }
 

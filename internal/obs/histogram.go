@@ -170,8 +170,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 			// is no width to interpolate within: fabricating a point
 			// between the last boundary and the max pretends precision the
 			// histogram does not have, and with an infinite observation it
-			// would return +Inf — which poisons the JSON artifacts the
-			// latency gates read (encoding/json rejects +Inf). Clamp to
+			// would return +Inf — which poisons the registry's JSON
+			// encoding (encoding/json rejects +Inf). Clamp to
 			// the observed max; if even the max is non-finite, fall back
 			// to the last finite boundary.
 			if m := h.Max(); !math.IsInf(m, 0) && !math.IsNaN(m) {

@@ -120,7 +120,7 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 // overflow bucket: with every observation above the last finite boundary, a
 // rank landing in the overflow bucket must return the observed max — never a
 // value interpolated toward +Inf, and never +Inf itself (a non-finite
-// quantile would poison the JSON benchmark artifacts the latency gates read).
+// quantile would poison the registry's JSON encoding).
 func TestQuantileOverflowBucketClampsToMax(t *testing.T) {
 	h := NewHistogram([]float64{10, 20})
 	for _, v := range []float64{100, 200, 300, 400} {
