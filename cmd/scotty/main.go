@@ -13,17 +13,20 @@
 // Every run is the same pipeline over stream.Tuple: one source (the CSV feed
 // or the demo generator, behind the optional -backpressure ingest edge), one
 // operator, one row sink (optionally guarded by -breaker). What moves through
-// it is a batch: the events of one read of the input, parsed in place, cut
-// behind each watermark they release, handed to the operator's ProcessBatch,
-// its result rows appended to one reused buffer. The flags only choose which
-// operator sits in the middle: a bare slicing core, a -windows fleet, or —
-// with -keyed — core.Keyed, which windows every key's sub-stream on its own
-// (keyed.go; tumbling and sliding time windows share one slice ring across
-// keys, sessions, count windows and -mem-budget get a core per key — the
-// operator decides, no flag does). Key partitioning is the boundary
-// the stream is split on (paper §5.3), nothing more: the key column is parsed
-// in every mode and ignored unless -keyed is set, and an unkeyed run prints
-// exactly what a one-key keyed run prints minus the key.
+// it is a batch of items: one read of the input, scanned in one pass — each
+// line parsed where it lies, rebased and written straight into one reused
+// batch behind the watermarks it makes due (source.go's scanner, the one place
+// a tuple becomes an item) — cut behind each watermark and each out-of-order
+// event, handed to the operator's ProcessBatch, its result rows appended to
+// one reused buffer. The flags only choose which operator sits in the middle:
+// a bare slicing core, a -windows fleet, or — with -keyed — core.Keyed, which
+// windows every key's sub-stream on its own (keyed.go; tumbling and sliding
+// time windows share one slice ring across keys, sessions, count windows and
+// -mem-budget get a core per key — the operator decides, no flag does). Key
+// partitioning is the boundary the stream is split on (paper §5.3), nothing
+// more: the key column is parsed in every mode and ignored unless -keyed is
+// set, and an unkeyed run prints exactly what a one-key keyed run prints minus
+// the key.
 //
 // -windows runs a fleet of concurrent window queries over one stream through
 // the sharing layer (docs/SHARING.md): exact duplicates are deduplicated and
@@ -216,7 +219,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if *demo > 0 {
 		env.src = demoSource(*demo, *ooo)
 	} else {
-		env.src = csvSource(stdin, stderr, rb, reg.Counter("scotty_lines_malformed_total"))
+		env.src = csvSource(stdin, stderr, reg.Counter("scotty_lines_malformed_total"))
 	}
 
 	switch *aggName {
@@ -560,17 +563,17 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 	return unkeyedOp[Out]{ag}, 0
 }
 
-// feed runs the source through the watermarker into op, a batch at a time,
-// and returns the source's read error.
+// feed runs the source through its scanner into op, a batch at a time, and
+// returns the source's read error.
 //
 // A batch is what one read of the input returned — never topped up, so a
-// paced source is processed as it arrives — interleaved by the Feeder with
-// the watermarks that became due, and cut behind every item that can make the
+// paced source is processed as it arrives — with the watermarks that became
+// due written in between, and cut behind every item that can make the
 // operator emit. That is a watermark, so that no ProcessBatch call holds more
 // results than one watermark releases and the run loop can flush behind each;
 // an event older than one before it, since only those can be at or behind the
 // watermark, or shift a count window's ranks, and emit update rows; and, in
-// ordered mode, where a tuple doubles as a watermark, every event. A fleet
+// ordered mode, where a tuple doubles as a watermark, every item. A fleet
 // emits a call's factored completions behind its direct ones and a keyed
 // operator groups a call's rows by key: with at most one emitting item to a
 // call, rows come out in the order per-item processing gives, however the
@@ -585,51 +588,18 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 // control flow and never dropped. Drops fall on whatever event is at the
 // queue's edge, so under -keyed the loss is spread over keys in proportion to
 // their traffic.
-//
-// Ordered mode (-store daba) has no path for a late tuple: the first event
-// older than one before it (on its key under -keyed, where every key has an
-// operator of its own) ends the input. What came before it is processed and
-// drained, and feed returns an error naming it.
 func (env *runEnv) feed(op func([]item)) error {
-	feeder := stream.NewFeeder[stream.Tuple](env.wm)
-	var items []item
-	newest := stream.MinTime  // the latest event time seen
-	last := map[int32]int64{} // ordered mode: the latest event time per key
-	var orderErr error        // set by the first out-of-order event in ordered mode
 	ctx, stop := context.WithCancel(env.ctx)
 	defer stop()
-	// No feeder.Close when the source ends: EOF and cancellation share the
+	// No final watermark when the source ends: EOF and cancellation share the
 	// shutdown path in runPipeline, which snapshots the resumable state and
 	// then drains — the snapshot must not see MaxTime as the watermark.
 	pump := func(send func([]item)) error {
-		err := env.src(ctx, func(events []event) {
-			if orderErr != nil {
-				return
-			}
-			if env.opts.Ordered {
-				var n int
-				if n, orderErr = env.inOrderPrefix(events, last); orderErr != nil {
-					events = events[:n]
-					stop()
-				}
-			}
-			items = items[:0]
-			for _, e := range events {
-				items = feeder.Feed(items, e)
-			}
-			start := 0
-			for i := range items {
-				if it := &items[i]; it.Kind == stream.KindEvent && it.Event.Time >= newest && !env.opts.Ordered {
-					newest = it.Event.Time
-					continue
-				}
-				send(items[start : i+1])
-				start = i + 1
-			}
-			if start < len(items) {
-				send(items[start:])
-			}
-		})
+		var orderErr error
+		if env.opts.Ordered {
+			send = env.inOrder(send, stop, &orderErr)
+		}
+		err := env.src(ctx, &scanner{rb: env.rb, feeder: stream.NewFeeder[stream.Tuple](env.wm), send: send})
 		if orderErr != nil {
 			return orderErr
 		}
@@ -669,28 +639,41 @@ func (env *runEnv) feed(op func([]item)) error {
 	return err
 }
 
-// inOrderPrefix returns how many leading events may follow, in ordered mode,
-// what came before them — last holds the latest event time per key, one key
-// unless -keyed — and, if that is not all of them, an error naming the first
-// that may not.
-func (env *runEnv) inOrderPrefix(events []event, last map[int32]int64) (int, error) {
-	for i := range events {
-		e := &events[i]
-		k := int32(0)
-		if env.keyed {
-			k = e.Value.Key
-		}
-		if prev, seen := last[k]; seen && e.Time < prev {
-			on := ""
-			if env.keyed {
-				on = fmt.Sprintf(" on key %d", k)
+// inOrder is ordered mode (-store daba) in front of send. Ordered mode has no
+// path for a late tuple and a tuple doubles as a watermark, so a batch is
+// passed on one item at a time, each event checked against the latest event
+// time before it on its key (one key unless -keyed, where every key has an
+// operator of its own). The first event older than that ends the input: what
+// came before it is processed and drained, it and everything after it are
+// dropped, *err names it, and stop ends the source. The check runs per item
+// here, behind the scanner, and never on an unordered run's path.
+func (env *runEnv) inOrder(send func([]item), stop func(), err *error) func([]item) {
+	last := map[int32]int64{}
+	return func(batch []item) {
+		for i := range batch {
+			if *err != nil {
+				return
 			}
-			return i, fmt.Errorf("timestamp %d after %d%s is out of order; -store daba takes in-order input only",
-				env.rb.unshift(e.Time), env.rb.unshift(prev), on)
+			if it := &batch[i]; it.Kind == stream.KindEvent {
+				k := int32(0)
+				if env.keyed {
+					k = it.Event.Value.Key
+				}
+				if prev, seen := last[k]; seen && it.Event.Time < prev {
+					on := ""
+					if env.keyed {
+						on = fmt.Sprintf(" on key %d", k)
+					}
+					*err = fmt.Errorf("timestamp %d after %d%s is out of order; -store daba takes in-order input only",
+						env.rb.unshift(it.Event.Time), env.rb.unshift(prev), on)
+					stop()
+					return
+				}
+				last[k] = it.Event.Time
+			}
+			send(batch[i : i+1])
 		}
-		last[k] = e.Time
 	}
-	return len(events), nil
 }
 
 // runPipeline is the one run loop: restore, source → operator → sink until

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,6 +12,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scotty/internal/aggregate"
+	"scotty/internal/reference"
+	"scotty/internal/stream"
 )
 
 // resultLine matches one emitted window row: "[start, end)\t n=N\t value".
@@ -183,6 +188,52 @@ func TestWindowsFleetMatchesSingleRuns(t *testing.T) {
 	}
 	if sortRows(rows["q2"]) != sortRows(rows["q0"]) {
 		t.Fatalf("duplicate q2 rows diverged from q0:\nq2:\n%s\nq0:\n%s", strings.Join(rows["q2"], "\n"), strings.Join(rows["q0"], "\n"))
+	}
+}
+
+// TestSlidingPlusSessionUnderDisorder: a session whose gap (700 ms) is shorter
+// than the disorder (up to 3.5 s) beside a sliding window. Late tuples open
+// sessions between the sliding edges, which used to panic the core on this
+// very input ("window boundary inside populated slice"). Every window now ends
+// on the oracle's row; a session announced before a late tuple extended or
+// bridged it keeps its row, inside the oracle's session.
+func TestSlidingPlusSessionUnderDisorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(132))
+	events := make([]stream.Event[stream.Tuple], 400)
+	ts := int64(0)
+	for i := range events {
+		ts += int64(rng.Intn(1500))
+		events[i] = stream.Event[stream.Tuple]{Time: ts, Seq: int64(i), Value: stream.Tuple{V: float64(rng.Intn(100))}}
+	}
+	var in strings.Builder
+	for _, e := range stream.Apply(stream.Disorder{Fraction: 0.2, MaxDelay: 3500, Seed: 132}, events) {
+		fmt.Fprintf(&in, "%d,%d\n", e.Time, int64(e.Value.V))
+	}
+	got := lastRows(runScotty(t, []string{"-windows", "sliding:4000:1000,session:700", "-agg", "sum", "-lateness", "2000"}, in.String()))
+
+	f := aggregate.Sum(stream.Val)
+	sliding := reference.Finals(f, reference.Query[stream.Tuple]{Kind: reference.Periodic, Measure: stream.Time, Length: 4000, Slide: 1000}, events, stream.MaxTime)
+	sessions := reference.Finals(f, reference.Query[stream.Tuple]{Kind: reference.Session, Gap: 700}, events, stream.MaxTime)
+	known := map[string]bool{}
+	for q, want := range [][]reference.Final[float64]{sliding, sessions} {
+		for _, w := range want {
+			win := fmt.Sprintf("q%d\t[%d, %d", q, w.Start, w.End)
+			known[win] = true
+			if row, ok := got[win]; w.N > 0 && row != fmt.Sprintf(" n=%d\t %v", w.N, w.Value) {
+				t.Errorf("window %s) ends on %q (printed %v), oracle n=%d %v", win, row, ok, w.N, w.Value)
+			}
+		}
+	}
+	for win := range got {
+		var q int
+		var start, end int64
+		if _, err := fmt.Sscanf(win, "q%d\t[%d, %d", &q, &start, &end); err != nil {
+			t.Fatalf("malformed row for window %q", win)
+		}
+		i := sort.Search(len(sessions), func(i int) bool { return sessions[i].End >= end })
+		if !known[win] && (q != 1 || i == len(sessions) || sessions[i].Start > start) {
+			t.Errorf("window %s) is no window of the oracle", win)
+		}
 	}
 }
 

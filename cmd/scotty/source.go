@@ -15,26 +15,89 @@ import (
 	"scotty/internal/stream"
 )
 
-// source pushes the input's events, in arrival order and a batch at a time,
-// into emit until the input is exhausted or ctx is canceled, and returns what
-// broke the input off early (nil for a clean end or a cancellation). emit may
-// keep the batch only until it returns.
-type source func(ctx context.Context, emit func([]event)) error
+// source turns the input into items on sc, in arrival order, until the input
+// is exhausted or ctx is canceled, and returns what broke the input off early
+// (nil for a clean end or a cancellation).
+type source func(ctx context.Context, sc *scanner) error
 
-// demoBatch is how many generated events one demo batch carries: about what a
-// block of CSV lines does.
+// scanner is the one place where a tuple becomes an item. push rebases the
+// tuple's time, writes it into the one reused batch behind the watermarks it
+// makes due — stream.Feeder's schedule, at one comparison per in-order tuple
+// — and hands the batch to send, cut behind every item that can make the
+// operator emit (feed has why): each watermark, and each event older than the
+// newest before it. A source flushes what is left at the end of every piece
+// of input it was handed, so a batch is never held back waiting for more.
+// send may keep a batch only until it returns.
+type scanner struct {
+	rb     *rebaser
+	feeder *stream.Feeder[stream.Tuple]
+	send   func([]item)
+	items  []item
+	seq    int64 // the next CSV line's sequence number
+}
+
+// push is a tuple's one step from input to item.
+//
+//slicelint:hotpath
+func (sc *scanner) push(e event) {
+	e.Time = sc.rb.shift(e.Time)
+	older := false
+	if newest := sc.feeder.Newest(); e.Time > newest {
+		if sc.feeder.Advance(e.Time) {
+			sc.watermarks()
+		}
+	} else {
+		older = e.Time < newest
+	}
+	// Field by field into the batch's next slot: an item literal appended
+	// whole is assembled on the stack and copied out, at a store-forwarding
+	// stall per line.
+	n := len(sc.items)
+	if n == cap(sc.items) {
+		sc.items = append(sc.items, item{})
+	}
+	sc.items = sc.items[:n+1]
+	it := &sc.items[n]
+	it.Kind, it.Watermark = stream.KindEvent, 0
+	it.Event.Time, it.Event.Seq, it.Event.Value = e.Time, e.Seq, e.Value
+	if older {
+		sc.flush()
+	}
+}
+
+// watermarks appends the watermarks that are due, each cut behind.
+//
+//slicelint:coldpath runs once per watermark period of event time, not per tuple
+func (sc *scanner) watermarks() {
+	for wm, ok := sc.feeder.Due(); ok; wm, ok = sc.feeder.Due() {
+		sc.items = append(sc.items, stream.WatermarkItem[stream.Tuple](wm))
+		sc.flush()
+	}
+}
+
+// flush hands the batch so far to send and starts the next one.
+func (sc *scanner) flush() {
+	if len(sc.items) > 0 {
+		sc.send(sc.items)
+		sc.items = sc.items[:0]
+	}
+}
+
+// demoBatch is how many generated events one demo batch carries at most:
+// about what a block of CSV lines does.
 const demoBatch = 256
 
 // demoSource generates n events of the football profile, a fraction ooo of
 // them delivered late.
 func demoSource(n int, ooo float64) source {
-	return func(ctx context.Context, emit func([]event)) error {
+	return func(ctx context.Context, sc *scanner) error {
 		events := stream.Apply(stream.Disorder{Fraction: ooo, MaxDelay: 2000, Seed: 7},
 			stream.Generate(stream.Football(), n, 1))
-		for len(events) > 0 && ctx.Err() == nil {
-			k := min(len(events), demoBatch)
-			emit(events[:k])
-			events = events[k:]
+		for i := 0; i < len(events) && ctx.Err() == nil; i += demoBatch {
+			for _, e := range events[i:min(i+demoBatch, len(events))] {
+				sc.push(e)
+			}
+			sc.flush()
 		}
 		return nil
 	}
@@ -111,18 +174,17 @@ func readBlocks(ctx context.Context, r io.Reader, blocks chan<- []byte) error {
 }
 
 // csvSource parses "timestamp-ms,value[,key]" lines (key defaults to 0) as
-// they arrive: each block read from stdin is parsed in place into one batch,
-// which is watermarked and processed before the next block is looked at, so a
-// live -metrics endpoint observes the run in progress. Timestamps are rebased
-// before they reach the watermarker so epoch-scale inputs stay cheap.
+// they arrive: each block read from stdin is scanned where it lies into the
+// scanner's batch, which is watermarked and processed before the next block
+// is looked at, so a live -metrics endpoint observes the run in progress.
 // Malformed lines are counted in malformed, the first malformedShown echoed,
 // and skipped. A read failure (a read error, a line of maxLine bytes) ends the
 // input and is returned, so the run can drain what it has and exit non-zero
 // instead of passing a truncated stream off as the whole one.
-func csvSource(stdin io.Reader, stderr io.Writer, rb *rebaser, malformed *obs.Counter) source {
-	return func(ctx context.Context, emit func([]event)) error {
+func csvSource(stdin io.Reader, stderr io.Writer, malformed *obs.Counter) source {
+	return func(ctx context.Context, sc *scanner) error {
 		// Read blocks with no way to interrupt it, so it runs in its own
-		// goroutine; the parsing loop below stays responsive to ctx. After
+		// goroutine; the scanning loop below stays responsive to ctx. After
 		// cancellation the goroutine stays in Read until the input delivers
 		// or closes — for a real process that is at exit anyway.
 		blocks := make(chan []byte)
@@ -136,56 +198,79 @@ func csvSource(stdin io.Reader, stderr io.Writer, rb *rebaser, malformed *obs.Co
 				fmt.Fprintf(stderr, "input: skipped %d malformed lines\n", n)
 			}
 		}()
-		var events []event
-		seq := int64(0)
+		bad := func(line []byte) {
+			if malformed.Inc(); malformed.Value() <= malformedShown {
+				fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
+			}
+		}
 		for {
-			var block []byte
-			var ok bool
 			select {
 			case <-ctx.Done():
 				return nil
-			case block, ok = <-blocks:
-			}
-			if !ok {
-				return readErr
-			}
-			events = events[:0]
-			for len(block) > 0 {
-				line := block
-				if i := bytes.IndexByte(block, '\n'); i >= 0 {
-					line, block = block[:i], block[i+1:]
-				} else {
-					block = nil
-				}
-				line = bytes.TrimSpace(line)
-				if len(line) == 0 || line[0] == '#' {
-					continue
-				}
-				ts, v, key, ok := parseLine(line)
+			case block, ok := <-blocks:
 				if !ok {
-					if malformed.Inc(); malformed.Value() <= malformedShown {
-						fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-					}
-					continue
+					return readErr
 				}
-				events = append(events, event{Time: rb.shift(ts), Seq: seq, Value: stream.Tuple{Key: key, V: v}})
-				seq++
-			}
-			if len(events) > 0 {
-				emit(events)
+				sc.lines(block, bad)
 			}
 		}
 	}
 }
 
-// pow10 holds the powers of ten parseLine divides by; each is an exact
+// lines pushes the tuple of every line of block, then flushes. A line that is
+// exactly the fast grammar (scanFields) up to its newline is parsed where it
+// lies, without finding its end first; any other line — blank, a comment,
+// CRLF, spaces, anything scanFields declines — is cut at its newline, trimmed
+// and given to parseLine, and to bad if it is malformed. What is accepted and
+// what it parses to is therefore exactly parseLine's grammar.
+//
+//slicelint:hotpath
+func (sc *scanner) lines(block []byte, bad func(line []byte)) {
+	for p := 0; p < len(block); {
+		ts, v, key, end, ok := scanFields(block, p)
+		if ok && (end == len(block) || block[end] == '\n') {
+			p = end + 1
+		} else {
+			line := block[p:]
+			if i := bytes.IndexByte(line, '\n'); i >= 0 {
+				line, p = line[:i], p+i+1
+			} else {
+				p = len(block)
+			}
+			if line = bytes.TrimSpace(line); len(line) == 0 || line[0] == '#' {
+				continue
+			}
+			if ts, v, key, ok = parseLine(line); !ok {
+				bad(line)
+				continue
+			}
+		}
+		sc.push(event{Time: ts, Seq: sc.seq, Value: stream.Tuple{Key: key, V: v}})
+		sc.seq++
+	}
+	sc.flush()
+}
+
+// pow10 holds the powers of ten scanFields divides by; each is an exact
 // float64.
 var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// parseLine parses one trimmed, non-empty input line, "ts,value[,key]".
+// parseLine parses one trimmed, non-empty input line, "ts,value[,key]": the
+// fast grammar if it covers the whole line, parseLineSlow otherwise.
 //
-// The fast path takes what the input almost always is — optionally signed
-// decimal digits, the value optionally with a fraction — and is exact by
+//slicelint:hotpath
+func parseLine(line []byte) (ts int64, v float64, key int32, ok bool) {
+	if ts, v, key, end, ok := scanFields(line, 0); ok && end == len(line) {
+		return ts, v, key, true
+	}
+	return parseLineSlow(line)
+}
+
+// scanFields reads "ts,value[,key]" at b[i:] and returns the index behind it;
+// ok false says the fast grammar does not cover what is there.
+//
+// The fast grammar is what the input almost always is — optionally signed
+// decimal digits, the value optionally with a fraction — and it is exact by
 // construction: a timestamp of at most 18 digits and a key of at most 9 cannot
 // overflow, and a value of at most 15 digits has a mantissa below 2^53 and a
 // fraction scale of at most 10^15, both exact float64s, whose one IEEE
@@ -194,52 +279,49 @@ var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1
 // floats, NaN, Inf, longer digit strings, wrong field counts — goes to
 // parseLineSlow, so which lines are accepted and what they parse to is what
 // strconv says.
-//
-//slicelint:hotpath
-func parseLine(line []byte) (ts int64, v float64, key int32, ok bool) {
-	ts, i := scanInt(line, 0, 18)
-	if i == 0 || i == len(line) || line[i] != ',' {
-		return parseLineSlow(line)
+func scanFields(b []byte, i int) (ts int64, v float64, key int32, end int, ok bool) {
+	ts, j := scanInt(b, i, 18)
+	if j == i || j == len(b) || b[j] != ',' {
+		return 0, 0, 0, j, false
 	}
-	i++
+	j++
 	neg := false
-	if i < len(line) && (line[i] == '-' || line[i] == '+') {
-		neg = line[i] == '-'
-		i++
+	if j < len(b) && (b[j] == '-' || b[j] == '+') {
+		neg = b[j] == '-'
+		j++
 	}
 	var mant int64
-	start := i
-	for ; i < len(line) && line[i]-'0' <= 9; i++ {
-		mant = mant*10 + int64(line[i]-'0')
+	start := j
+	for ; j < len(b) && b[j]-'0' <= 9; j++ {
+		mant = mant*10 + int64(b[j]-'0')
 	}
-	digits, frac := i-start, 0
-	if i < len(line) && line[i] == '.' {
-		i++
-		start = i
-		for ; i < len(line) && line[i]-'0' <= 9; i++ {
-			mant = mant*10 + int64(line[i]-'0')
+	digits, frac := j-start, 0
+	if j < len(b) && b[j] == '.' {
+		j++
+		start = j
+		for ; j < len(b) && b[j]-'0' <= 9; j++ {
+			mant = mant*10 + int64(b[j]-'0')
 		}
-		frac = i - start
+		frac = j - start
 		digits += frac
 	}
 	if digits == 0 || digits >= len(pow10) {
-		return parseLineSlow(line)
+		return 0, 0, 0, j, false
 	}
-	v = float64(mant) / pow10[frac]
+	if v = float64(mant); frac > 0 {
+		v /= pow10[frac] // integers skip the division, its latency the line's longest
+	}
 	if neg {
 		v = -v
 	}
-	if i == len(line) {
-		return ts, v, 0, true
+	if j == len(b) || b[j] != ',' {
+		return ts, v, 0, j, true
 	}
-	if line[i] != ',' {
-		return parseLineSlow(line)
+	k, e := scanInt(b, j+1, 9)
+	if e == j+1 {
+		return 0, 0, 0, e, false
 	}
-	k, j := scanInt(line, i+1, 9)
-	if j == i+1 || j != len(line) {
-		return parseLineSlow(line)
-	}
-	return ts, v, int32(k), true
+	return ts, v, int32(k), e, true
 }
 
 // scanInt reads an optionally signed decimal integer of at most maxDigits

@@ -53,29 +53,48 @@ func oracleSource(r io.Reader) (events []event, malformed []string, err error) {
 	return events, malformed, sc.Err()
 }
 
-// checkAgainstOracle runs input through csvSource, read in pieces of at most
-// chunk bytes, and through oracleSource, and compares everything observable.
+// checkAgainstOracle runs input through csvSource's scanner, read in pieces
+// of at most chunk bytes, and through oracleSource, and compares everything
+// observable. The scanner's whole item stream must be stream.Prepare — the
+// schedule bench replays — over the oracle's events, rebased as scotty
+// rebases them: the same events bit for bit, the same watermarks, in the same
+// order. The malformed lines on stderr and the read error must match too.
 func checkAgainstOracle(t *testing.T, input []byte, chunk int) {
 	t.Helper()
-	want, wantBad, wantErr := oracleSource(bytes.NewReader(input))
+	events, wantBad, wantErr := oracleSource(bytes.NewReader(input))
+	oracleRB := &rebaser{step: 1000, margin: 4001}
+	wm := stream.Watermarker{Period: 1000, Lag: 2001}
+	for i := range events {
+		events[i].Time = oracleRB.shift(events[i].Time)
+		// The schedule emits a watermark per second of event time the stream
+		// advances, in scotty as here: inputs spread past ~an hour (the
+		// fuzzer's huge timestamps) are compared without watermarks.
+		if ts := events[i].Time; ts < -1<<40 || ts > 1<<40 || ts-events[0].Time > 1<<22 {
+			wm.Period = 0
+		}
+	}
+	want := stream.Prepare(wm, events)
+	want = want[:len(want)-1] // the closing MaxTime watermark is the run's drain, not the source's
 
-	var got []event
+	var got []item
 	var stderr strings.Builder
-	src := csvSource(&chunkReader{r: bytes.NewReader(input), n: chunk}, &stderr, &rebaser{},
+	src := csvSource(&chunkReader{r: bytes.NewReader(input), n: chunk}, &stderr,
 		obs.NewRegistry().Counter("scotty_lines_malformed_total"))
-	gotErr := src(context.Background(), func(batch []event) { got = append(got, batch...) })
+	sc := &scanner{rb: &rebaser{step: 1000, margin: 4001}, feeder: stream.NewFeeder[stream.Tuple](wm),
+		send: func(batch []item) { got = append(got, batch...) }}
+	gotErr := src(context.Background(), sc)
 
 	if !errors.Is(gotErr, wantErr) {
 		t.Fatalf("input %q: read error %v, oracle %v", input, gotErr, wantErr)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("input %q: %d events, oracle %d\n got %v\nwant %v", input, len(got), len(want), got, want)
+		t.Fatalf("input %q: %d items, oracle %d\n got %v\nwant %v", input, len(got), len(want), got, want)
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Time != w.Time || g.Seq != w.Seq || g.Value.Key != w.Value.Key ||
-			math.Float64bits(g.Value.V) != math.Float64bits(w.Value.V) {
-			t.Fatalf("input %q: event %d is %+v, oracle %+v", input, i, g, w)
+		if g.Kind != w.Kind || g.Watermark != w.Watermark || g.Event.Time != w.Event.Time || g.Event.Seq != w.Event.Seq ||
+			g.Event.Value.Key != w.Event.Value.Key || math.Float64bits(g.Event.Value.V) != math.Float64bits(w.Event.Value.V) {
+			t.Fatalf("input %q: item %d is %+v, oracle %+v", input, i, g, w)
 		}
 	}
 	var wantStderr strings.Builder
@@ -140,8 +159,23 @@ func FuzzParseLine(f *testing.F) {
 		f.Add([]byte(line), uint8(0))
 	}
 	f.Add([]byte("0,1\r\n\r\n# c\n100,2.5,7\nbad\n200,3"), uint8(3))
+	// Where the scanner's one loop could go wrong: a line straddling a 4 KiB
+	// block, a last line without its newline, CRLF, comments and blank lines
+	// between watermarks, a late line right behind a watermark, and
+	// epoch-scale timestamps, which rebase by a non-zero offset.
+	var straddle bytes.Buffer
+	for i := 0; straddle.Len() < blockSize+100; i++ {
+		fmt.Fprintf(&straddle, "%d,%d.25,%d\n", i*7, i%1000, i%5)
+	}
+	f.Add(straddle.Bytes(), uint8(255))
+	f.Add([]byte("0,1\n2500,2\n5000,3"), uint8(4))
+	f.Add([]byte("0,1\r\n1500,2\r\n4000,3.5\r\n900,4\r\n"), uint8(5))
+	f.Add([]byte("0,1\n\n# a comment\n3100,2\n#\n\n  \n6200,3\n# 9000,4\n9300,5\n"), uint8(2))
+	f.Add([]byte("0,1\n1000,1\n3001,2\n999,3\n1000,4\n5002,5\n3000,6\n"), uint8(0))
+	f.Add([]byte("1700000000000,1\n1700000001500,2\n1700000004000,3\n1699999999000,4\n1700000009000,5\n"), uint8(9))
 	f.Fuzz(func(t *testing.T, input []byte, chunk uint8) {
 		checkAgainstOracle(t, input, int(chunk)+1)
+		checkAgainstOracle(t, input, blockSize)
 	})
 }
 
@@ -331,41 +365,87 @@ func inOrderCSV(n int) []byte {
 	return b.Bytes()
 }
 
+// keyedCSV is inOrderCSV with a key column over 16 keys: the three-column
+// line shape.
+func keyedCSV(n int) []byte {
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d,%d,%d\n", i/2, i%997, i%16)
+	}
+	return b.Bytes()
+}
+
+// disorderedCSV is inOrderCSV with a fifth of the lines delayed by up to
+// 3.5 s: behind the watermark, inside the allowed lateness, so the run cuts a
+// batch behind each and emits update rows.
+func disorderedCSV(n int) []byte {
+	ev := make([]stream.Event[stream.Tuple], n)
+	for i := range ev {
+		ev[i] = stream.Event[stream.Tuple]{Time: int64(i / 2), Seq: int64(i), Value: stream.Tuple{V: float64(i % 997)}}
+	}
+	var b bytes.Buffer
+	for _, e := range stream.Apply(stream.Disorder{Fraction: 0.2, MaxDelay: 3500, Seed: 1}, ev) {
+		fmt.Fprintf(&b, "%d,%d\n", e.Time, int64(e.Value.V))
+	}
+	return b.Bytes()
+}
+
 var slidingSum = []string{"-window", "sliding", "-length", "10000", "-slide", "1000", "-agg", "sum"}
 
 // TestIngestPathIsAllocationFree gates the whole run path — block read,
-// in-place parse, feed, ProcessBatch, appended rows, write — at zero
-// allocations per line in steady state: a run over 100 000 more lines of an
-// in-order stream may not allocate more than a run's fixed set-up does.
+// in-place scan, watermarks, cuts, ProcessBatch, appended rows, write — at
+// zero allocations per line in steady state: a run over 100 000 more lines
+// may not allocate more than a run's fixed set-up does. In order, with a key
+// column (windowed per key), and with a fifth of the lines late.
 func TestIngestPathIsAllocationFree(t *testing.T) {
-	allocs := func(lines int) float64 {
-		in := inOrderCSV(lines)
-		return testing.AllocsPerRun(3, func() {
-			if code := run(context.Background(), slidingSum, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
-				t.Fatalf("scotty exited %d", code)
-			}
-		})
-	}
-	short, long := allocs(50_000), allocs(150_000)
-	if perLine := (long - short) / 100_000; perLine > 0.001 {
-		t.Errorf("%.0f allocations for 50k lines, %.0f for 150k: %.4f per line, want 0", short, long, perLine)
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		input func(n int) []byte
+		late  bool // the input's late lines must show as update rows
+	}{
+		{"in-order", slidingSum, inOrderCSV, false},
+		{"keyed", append([]string{"-keyed"}, slidingSum...), keyedCSV, false},
+		{"disordered", slidingSum, disorderedCSV, true},
+	} {
+		if out := runScotty(t, tc.args, string(tc.input(60_000))); strings.Contains(out, "  (update)") != tc.late {
+			t.Fatalf("%s: update rows %v, want %v", tc.name, !tc.late, tc.late)
+		}
+		allocs := func(lines int) float64 {
+			in := tc.input(lines)
+			return testing.AllocsPerRun(3, func() {
+				if code := run(context.Background(), tc.args, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
+					t.Fatalf("scotty %v exited %d", tc.args, code)
+				}
+			})
+		}
+		short, long := allocs(50_000), allocs(150_000)
+		t.Logf("%s: %.0f allocations for 50k lines, %.0f for 150k", tc.name, short, long)
+		if perLine := (long - short) / 100_000; perLine > 0.001 {
+			t.Errorf("%s: %.0f allocations for 50k lines, %.0f for 150k: %.4f per line, want 0", tc.name, short, long, perLine)
+		}
 	}
 }
 
 // BenchmarkIngestVsLineRate states the run path's cost per input line beside
 // the floor for anything that reads the same bytes: the same block-sized reads
-// with the newlines counted and nothing else done.
+// with the newlines counted and nothing else done. keyed is the same run over
+// three-column lines (the key parsed, and ignored without -keyed).
 func BenchmarkIngestVsLineRate(b *testing.B) {
 	const lines = 150_000
 	in := inOrderCSV(lines)
-	b.Run("scotty", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if code := run(context.Background(), slidingSum, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
-				b.Fatalf("scotty exited %d", code)
+	scotty := func(in []byte) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if code := run(context.Background(), slidingSum, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
+					b.Fatalf("scotty exited %d", code)
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
-	})
+	}
+	b.Run("scotty", scotty(in))
+	b.Run("keyed", scotty(keyedCSV(lines)))
 	b.Run("count-newlines", func(b *testing.B) {
 		buf := make([]byte, blockSize)
 		for i := 0; i < b.N; i++ {

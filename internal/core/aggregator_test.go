@@ -215,6 +215,8 @@ func TestDecisionMatrix(t *testing.T) {
 	punct := []window.Definition{window.Punctuation[float64](func(v float64) bool { return v < 0 })}
 	fca := []window.Definition{window.CountInTime[float64](10, 100)}
 	countTumb := []window.Definition{window.Tumbling(stream.Count, 10)}
+	slidingSession := []window.Definition{window.Sliding(stream.Time, 4000, 1000), window.Session[float64](700)}
+	twoSessions := []window.Definition{window.Session[float64](700), window.Session[float64](300)}
 
 	cases := []struct {
 		name    string
@@ -234,6 +236,10 @@ func TestDecisionMatrix(t *testing.T) {
 		{"unordered session", false, sum, session, false},
 		{"unordered punctuation", false, sum, punct, true},
 		{"unordered count measure", false, sum, countTumb, true},
+		// Another query's edges cut a session's gaps into populated slices.
+		{"ordered sliding + session", true, sum, slidingSession, false},
+		{"unordered sliding + session", false, sum, slidingSession, true},
+		{"unordered two sessions", false, sum, twoSessions, true},
 	}
 	for _, c := range cases {
 		if got := needTuples(c.ordered, c.props, c.defs); got != c.want {

@@ -29,6 +29,8 @@ var (
 // newDiffKeyed builds the operator under test. A session member — registered
 // last, so the periodic queries keep ids 0..len(defs)-1 — slices on the data
 // and thereby forces the per-key representation; its rows are not compared.
+// Its gap is shorter than the disorder, so late tuples open sessions between
+// the periodic queries' edges (Fig 4's shared-session rule keeps tuples).
 func newDiffKeyed(t testing.TB, defs []periodicDef, perKey bool, idleTTL int64) *Keyed[int, kv, float64, float64] {
 	k := NewKeyed(func(v kv) int { return v.Key }, idleTTL, func() *Aggregator[kv, float64, float64] {
 		ag := New(keyedSum(), Options{Lateness: diffLateness})
@@ -36,7 +38,7 @@ func newDiffKeyed(t testing.TB, defs []periodicDef, perKey bool, idleTTL int64) 
 			ag.MustAddQuery(window.Sliding(stream.Time, d.length, d.slide))
 		}
 		if perKey {
-			ag.MustAddQuery(window.Session[kv](1099511627776))
+			ag.MustAddQuery(window.Session[kv](700))
 		}
 		return ag
 	})

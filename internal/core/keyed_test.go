@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scotty/internal/aggregate"
+	"scotty/internal/checkpoint"
 	"scotty/internal/reference"
 	"scotty/internal/stream"
 	"scotty/internal/window"
@@ -13,6 +14,14 @@ import (
 type kv struct {
 	Key int
 	V   float64
+}
+
+// A per-key operator that stores tuples snapshots them (a session among other
+// queries under disorder, for one).
+func init() {
+	checkpoint.Register("core.kv",
+		func(e *checkpoint.Encoder, v kv) { e.Int(v.Key); e.Float64(v.V) },
+		func(d *checkpoint.Decoder) (kv, error) { return kv{Key: d.Int(), V: d.Float64()}, d.Err() })
 }
 
 func keyedSum() aggregate.Function[kv, float64, float64] {

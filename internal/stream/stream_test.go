@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +260,85 @@ func TestPrepareSmallTimestampsUnchanged(t *testing.T) {
 		if it.Kind == KindWatermark && it.Watermark != MaxTime && it.Watermark < 1000 {
 			t.Fatalf("clamp violated: watermark %d below Period", it.Watermark)
 		}
+	}
+}
+
+// oldFeeder is Feeder as it was before Newest/Advance/Due: one call per event,
+// the schedule aligned by the first event and then checked after every one.
+// It is the reference the primitives are held to.
+type oldFeeder struct {
+	w             Watermarker
+	maxTS, nextWM int64
+}
+
+func (f *oldFeeder) feed(items []Item[int], e Event[int]) []Item[int] {
+	if f.nextWM == 0 && f.w.Period > 0 {
+		f.nextWM = f.w.firstBoundary(e.Time)
+	}
+	if e.Time > f.maxTS {
+		f.maxTS = e.Time
+	}
+	for f.w.Period > 0 && f.maxTS-f.w.Lag >= f.nextWM {
+		items = append(items, WatermarkItem[int](f.nextWM))
+		f.nextWM += f.w.Period
+	}
+	return append(items, EventItem(e))
+}
+
+// TestFeederPrimitivesMatchOldFeed: Feed rebuilt on the primitives, and a
+// source driving the primitives itself the way scotty's scanner does (one
+// comparison per event, watermarks popped only when Advance says so), both
+// produce the old Feed loop's item sequence exactly — on in-order, disordered,
+// negative and epoch-scale timestamps, with gaps that make several watermarks
+// due at once, and with watermarks off.
+func TestFeederPrimitivesMatchOldFeed(t *testing.T) {
+	watermarks := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := []int64{0, -50_000, 1_700_000_000_000, -1_700_000_000_000}[seed%4]
+		w := Watermarker{Period: []int64{1000, 250, 7, 0}[rng.Intn(4)], Lag: int64(rng.Intn(3000))}
+		ev := make([]Event[int], 1+rng.Intn(500))
+		ts := base + int64(rng.Intn(5000))
+		for i := range ev {
+			if rng.Intn(50) == 0 {
+				ts += int64(rng.Intn(20_000)) // a gap: several watermarks at once
+			} else {
+				ts += int64(rng.Intn(40))
+			}
+			ev[i] = Event[int]{Time: ts, Seq: int64(i), Value: i}
+		}
+		if seed%3 != 0 {
+			ev = Apply(Disorder{Fraction: 0.3, MaxDelay: int64(1 + rng.Intn(4000)), Seed: seed}, ev)
+		}
+
+		old := &oldFeeder{w: w, maxTS: MinTime}
+		var want []Item[int]
+		for _, e := range ev {
+			want = old.feed(want, e)
+		}
+		var viaFeed []Item[int]
+		f := NewFeeder[int](w)
+		for _, e := range ev {
+			viaFeed = f.Feed(viaFeed, e)
+		}
+		var direct []Item[int]
+		g := NewFeeder[int](w)
+		for _, e := range ev {
+			if e.Time > g.Newest() && g.Advance(e.Time) {
+				for wm, ok := g.Due(); ok; wm, ok = g.Due() {
+					direct = append(direct, WatermarkItem[int](wm))
+				}
+			}
+			direct = append(direct, EventItem(e))
+		}
+		for name, got := range map[string][]Item[int]{"Feed": viaFeed, "primitives": direct} {
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d %+v: %s diverged from the old Feed loop\n got %v\nwant %v", seed, w, name, got, want)
+			}
+		}
+		watermarks += len(want) - len(ev)
+	}
+	if watermarks < 10_000 {
+		t.Fatalf("only %d watermarks in 200 streams: the schedule went untested", watermarks)
 	}
 }

@@ -60,10 +60,16 @@ func Prepare[V any](w Watermarker, events []Event[V]) []Item[V] {
 // materialized up front (e.g. a CSV stream on stdin): feed arriving events
 // one at a time and receive them back interleaved with the periodic
 // watermarks that became due.
+//
+// A source that writes its own items uses the primitives Feed is built from,
+// which keep the schedule in one place and cost an in-order event one
+// comparison: an event newer than Newest is passed to Advance, and when that
+// reports a watermark due, Due pops the due ones in order — all of them
+// belong in front of the event.
 type Feeder[V any] struct {
 	w      Watermarker
 	maxTS  int64
-	nextWM int64
+	nextWM int64 // 0 until the first Due aligns it to the first event
 }
 
 // NewFeeder creates a Feeder emitting watermarks per w's schedule.
@@ -75,17 +81,41 @@ func NewFeeder[V any](w Watermarker) *Feeder[V] {
 // returns the extended slice (append-style, so callers can reuse one
 // buffer).
 func (f *Feeder[V]) Feed(items []Item[V], e Event[V]) []Item[V] {
-	if f.nextWM == 0 && f.w.Period > 0 {
-		f.nextWM = f.w.firstBoundary(e.Time)
-	}
-	if e.Time > f.maxTS {
-		f.maxTS = e.Time
-	}
-	for f.w.Period > 0 && f.maxTS-f.w.Lag >= f.nextWM {
-		items = append(items, WatermarkItem[V](f.nextWM))
-		f.nextWM += f.w.Period
+	if e.Time > f.Newest() && f.Advance(e.Time) {
+		for wm, ok := f.Due(); ok; wm, ok = f.Due() {
+			items = append(items, WatermarkItem[V](wm))
+		}
 	}
 	return append(items, EventItem(e))
+}
+
+// Newest is the latest event time passed to Advance (MinTime before any).
+// An event at it or after it is in order; one before it is late.
+func (f *Feeder[V]) Newest() int64 { return f.maxTS }
+
+// Advance records t, the time of an event newer than Newest, and reports
+// whether a watermark has fallen due; Due then pops it and any after it.
+func (f *Feeder[V]) Advance(t int64) bool {
+	f.maxTS = t
+	return f.w.Period > 0 && (f.nextWM == 0 || t-f.w.Lag >= f.nextWM)
+}
+
+// Due pops the next watermark the newest event time has made due, if any.
+// The first call after the first Advance aligns the schedule to that event
+// (Watermarker's firstBoundary).
+func (f *Feeder[V]) Due() (int64, bool) {
+	if f.w.Period <= 0 || f.maxTS == MinTime {
+		return 0, false
+	}
+	if f.nextWM == 0 {
+		f.nextWM = f.w.firstBoundary(f.maxTS)
+	}
+	if f.maxTS-f.w.Lag < f.nextWM {
+		return 0, false
+	}
+	wm := f.nextWM
+	f.nextWM += f.w.Period
+	return wm, true
 }
 
 // Close appends the final MaxTime watermark that flushes every window.
