@@ -42,10 +42,10 @@ func (k *keyedOp[A, Out]) Close() {
 	}
 	resident, cold, bytes := k.SpillStats()
 	fmt.Fprintf(k.stderr, "spill: %d keys resident, %d cold, %d bytes on disk at exit\n", resident, cold, bytes)
-	//lint:ignore errflow spill blobs are scratch; a failed sweep leaves garbage, not state
+	// Spill blobs are scratch; a failed sweep leaves garbage, not state.
 	_ = k.spill.Clear()
 	if k.scratch {
-		//lint:ignore errflow best-effort removal of the per-process temp dir
+		// Best-effort removal of the per-process temp dir.
 		_ = os.Remove(k.dir)
 	}
 }

@@ -734,7 +734,8 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 			// own, so a rejected batch is dead-lettered whole.
 			sink.write(rows.buf, rows.n)
 		} else if flush || len(rows.buf) >= outBufSize {
-			//lint:ignore errflow a writer that rejects rows is what -breaker guards against; without it the run carries on, as it always has
+			// A writer that rejects rows is what -breaker guards against; without
+			// it the run carries on, as it always has.
 			_, _ = stdout.Write(rows.buf)
 		} else {
 			return

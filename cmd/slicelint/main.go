@@ -1,18 +1,19 @@
-// Command slicelint runs the repository's static-analysis suite — the
-// compile-time enforcement of the stream-slicing contracts (see
+// Command slicelint runs the repository's static-analysis suite (see
 // docs/STATIC_ANALYSIS.md):
 //
 //	slicelint ./...                  # lint the whole module
 //	slicelint ./internal/core        # lint one package
 //	slicelint -list                  # show the analyzers
 //
-// It exits 0 when clean, 1 when findings survive suppression, and 2 on load
-// errors. Findings print as file:line:col: analyzer: message. Intentional
-// violations are suppressed in source with
+// It exits 0 when clean, 1 when findings survive suppression, and 2 when a
+// package does not load (go build and go vet report those first). Findings
+// print as file:line:col: analyzer: message. Intentional violations are
+// suppressed in source with
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the offending line or the line directly above it.
+// on the offending line or the line directly above it; a directive that
+// suppresses nothing is itself a finding.
 package main
 
 import (
@@ -62,19 +63,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "slicelint:", err)
 		return 2
 	}
-	loader := lint.NewLoader(modPath, root)
-	// Lenient load: a package that fails to parse or type-check becomes a
-	// finding (exit 1) at the offending position, like any other lint hit;
-	// only failures to expand the patterns themselves are load errors (exit 2).
-	pkgs, loadFindings, err := loader.LoadLenient(patterns...)
+	pkgs, err := (&lint.Loader{ModulePath: modPath, Dir: root}).Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "slicelint:", err)
 		return 2
 	}
 
-	findings := loadFindings
-	findings = append(findings, lint.Run(lint.All(), pkgs)...)
-	findings = append(findings, lint.CheckDirectives(pkgs)...)
+	findings := lint.Run(lint.All(), pkgs)
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)
 	}

@@ -12,10 +12,12 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errOut.String())
 	}
-	for _, name := range []string{"aggcontract", "nondeterminism", "chanhygiene", "floateq"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "floateq hotalloc errflow"; got != want {
+		t.Errorf("-list names %q, want exactly %q:\n%s", got, want, out.String())
 	}
 }
 
@@ -26,7 +28,9 @@ func TestCleanPackageExitsZero(t *testing.T) {
 	}
 }
 
-func TestViolationExitsNonZero(t *testing.T) {
+// fixtureModule writes a throwaway module with one internal/core file.
+func fixtureModule(t *testing.T, core string) string {
+	t.Helper()
 	dir := t.TempDir()
 	write := func(name, content string) {
 		t.Helper()
@@ -39,18 +43,29 @@ func TestViolationExitsNonZero(t *testing.T) {
 		}
 	}
 	write("go.mod", "module fixturemod\n\ngo 1.22\n")
-	write("internal/core/clock.go", `package core
+	write("internal/core/eq.go", core)
+	return dir
+}
 
-import "time"
-
-func stamp() int64 { return time.Now().UnixNano() }
-`)
+func TestViolationExitsNonZero(t *testing.T) {
+	dir := fixtureModule(t, "package core\n\nfunc same(a, b float64) bool { return a == b }\n")
 	var out, errOut strings.Builder
 	code := run([]string{"-C", dir, "./..."}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("want exit 1 on violation, got %d:\n%s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "nondeterminism") {
+	if !strings.Contains(out.String(), "floateq") {
 		t.Errorf("finding output missing analyzer name:\n%s", out.String())
+	}
+}
+
+func TestLoadErrorExitsTwo(t *testing.T) {
+	dir := fixtureModule(t, "package core\n\nvar x undefinedType\n")
+	var out, errOut strings.Builder
+	if code := run([]string{"-C", dir, "./..."}, &out, &errOut); code != 2 {
+		t.Fatalf("want exit 2 on a package that does not type-check, got %d:\n%s%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "undefinedType") {
+		t.Errorf("load error should name the offending symbol:\n%s", errOut.String())
 	}
 }

@@ -85,12 +85,22 @@ func approxDeep(a, b reflect.Value) bool {
 // checkProps verifies the declared algebraic properties of a function
 // behaviorally over many random event sets: identity laws, associativity,
 // commutativity iff declared, invertibility iff declared, the Accumulate
-// fast path, and soundness of the Unaffected optimization.
+// fast path, and soundness of the Unaffected optimization. It also checks
+// the declared Kind against the partial's type (Gray et al.): a
+// distributive partial is the final aggregate, and a partial that grows
+// with its input — a slice or a map — is holistic.
 func checkProps[A, Out any](t *testing.T, f Function[float64, A, Out]) {
 	t.Helper()
 	props := f.Props()
 	if got := Invertible(f); got != props.Invertible {
 		t.Fatalf("%s: Invertible()=%v but Props.Invertible=%v", props.Name, got, props.Invertible)
+	}
+	partial, out := reflect.TypeOf((*A)(nil)).Elem(), reflect.TypeOf((*Out)(nil)).Elem()
+	if props.Kind == Distributive && partial != out {
+		t.Fatalf("%s: Distributive, but partial %v is not the output type %v", props.Name, partial, out)
+	}
+	if k := partial.Kind(); (k == reflect.Slice || k == reflect.Map) && props.Kind != Holistic {
+		t.Fatalf("%s: partial %v grows with its input, so Kind must be Holistic", props.Name, partial)
 	}
 	rng := rand.New(rand.NewSource(99))
 	lower := func(a A) any { return f.Lower(a) }

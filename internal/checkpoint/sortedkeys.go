@@ -9,8 +9,9 @@ import (
 // iterate maps through it: Go randomizes map iteration order, and the
 // snapshot format guarantees that identical state serializes to identical
 // bytes (recovery tests compare snapshots directly, and checkpoint files
-// deduplicate by content). The codeccomplete analyzer flags any direct map
-// range inside an encoding function.
+// deduplicate by content). Core's snapshot round-trip tests re-serialize
+// every restored operator and require the identical bytes, so a direct map
+// range in an encoder shows up there.
 func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

@@ -91,8 +91,7 @@ func TestKeyedMatchesPerKeyOracle(t *testing.T) {
 
 // TestKeyedWatermarkEmissionOrderIsDeterministic replays the same stream
 // twice and requires identical result sequences: watermark broadcasts must
-// iterate keys in first-appearance order, not map order (slicelint's
-// nondeterminism analyzer flags the map-order version).
+// iterate keys in first-appearance order, not map order.
 func TestKeyedWatermarkEmissionOrderIsDeterministic(t *testing.T) {
 	replay := func() []KeyedResult[int, float64] {
 		op := NewKeyed(func(v kv) int { return v.Key }, 0, func() *Aggregator[kv, float64, float64] {

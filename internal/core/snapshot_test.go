@@ -154,6 +154,30 @@ func TestSnapshotSuffixEquivalence(t *testing.T) {
 			return ag
 		}, ooo)
 	})
+
+	// With the cases above, every -agg value scotty accepts (sum, count,
+	// mean, min, max, median, p90, m4) and every partial codec
+	// internal/aggregate registers round-trips through a snapshot.
+	t.Run("count", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.Count[stream.Tuple]()), ooo) })
+	t.Run("min", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.Min(stream.Val)), ooo) })
+	t.Run("max", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.Max(stream.Val)), ooo) })
+	t.Run("p90", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.Percentile(0.9, stream.Val)), ooo) })
+	t.Run("variance", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.Variance(stream.Val)), ooo) })
+	t.Run("maxcount", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.MaxCount(stream.Val)), ooo) })
+	t.Run("argmin", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.ArgMin(stream.Val)), ooo) })
+	t.Run("first", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.First(stream.Val)), ooo) })
+	t.Run("collect", func(t *testing.T) { checkSuffixEquivalence(t, slidingOOO(aggregate.Collect(stream.Val)), ooo) })
+}
+
+// slidingOOO builds operators over fn with a tumbling and a sliding window
+// that accept the out-of-order stream.
+func slidingOOO[A, Out any](fn aggregate.Function[stream.Tuple, A, Out]) func() *Aggregator[stream.Tuple, A, Out] {
+	return func() *Aggregator[stream.Tuple, A, Out] {
+		ag := New(fn, Options{Lateness: 2000})
+		ag.MustAddQuery(window.Tumbling(stream.Time, 1000))
+		ag.MustAddQuery(window.Sliding(stream.Time, 3000, 1000))
+		return ag
+	}
 }
 
 func TestSnapshotTornFile(t *testing.T) {

@@ -173,8 +173,8 @@ func TestWatermarksBroadcastInOrderPerPartition(t *testing.T) {
 }
 
 // TestInjectedClockMakesStatsDeterministic drives Run with a fake clock and
-// asserts the timing-derived stats are an exact function of its ticks — the
-// property the nondeterminism analyzer exists to protect.
+// asserts the timing-derived stats are an exact function of its ticks: a
+// wall-clock read anywhere on Run's path breaks it.
 func TestInjectedClockMakesStatsDeterministic(t *testing.T) {
 	items := makeItems(1_000, 4)
 	base := time.Unix(0, 0)

@@ -87,7 +87,7 @@ func runMembound(keys int, budget int64) (membRun, error) {
 		return membRun{}, err
 	}
 	defer func() {
-		//lint:ignore errflow spill blobs are scratch; a failed sweep leaves temp-dir garbage, not results
+		// Spill blobs are scratch; a failed sweep leaves temp-dir garbage, not results.
 		_ = os.RemoveAll(dir)
 	}()
 	st, err := spill.Open(dir)

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// This file is the inter-procedural substrate shared by the whole-program
-// analyzers: an index of every function declaration in the load, the static
-// call graph between them, and the //slicelint: annotations that seed and
-// bound hot-path traversal.
+// This file is hotalloc's inter-procedural substrate: an index of every
+// function declaration in the load, the static call graph between them, and
+// the //slicelint: annotations that seed and bound hot-path traversal.
 //
 // The call graph is deliberately static-calls-only. A call through an
 // interface or a function value has no single callee; traversal stops there,
@@ -151,6 +150,55 @@ func (pr *program) hotReachable() map[*types.Func]*types.Func {
 		}
 	}
 	return reached
+}
+
+// staticCallee resolves a call to the *types.Func it invokes, or nil for
+// calls through function values, built-ins, and type conversions. Explicit
+// generic instantiations (f[T](x), recorded as index expressions) resolve to
+// the generic function.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	var id *ast.Ident
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// rootObject unwraps selectors and index expressions to the base variable.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return info.Uses[x]
+		case *ast.SelectorExpr:
+			// For k.results the root is the field selection itself; use
+			// the selected object (the field) so distinct fields of the
+			// same receiver stay distinct.
+			if sel, ok := info.Selections[x]; ok {
+				return sel.Obj()
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // shortFuncName renders fn as pkg.Func or pkg.Recv.Method for messages.

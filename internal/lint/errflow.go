@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // errorFlowPkgs are the packages where a dropped error corrupts durable
@@ -36,31 +37,28 @@ var errorFlowPkgs = []string{
 var ErrFlow = &Analyzer{
 	Name: "errflow",
 	Doc:  "flags dropped, blank-discarded, and dead-stored errors in the error-critical packages",
-	Applies: func(pkg *Package) bool {
-		for _, s := range errorFlowPkgs {
-			if PkgPathHasSuffix(pkg, s) {
-				return true
-			}
-		}
-		return false
-	},
-	Run: runErrFlow,
+	Run:  runErrFlow,
 }
 
 func runErrFlow(p *Pass) {
-	for _, f := range p.Files() {
-		for _, d := range f.Decls {
-			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
-				continue
+	for _, pkg := range p.Pkgs {
+		if !slices.ContainsFunc(errorFlowPkgs, func(s string) bool { return pkgPathHasSuffix(pkg, s) }) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok || decl.Body == nil {
+					continue
+				}
+				checkErrFlowFunc(p, pkg, decl)
 			}
-			checkErrFlowFunc(p, decl)
 		}
 	}
 }
 
-func checkErrFlowFunc(p *Pass, decl *ast.FuncDecl) {
-	info := p.TypesInfo()
+func checkErrFlowFunc(p *Pass, pkg *Package, decl *ast.FuncDecl) {
+	info := pkg.Info
 	type store struct {
 		obj types.Object
 		pos token.Pos
@@ -74,10 +72,10 @@ func checkErrFlowFunc(p *Pass, decl *ast.FuncDecl) {
 		case *ast.ExprStmt:
 			call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 			if ok && callReturnsError(info, call) >= 0 {
-				p.Reportf(n.Pos(), "unhandled error: result of %s is dropped; handle it, return it, or assign to _ with a //lint:ignore errflow reason", callDesc(info, call))
+				p.Reportf(pkg, n.Pos(), "unhandled error: result of %s is dropped; handle it, return it, or assign to _ with a //lint:ignore errflow reason", callDesc(info, call))
 			}
 		case *ast.AssignStmt:
-			checkBlankErrDiscard(p, info, n)
+			checkBlankErrDiscard(p, pkg, n)
 			if n.Tok == token.ASSIGN {
 				for _, lhs := range n.Lhs {
 					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
@@ -117,14 +115,15 @@ func checkErrFlowFunc(p *Pass, decl *ast.FuncDecl) {
 			}
 		}
 		if dead {
-			p.Reportf(s.pos, "error assigned to %s is never read afterwards (shadowed or dead store): check it or return it", s.obj.Name())
+			p.Reportf(pkg, s.pos, "error assigned to %s is never read afterwards (shadowed or dead store): check it or return it", s.obj.Name())
 		}
 	}
 }
 
 // checkBlankErrDiscard flags `v, _ := f()` (and `_ = f()`) where the blank
 // slot holds an error result.
-func checkBlankErrDiscard(p *Pass, info *types.Info, as *ast.AssignStmt) {
+func checkBlankErrDiscard(p *Pass, pkg *Package, as *ast.AssignStmt) {
+	info := pkg.Info
 	if len(as.Rhs) != 1 {
 		return
 	}
@@ -138,13 +137,13 @@ func checkBlankErrDiscard(p *Pass, info *types.Info, as *ast.AssignStmt) {
 	}
 	if len(as.Lhs) == 1 && errIdx == 0 {
 		if id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident); ok && id.Name == "_" {
-			p.Reportf(as.Pos(), "error from %s discarded with _: add a //lint:ignore errflow reason or handle it", callDesc(info, call))
+			p.Reportf(pkg, as.Pos(), "error from %s discarded with _: add a //lint:ignore errflow reason or handle it", callDesc(info, call))
 		}
 		return
 	}
 	if errIdx < len(as.Lhs) {
 		if id, ok := ast.Unparen(as.Lhs[errIdx]).(*ast.Ident); ok && id.Name == "_" {
-			p.Reportf(as.Pos(), "error result of %s discarded with _: add a //lint:ignore errflow reason or handle it", callDesc(info, call))
+			p.Reportf(pkg, as.Pos(), "error result of %s discarded with _: add a //lint:ignore errflow reason or handle it", callDesc(info, call))
 		}
 	}
 }

@@ -17,24 +17,26 @@ import (
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "flags ==/!= between floating-point expressions in internal/aggregate and internal/core",
-	Applies: func(pkg *Package) bool {
-		return PkgPathHasSuffix(pkg, "internal/aggregate") || PkgPathHasSuffix(pkg, "internal/core")
-	},
-	Run: runFloatEq,
+	Run:  runFloatEq,
 }
 
 func runFloatEq(p *Pass) {
-	for _, f := range p.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+	for _, pkg := range p.Pkgs {
+		if !pkgPathHasSuffix(pkg, "internal/aggregate") && !pkgPathHasSuffix(pkg, "internal/core") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+					return true
+				}
+				if isFloat(pkg.Info.TypeOf(be.X)) || isFloat(pkg.Info.TypeOf(be.Y)) {
+					p.Reportf(pkg, be.OpPos, "floating-point %s comparison: NaN and rounding make this unreliable; use math.IsNaN/epsilon or suppress with a reason", be.Op)
+				}
 				return true
-			}
-			if isFloat(p.TypesInfo().TypeOf(be.X)) || isFloat(p.TypesInfo().TypeOf(be.Y)) {
-				p.Reportf(be.OpPos, "floating-point %s comparison: NaN and rounding make this unreliable; use math.IsNaN/epsilon or suppress with a reason", be.Op)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 

@@ -36,32 +36,32 @@ import (
 // runtime cross-check for what the traversal cannot see is the
 // testing.AllocsPerRun gate in internal/core.
 var HotAlloc = &Analyzer{
-	Name:       "hotalloc",
-	Doc:        "flags heap allocations, boxing, and map iteration reachable from //slicelint:hotpath functions",
-	RunProgram: runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "flags heap allocations, boxing, and map iteration reachable from //slicelint:hotpath functions",
+	Run:  runHotAlloc,
 }
 
-func runHotAlloc(pp *ProgramPass) {
-	pr := buildProgram(pp.Pkgs)
+func runHotAlloc(p *Pass) {
+	pr := buildProgram(p.Pkgs)
 	for fn, note := range pr.notes {
 		site := pr.decls[fn]
 		switch note.kind {
 		case "hotpath", "coldpath":
 			if note.kind == "coldpath" && note.reason == "" {
-				pp.Reportf(site.pkg, note.pos, "//slicelint:coldpath needs a reason: why is %s off the hot path?", shortFuncName(fn))
+				p.Reportf(site.pkg, note.pos, "//slicelint:coldpath needs a reason: why is %s off the hot path?", shortFuncName(fn))
 			}
 		default:
-			pp.Reportf(site.pkg, note.pos, "unknown //slicelint:%s annotation: want hotpath or coldpath", note.kind)
+			p.Reportf(site.pkg, note.pos, "unknown //slicelint:%s annotation: want hotpath or coldpath", note.kind)
 		}
 	}
 	reached := pr.hotReachable()
 	for fn, seed := range reached {
-		checkHotFunc(pp, pr.decls[fn], seed)
+		checkHotFunc(p, pr.decls[fn], seed)
 	}
 }
 
 // checkHotFunc audits one function body in the hot closure.
-func checkHotFunc(pp *ProgramPass, site *declSite, seed *types.Func) {
+func checkHotFunc(p *Pass, site *declSite, seed *types.Func) {
 	info := site.pkg.Info
 	body := site.decl.Body
 	via := ""
@@ -69,7 +69,7 @@ func checkHotFunc(pp *ProgramPass, site *declSite, seed *types.Func) {
 		via = " (hot via " + shortFuncName(seed) + ")"
 	}
 	report := func(pos token.Pos, format string, args ...any) {
-		pp.Reportf(site.pkg, pos, format+via, args...)
+		p.Reportf(site.pkg, pos, format+via, args...)
 	}
 	pooled := usesPool(info, body)
 	written := writtenObjects(info, body)

@@ -1,9 +1,83 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestHotAllocFlagsInjectedCopyInScottyIngest loads the real cmd/scotty
+// sources with source.go patched to copy a line into a string, once inside
+// the scanner loop and once inside parseLine, and requires hotalloc to name
+// the function each time. It keeps the //slicelint:hotpath annotations on
+// the CSV path honest: an annotation that stopped reaching the per-line code
+// would let this copy through.
+func TestHotAllocFlagsInjectedCopyInScottyIngest(t *testing.T) {
+	_, file, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("cannot locate source file")
+	}
+	root := filepath.Dir(filepath.Dir(filepath.Dir(file)))
+	dir := filepath.Join(root, "cmd", "scotty")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scotty := map[string]string{}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			src, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scotty[name] = string(src)
+		}
+	}
+	cases := []struct {
+		name, anchor, patched, want string
+	}{
+		// The anchors sit inside the named function; a case that cannot
+		// find its anchor fails rather than passing on unpatched source.
+		{"lines", "line := block[p:]\n", "line := block[p:]\n_ = string(line)\n",
+			"main.scanner.lines: string(bytes) conversion copies"},
+		{"parseLine", "return parseLineSlow(line)", "_ = string(line)\nreturn parseLineSlow(line)",
+			"main.parseLine: string(bytes) conversion copies"},
+	}
+	// Each patched copy is its own package in one load, so cmd/scotty's
+	// imports are type-checked once for both.
+	overlay := map[string]map[string]string{}
+	var paths []string
+	for _, c := range cases {
+		if n := strings.Count(scotty["source.go"], c.anchor); n != 1 {
+			t.Fatalf("%s: anchor %q occurs %d times in cmd/scotty/source.go, want 1", c.name, c.anchor, n)
+		}
+		pkg := map[string]string{}
+		for name, src := range scotty {
+			pkg[name] = src
+		}
+		pkg["source.go"] = strings.Replace(scotty["source.go"], c.anchor, c.patched, 1)
+		path := "scotty/cmd/scotty_" + c.name
+		overlay[path] = pkg
+		paths = append(paths, path)
+	}
+	pkgs, err := (&Loader{ModulePath: "scotty", Dir: root, Overlay: overlay}).Load(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]string{}
+	for _, f := range Run([]*Analyzer{HotAlloc}, pkgs) {
+		dir := filepath.Base(filepath.Dir(f.Pos.Filename))
+		got[dir] = append(got[dir], f.String())
+	}
+	for _, c := range cases {
+		findings := got["scotty_"+c.name]
+		if len(findings) != 1 || !strings.Contains(findings[0], c.want) {
+			t.Errorf("%s: want one hotalloc finding %q, got %q", c.name, c.want, findings)
+		}
+	}
+}
 
 func TestHotAllocFlagsDirectViolations(t *testing.T) {
 	overlay := map[string]map[string]string{

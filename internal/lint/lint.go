@@ -1,86 +1,42 @@
 // Package lint is a small static-analysis framework for this repository,
 // built only on the standard library (go/parser, go/ast, go/types, go/token).
-// It exists because the correctness of general stream slicing hinges on
-// per-function algebraic contracts — invertibility, commutativity, order
-// sensitivity (§4 of the paper) — that select which slice-maintenance cascade
-// is legal. Violating them does not crash; it silently corrupts window
-// results. The analyzers in this package move those contracts from
-// runtime-test enforcement to compile-time checking.
+// It keeps the analyzers no runtime test can stand in for (see
+// docs/STATIC_ANALYSIS.md for the table that decides which those are):
+// hotalloc follows every static call path from the per-tuple entry points,
+// where an AllocsPerRun gate sees only the inputs it is fed; errflow and
+// floateq audit source patterns no behavioural test observes.
 //
-// The framework mirrors the shape of golang.org/x/tools/go/analysis at a
-// fraction of its surface: a Loader type-checks packages from source, each
-// Analyzer inspects one type-checked package at a time, and findings carry
-// file:line positions. Findings can be suppressed in source with
+// A Loader type-checks packages from source, each Analyzer inspects the
+// whole load at once, and findings carry file:line positions. Findings can
+// be suppressed in source with
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // placed on the offending line or on the line directly above it; the reason
-// is mandatory.
+// is mandatory, and a directive that suppresses nothing is itself a finding.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// Pass carries one type-checked package through one analyzer run.
-type Pass struct {
-	// Analyzer is the analyzer being run.
-	Analyzer *Analyzer
-	// Pkg is the loaded package under analysis.
-	Pkg *Package
-	// findings accumulates reports.
-	findings *[]Finding
-}
-
-// Fset returns the file set positions resolve against.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
-
-// Files returns the package's parsed syntax trees.
-func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
-
-// TypesInfo returns the type information recorded during checking.
-func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
-
-// TypesPkg returns the type-checked package object.
-func (p *Pass) TypesPkg() *types.Package { return p.Pkg.Types }
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Analyzer is one named check. Per-package analyzers set Run and see one
-// package at a time; whole-program analyzers set RunProgram and see every
-// loaded package in a single pass — that is what lets them follow calls and
-// type identities across package boundaries (call-graph reachability,
-// registry completeness, cross-package field access).
+// Analyzer is one named check. Run sees every loaded package at once, which
+// is what lets hotalloc follow calls across package boundaries; analyzers
+// scoped to some packages filter Pass.Pkgs themselves.
 type Analyzer struct {
 	// Name identifies the analyzer in reports and ignore directives.
 	Name string
 	// Doc is a one-line description shown by the driver.
 	Doc string
-	// Applies reports whether the analyzer audits the package at all;
-	// nil means every package. Ignored for program analyzers.
-	Applies func(pkg *Package) bool
-	// Run inspects one package and reports findings through the pass.
+	// Run inspects the load and reports findings through the pass.
 	Run func(p *Pass)
-	// RunProgram inspects every loaded package at once. An analyzer sets
-	// exactly one of Run and RunProgram.
-	RunProgram func(p *ProgramPass)
 }
 
-// ProgramPass carries the whole loaded program through one whole-program
-// analyzer run.
-type ProgramPass struct {
+// Pass carries the loaded packages through one analyzer run.
+type Pass struct {
 	// Analyzer is the analyzer being run.
 	Analyzer *Analyzer
 	// Pkgs are all loaded packages, in load order.
@@ -90,7 +46,7 @@ type ProgramPass struct {
 }
 
 // Reportf records a finding at pos, resolved against pkg's file set.
-func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+func (p *Pass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
 		Pos:      pkg.Fset.Position(pos),
@@ -111,87 +67,25 @@ func (f Finding) String() string {
 
 // All returns the repository's analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{
-		AggContract, Nondeterminism, ChanHygiene, FloatEq, RecoverWrap,
-		HotAlloc, CodecComplete, ErrFlow, AtomicMix,
-	}
+	return []*Analyzer{FloatEq, HotAlloc, ErrFlow}
 }
 
-// DeterminismPolicy classifies this module's packages for the
-// nondeterminism analyzer. Deterministic packages must compute a pure
-// function of the input stream; exempt packages carry the reason on record
-// so the exemption stays auditable. Packages not listed are not audited —
-// adding a new package to either column is a one-line change here, not an
-// analyzer edit.
-var DeterminismPolicy = []PkgPolicy{
-	{Suffix: "internal/core", Deterministic: true,
-		Reason: "the slicing core: replays must be bit-exact"},
-	{Suffix: "internal/daba", Deterministic: true,
-		Reason: "the DABA ring backs core emissions; combines must replay bit-exact"},
-	{Suffix: "internal/aggregate", Deterministic: true,
-		Reason: "aggregate kernels feed windows; order effects corrupt results"},
-	{Suffix: "internal/baselines", Deterministic: true,
-		Reason: "baselines must agree with core on identical inputs"},
-	{Suffix: "internal/window", Deterministic: true,
-		Reason: "window assignment decides result membership"},
-	{Suffix: "internal/engine", Deterministic: true,
-		Reason: "the engine injects its clock via Config.Clock"},
-	{Suffix: "internal/benchutil", Deterministic: false,
-		Reason: "measures wall-clock time; that is its job"},
-	{Suffix: "internal/chaos", Deterministic: false,
-		Reason: "fault schedules draw from an explicitly seeded rand.Rand"},
-	{Suffix: "internal/experiments", Deterministic: false,
-		Reason: "experiment drivers seed their own generators per figure"},
-}
-
-// PkgPolicy is one row of DeterminismPolicy.
-type PkgPolicy struct {
-	// Suffix matches the package import path at a segment boundary
-	// (PkgPathHasSuffix), so fixture modules match the same rows.
-	Suffix string
-	// Deterministic selects whether nondeterminism audits the package.
-	Deterministic bool
-	// Reason documents why the package is (or is not) audited.
-	Reason string
-}
-
-// Run applies every analyzer to every package and returns the surviving
-// (non-suppressed) findings sorted by position. Per-package analyzers run
-// package by package; program analyzers run once over the whole load. A
-// panicking analyzer does not abort the run: the panic is recovered into a
-// diagnostic finding naming the analyzer, and the remaining analyzers still
-// run.
+// Run applies the analyzers to the packages and returns, sorted by
+// position, the findings no directive suppresses together with the
+// directive findings (checkDirectives).
 func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
-	ig := ignoreSet{byLine: map[string]map[int][]string{}}
-	for _, pkg := range pkgs {
-		collectIgnores(&ig, pkg)
-	}
 	var raw []Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			if a.Applies != nil && !a.Applies(pkg) {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Pkg: pkg, findings: &raw}
-			protect(a, &raw, func() { a.Run(pass) })
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		pp := &ProgramPass{Analyzer: a, Pkgs: pkgs, findings: &raw}
-		protect(a, &raw, func() { a.RunProgram(pp) })
+		a.Run(&Pass{Analyzer: a, Pkgs: pkgs, findings: &raw})
 	}
+	dirs := collectDirectives(pkgs)
 	var out []Finding
 	for _, f := range raw {
-		if !ig.suppresses(f) {
+		if !suppressed(dirs, f) {
 			out = append(out, f)
 		}
 	}
+	out = append(out, checkDirectives(dirs, analyzers)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -208,32 +102,19 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 	return out
 }
 
-// protect runs fn, converting a panic into a diagnostic finding that names
-// the analyzer, so one buggy analyzer cannot take down the whole run.
-func protect(a *Analyzer, findings *[]Finding, fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			*findings = append(*findings, Finding{
-				Analyzer: "internal",
-				Message:  fmt.Sprintf("analyzer %s panicked: %v", a.Name, r),
-			})
-		}
-	}()
-	fn()
-}
-
 // ---------------------------------------------------------- suppressions ---
 
-// ignoreSet records //lint:ignore directives per file and line.
-type ignoreSet struct {
-	// byLine maps filename -> line -> analyzer names ignored there.
-	byLine map[string]map[int][]string
+// directive is one //lint:ignore comment in the load.
+type directive struct {
+	pos      token.Position
+	analyzer string // empty when malformed
+	used     bool   // it suppressed at least one finding
 }
 
 // parseIgnoreDirective parses one comment's text as a //lint:ignore
 // directive. isDirective reports whether the comment is a lint:ignore at
 // all; a directive with an empty analyzer name or an empty reason returns
-// ok=false, which CheckDirectives reports as malformed. Parsing is
+// ok=false, which checkDirectives reports as malformed. Parsing is
 // whitespace-shape agnostic: tabs or multiple spaces between the keyword,
 // the analyzer name, and the reason all parse the same, as do directives
 // whose comment text carries leading whitespace (indented blocks,
@@ -255,57 +136,16 @@ func parseIgnoreDirective(comment string) (analyzer, reason string, isDirective,
 	return parts[0], strings.Join(parts[1:], " "), true, true
 }
 
-// collectIgnores scans every comment in the package for ignore directives
-// and merges them into ig. A directive suppresses matching findings on its
-// own line and on the line immediately below (the conventional "comment
-// above the statement" form).
-func collectIgnores(ig *ignoreSet, pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				analyzer, _, _, ok := parseIgnoreDirective(c.Text)
-				if !ok {
-					// Malformed directives are reported by
-					// CheckDirectives; they suppress nothing.
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				m := ig.byLine[pos.Filename]
-				if m == nil {
-					m = map[int][]string{}
-					ig.byLine[pos.Filename] = m
-				}
-				m[pos.Line] = append(m[pos.Line], analyzer)
-				m[pos.Line+1] = append(m[pos.Line+1], analyzer)
-			}
-		}
-	}
-}
-
-func (ig ignoreSet) suppresses(f Finding) bool {
-	for _, name := range ig.byLine[f.Pos.Filename][f.Pos.Line] {
-		if name == f.Analyzer || name == "*" {
-			return true
-		}
-	}
-	return false
-}
-
-// CheckDirectives reports malformed //lint:ignore directives (missing
-// analyzer name or missing reason) so suppressions stay auditable.
-func CheckDirectives(pkgs []*Package) []Finding {
-	var out []Finding
+// collectDirectives returns every //lint:ignore comment in the packages.
+func collectDirectives(pkgs []*Package) []*directive {
+	var out []*directive
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					_, _, isDirective, ok := parseIgnoreDirective(c.Text)
-					if isDirective && !ok {
-						out = append(out, Finding{
-							Analyzer: "directive",
-							Pos:      pkg.Fset.Position(c.Pos()),
-							Message:  "malformed //lint:ignore directive: want //lint:ignore <analyzer> <reason>",
-						})
+					analyzer, _, isDirective, _ := parseIgnoreDirective(c.Text)
+					if isDirective {
+						out = append(out, &directive{pos: pkg.Fset.Position(c.Pos()), analyzer: analyzer})
 					}
 				}
 			}
@@ -314,9 +154,56 @@ func CheckDirectives(pkgs []*Package) []Finding {
 	return out
 }
 
-// PkgPathHasSuffix reports whether the package's import path ends with
-// suffix at a path-segment boundary; analyzers use it so fixtures under any
-// module name match the same packages as the real tree.
-func PkgPathHasSuffix(pkg *Package, suffix string) bool {
+// suppressed reports whether a well-formed directive naming f's analyzer
+// sits on f's line or the line directly above it, and marks every such
+// directive used.
+func suppressed(dirs []*directive, f Finding) bool {
+	hit := false
+	for _, d := range dirs {
+		if d.analyzer == f.Analyzer && d.pos.Filename == f.Pos.Filename &&
+			(d.pos.Line == f.Pos.Line || d.pos.Line+1 == f.Pos.Line) {
+			d.used = true
+			hit = true
+		}
+	}
+	return hit
+}
+
+// checkDirectives reports the directives that keep suppressions auditable:
+// malformed ones (missing analyzer name or reason), and ones that suppress
+// nothing — they name an analyzer that is not in All(), or one that ran and
+// reported nothing where the directive reaches. A directive naming an
+// analyzer of All() that was not run cannot be judged and passes.
+func checkDirectives(dirs []*directive, ran []*Analyzer) []Finding {
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	judged := map[string]bool{}
+	for _, a := range ran {
+		judged[a.Name] = true
+	}
+	var out []Finding
+	for _, d := range dirs {
+		var msg string
+		switch {
+		case d.analyzer == "":
+			msg = "malformed //lint:ignore directive: want //lint:ignore <analyzer> <reason>"
+		case !known[d.analyzer]:
+			msg = fmt.Sprintf("//lint:ignore names %q, which is not an analyzer: it suppresses nothing", d.analyzer)
+		case judged[d.analyzer] && !d.used:
+			msg = fmt.Sprintf("//lint:ignore %s suppresses nothing: no %s finding on this line or the next", d.analyzer, d.analyzer)
+		default:
+			continue
+		}
+		out = append(out, Finding{Analyzer: "directive", Pos: d.pos, Message: msg})
+	}
+	return out
+}
+
+// pkgPathHasSuffix reports whether the package's import path ends with
+// suffix at a path-segment boundary, so fixtures under any module name match
+// the same packages as the real tree.
+func pkgPathHasSuffix(pkg *Package, suffix string) bool {
 	return pkg.Path == suffix || strings.HasSuffix(pkg.Path, "/"+suffix)
 }

@@ -18,8 +18,13 @@ func loadFixture(t *testing.T, overlay map[string]map[string]string, paths ...st
 	return pkgs
 }
 
+// corePkg is a one-file fixture package at fixture/internal/core.
+func corePkg(src string) map[string]map[string]string {
+	return map[string]map[string]string{"fixture/internal/core": {"f.go": src}}
+}
+
 // findingsOf runs one analyzer over the fixture and returns the rendered
-// findings (suppressions applied).
+// findings (suppressions applied, directive findings included).
 func findingsOf(t *testing.T, a *Analyzer, overlay map[string]map[string]string, paths ...string) []string {
 	t.Helper()
 	pkgs := loadFixture(t, overlay, paths...)
@@ -63,12 +68,16 @@ func eq2(a, b float64) bool {
 	}
 }
 
+// TestSuppressionWrongAnalyzerDoesNotApply: a directive suppresses only
+// findings of the analyzer it names. Naming an analyzer that did not run
+// (errflow here) is not judged dead: that run could not have seen its
+// findings.
 func TestSuppressionWrongAnalyzerDoesNotApply(t *testing.T) {
 	overlay := map[string]map[string]string{
 		"fixture/internal/core": {"a.go": `package core
 
 func eq(a, b float64) bool {
-	//lint:ignore nondeterminism wrong analyzer name
+	//lint:ignore errflow wrong analyzer name
 	return a == b
 }
 `},
@@ -85,11 +94,76 @@ func TestCheckDirectivesFlagsMissingReason(t *testing.T) {
 func f() {}
 `},
 	}
-	pkgs := loadFixture(t, overlay, "fixture/internal/core")
-	got := CheckDirectives(pkgs)
-	if len(got) != 1 || !strings.Contains(got[0].Message, "malformed") {
-		t.Fatalf("want one malformed-directive finding, got %v", got)
+	got := findingsOf(t, FloatEq, overlay, "fixture/internal/core")
+	wantFindings(t, got, "directive: malformed //lint:ignore directive")
+}
+
+// TestCheckDirectivesFlagsDeadSuppressions: a well-formed directive that
+// suppresses nothing is a finding too — whether the analyzer it names ran
+// and found nothing there, or it names no analyzer at all (a suppression
+// that outlived the analyzer it was written for).
+func TestCheckDirectivesFlagsDeadSuppressions(t *testing.T) {
+	got := findingsOf(t, FloatEq, corePkg(`package core
+
+func lt(a, b float64) bool {
+	//lint:ignore floateq there is no equality here to excuse
+	return a < b
+}
+
+func eq(a, b int) bool {
+	//lint:ignore nondeterminism no such analyzer
+	return a == b
+}
+`), "fixture/internal/core")
+	wantFindings(t, got,
+		"f.go:4:2: directive: //lint:ignore floateq suppresses nothing",
+		`f.go:9:2: directive: //lint:ignore names "nondeterminism", which is not an analyzer`,
+	)
+}
+
+// TestSuppressionSurvivesTabsAndDocGroups pins the directive-matching fix:
+// tab-separated fields and directives inside indented comment blocks used to
+// fail the exact-prefix match and silently suppress nothing.
+func TestSuppressionSurvivesTabsAndDocGroups(t *testing.T) {
+	overlay := map[string]map[string]string{
+		"fixture/internal/core": {"a.go": "package core\n" +
+			"\n" +
+			"func eq(a, b float64) bool {\n" +
+			"\t//lint:ignore\tfloateq\ttab-separated fields must parse\n" +
+			"\treturn a == b\n" +
+			"}\n" +
+			"\n" +
+			"// eq2 compares floats.\n" +
+			"//lint:ignore floateq directive inside a doc-comment group\n" +
+			"func eq2(a, b float64) bool { return a == b }\n" +
+			"\n" +
+			"func eq3(a, b float64) bool { return a == b }\n"},
 	}
+	got := findingsOf(t, FloatEq, overlay, "fixture/internal/core")
+	// Both directives are well-formed and each suppresses the comparison on
+	// the line below it; only eq3's comparison survives.
+	wantFindings(t, got, "floating-point == comparison")
+	if !strings.Contains(got[0], "a.go:12:") {
+		t.Errorf("only eq3's comparison at line 12 should survive, got %q", got[0])
+	}
+}
+
+// TestSuppressionAppliesLineBelowDirective pins the adjacency contract: a
+// directive suppresses its own line and the line directly below, nothing
+// further — so one two lines above its finding suppresses nothing.
+func TestSuppressionAppliesLineBelowDirective(t *testing.T) {
+	overlay := map[string]map[string]string{
+		"fixture/internal/core": {"a.go": `package core
+
+func eq(a, b float64) bool {
+	//lint:ignore floateq reason on the line above
+
+	return a == b
+}
+`},
+	}
+	got := findingsOf(t, FloatEq, overlay, "fixture/internal/core")
+	wantFindings(t, got, "directive: //lint:ignore floateq suppresses nothing", "floating-point == comparison")
 }
 
 // TestLoaderSkipsBuildIgnoredFiles pins the go-run-only tool-file

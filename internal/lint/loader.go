@@ -1,12 +1,10 @@
 package lint
 
 import (
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
 	"go/types"
 	"os"
@@ -19,8 +17,6 @@ import (
 type Package struct {
 	// Path is the import path ("scotty/internal/core").
 	Path string
-	// Dir is the on-disk directory, empty for overlay-only packages.
-	Dir string
 	// Fset holds positions for every file in the load.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, sorted by file name.
@@ -52,12 +48,6 @@ type Loader struct {
 	stdlib types.Importer
 }
 
-// NewLoader builds a loader for the module rooted at dir. The module path is
-// read from go.mod when dir is non-empty; otherwise modulePath is used as-is.
-func NewLoader(modulePath, dir string) *Loader {
-	return &Loader{ModulePath: modulePath, Dir: dir}
-}
-
 func (l *Loader) init() {
 	if l.fset != nil {
 		return
@@ -66,12 +56,6 @@ func (l *Loader) init() {
 	l.loaded = map[string]*Package{}
 	l.errs = map[string]error{}
 	l.stdlib = importer.ForCompiler(l.fset, "source", nil)
-}
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet {
-	l.init()
-	return l.fset
 }
 
 // Load resolves patterns to packages and type-checks them (plus their
@@ -93,51 +77,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadLenient is Load for drivers that should keep going when a package is
-// broken: a package that fails to parse or type-check is reported as a
-// Finding (analyzer "load", positioned at the first error when one is
-// available) instead of aborting the whole run, and every healthy package is
-// still returned for analysis. Only pattern-expansion failures — an
-// unreadable module tree — are returned as a hard error.
-func (l *Loader) LoadLenient(patterns ...string) ([]*Package, []Finding, error) {
-	l.init()
-	paths, err := l.expand(patterns)
-	if err != nil {
-		return nil, nil, err
-	}
-	pkgs := make([]*Package, 0, len(paths))
-	var findings []Finding
-	for _, p := range paths {
-		pkg, err := l.load(p)
-		if err != nil {
-			findings = append(findings, loadFinding(p, err))
-			continue
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, findings, nil
-}
-
-// loadFinding converts a package load failure into a diagnostic finding,
-// digging the first precise source position out of parser and type-checker
-// error values when present.
-func loadFinding(path string, err error) Finding {
-	pos := token.Position{Filename: path}
-	var perrs scanner.ErrorList
-	var terr types.Error
-	switch {
-	case errors.As(err, &perrs) && len(perrs) > 0:
-		pos = perrs[0].Pos
-	case errors.As(err, &terr) && terr.Fset != nil:
-		pos = terr.Fset.Position(terr.Pos)
-	}
-	return Finding{
-		Analyzer: "load",
-		Pos:      pos,
-		Message:  fmt.Sprintf("package %s failed to load: %v", path, err),
-	}
 }
 
 func (l *Loader) expand(patterns []string) ([]string, error) {
@@ -258,7 +197,7 @@ func (l *Loader) load(path string) (*Package, error) {
 }
 
 func (l *Loader) loadUncached(path string) (*Package, error) {
-	sources, dir, err := l.sources(path)
+	sources, err := l.sources(path)
 	if err != nil {
 		return nil, err
 	}
@@ -301,13 +240,13 @@ func (l *Loader) loadUncached(path string) (*Package, error) {
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type errors: %w", typeErrs[0])
 	}
-	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // sources returns file name -> content for the package, preferring the
 // overlay. Disk contents are keyed by absolute path so findings print real
 // locations; overlay contents are keyed "importpath/filename".
-func (l *Loader) sources(path string) (map[string]string, string, error) {
+func (l *Loader) sources(path string) (map[string]string, error) {
 	if ov, ok := l.Overlay[path]; ok {
 		out := map[string]string{}
 		for name, src := range ov {
@@ -316,13 +255,13 @@ func (l *Loader) sources(path string) (map[string]string, string, error) {
 			}
 			out[path+"/"+name] = src
 		}
-		return out, "", nil
+		return out, nil
 	}
 	if l.Dir == "" {
-		return nil, "", fmt.Errorf("package %s: not in overlay and loader has no module directory", path)
+		return nil, fmt.Errorf("package %s: not in overlay and loader has no module directory", path)
 	}
 	if !l.local(path) {
-		return nil, "", fmt.Errorf("package %s: outside module %s", path, l.ModulePath)
+		return nil, fmt.Errorf("package %s: outside module %s", path, l.ModulePath)
 	}
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
 	dir := l.Dir
@@ -331,7 +270,7 @@ func (l *Loader) sources(path string) (map[string]string, string, error) {
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	out := map[string]string{}
 	for _, e := range entries {
@@ -343,14 +282,14 @@ func (l *Loader) sources(path string) (map[string]string, string, error) {
 		}
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		if buildIgnored(string(data)) {
 			continue
 		}
 		out[filepath.Join(dir, name)] = string(data)
 	}
-	return out, dir, nil
+	return out, nil
 }
 
 // buildIgnored reports whether the source file excludes itself from the

@@ -7,9 +7,10 @@ import (
 )
 
 // TestRepositoryIsLintClean runs the full analyzer suite over the real
-// module, wiring slicelint into the tier-1 `go test ./...` gate: a contract
-// violation anywhere in the tree fails this test even if nobody runs the
-// standalone driver.
+// module, the same check `slicelint ./...` makes: a contract violation, a
+// malformed directive or a suppression that suppresses nothing anywhere in
+// the tree fails it. It is the repository's lint gate — scripts/check.sh and
+// CI reach it through `go test ./...` and do not run the binary again.
 func TestRepositoryIsLintClean(t *testing.T) {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
@@ -20,14 +21,11 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read module path: %v", err)
 	}
-	loader := NewLoader(mod, root)
-	pkgs, err := loader.Load("./...")
+	pkgs, err := (&Loader{ModulePath: mod, Dir: root}).Load("./...")
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	findings := Run(All(), pkgs)
-	findings = append(findings, CheckDirectives(pkgs)...)
-	for _, f := range findings {
+	for _, f := range Run(All(), pkgs) {
 		t.Errorf("%s", f)
 	}
 }

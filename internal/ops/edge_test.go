@@ -1,8 +1,11 @@
 package ops
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParsePolicyRoundTrip(t *testing.T) {
@@ -14,6 +17,49 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("ParsePolicy accepted bogus policy")
+	}
+}
+
+// TestCloseReleasesParkedReceivers: receivers parked on an edge all return
+// once it is closed and drained, under every policy, so a pipeline that
+// closes its edges leaves no consumer goroutine behind.
+func TestCloseReleasesParkedReceivers(t *testing.T) {
+	for _, p := range []Policy{Block, DropOldest, DropNewest, Shed} {
+		t.Run(p.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEdge(EdgeConfig[int]{Capacity: 4, Policy: p})
+			var got atomic.Int64
+			for i := 0; i < 4; i++ {
+				go func() {
+					for {
+						if _, ok := e.Recv(); !ok {
+							return
+						}
+						got.Add(1)
+					}
+				}()
+			}
+			for v := 0; v < 100; v++ {
+				e.SendMust(v)
+			}
+			// Let the receivers drain the edge and park on it again, so
+			// Close has sleepers to wake.
+			for got.Load() < 100 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond)
+			e.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got.Load() != 100 {
+				t.Fatalf("receivers got %d messages, want 100", got.Load())
+			}
+		})
 	}
 }
 

@@ -274,7 +274,8 @@ func (s *Store) unlink(name string) {
 	s.segLive[ref.seg]--
 	if s.segLive[ref.seg] <= 0 {
 		delete(s.segLive, ref.seg)
-		//lint:ignore errflow a segment of dead blobs that cannot be removed is orphaned garbage, not lost state; Clear sweeps it on the next restore
+		// A segment of dead blobs that cannot be removed is orphaned garbage,
+		// not lost state; Clear sweeps it on the next restore.
 		_ = os.Remove(s.segPath(ref.seg))
 	}
 }

@@ -15,14 +15,13 @@ echo '== gofmt -l .'
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "$unformatted"; exit 1; }
 
-echo '== slicelint ./...'
-go run ./cmd/slicelint ./...
-
 echo '== go test ./...'
 # Includes internal/experiments' TestPaperShapes: the paper's orderings and
 # the fleet/membound contracts as within-run inequalities (each timed series
 # measured back to back with the one it is compared to), so no committed
-# absolute numbers are diffed against this machine's hour.
+# absolute numbers are diffed against this machine's hour. Also includes
+# internal/lint's TestRepositoryIsLintClean, the same check `go run
+# ./cmd/slicelint ./...` makes, so the gate does not run the binary again.
 go test ./...
 
 echo '== bench: vet, short tests, smoke run vs the oracle (skip with SKIP_BENCH=1)'
