@@ -599,7 +599,7 @@ func (env *runEnv) feed(op func([]item)) error {
 		if env.opts.Ordered {
 			send = env.inOrder(send, stop, &orderErr)
 		}
-		err := env.src(ctx, &scanner{rb: env.rb, feeder: stream.NewFeeder[stream.Tuple](env.wm), send: send})
+		err := env.src(ctx, &scanner{ctx: ctx, rb: env.rb, feeder: stream.NewFeeder[stream.Tuple](env.wm), send: send})
 		if orderErr != nil {
 			return orderErr
 		}

@@ -349,6 +349,38 @@ func TestCancelDrainsAndWritesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCancelEndsWatermarkGap: one timestamp far ahead of the stream makes a
+// watermark due for every period up to it, ~10^11 of them. Canceled while the
+// scanner walks that gap, a run still returns at once, exits 0, and prints
+// the first tuple's window; the tuple that opened the gap is not processed.
+func TestCancelEndsWatermarkGap(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		row  string
+	}{
+		{[]string{"-window", "session", "-gap", "1000"}, "[0, 1000)\t n=1\t 1\n"},
+		{[]string{"-window", "tumbling", "-length", "5000"}, "[0, 5000)\t n=1\t 1\n"},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var out, errOut syncBuffer
+		done := make(chan int, 1)
+		go func() { done <- run(ctx, tc.args, strings.NewReader("0,1\n90000000000000,3\n"), &out, &errOut) }()
+		time.Sleep(100 * time.Millisecond)
+		cancel()
+		select {
+		case code := <-done:
+			if code != 0 {
+				t.Fatalf("%v: canceled run exited %d: %s", tc.args, code, errOut.String())
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%v: run still walking the gap 1 s after cancel", tc.args)
+		}
+		if out.String() != tc.row {
+			t.Fatalf("%v: stdout %q, want %q", tc.args, out.String(), tc.row)
+		}
+	}
+}
+
 // TestCheckpointRestoreResumesRun pins the restart contract on the one
 // final.sck path, for each operator behind it: a run canceled mid-stream (the
 // SIGINT path) seals its state, a second run over the same checkpoint dir

@@ -29,6 +29,7 @@ type source func(ctx context.Context, sc *scanner) error
 // of input it was handed, so a batch is never held back waiting for more.
 // send may keep a batch only until it returns.
 type scanner struct {
+	ctx    context.Context
 	rb     *rebaser
 	feeder *stream.Feeder[stream.Tuple]
 	send   func([]item)
@@ -67,9 +68,22 @@ func (sc *scanner) push(e event) {
 
 // watermarks appends the watermarks that are due, each cut behind.
 //
+// One event far ahead of the stream makes a watermark due for every period up
+// to it, so cancellation is checked per watermark: once ctx is done, what came
+// before is sent and nothing after it is — the event that opened the gap
+// included — so the drain covers only what was processed. The schedule is not
+// jumped ahead in one step: the operator triggers query-major within one
+// watermark interval, and one watermark spanning several periods would reorder
+// a multi-query run's rows.
+//
 //slicelint:coldpath runs once per watermark period of event time, not per tuple
 func (sc *scanner) watermarks() {
 	for wm, ok := sc.feeder.Due(); ok; wm, ok = sc.feeder.Due() {
+		if sc.ctx.Err() != nil {
+			sc.flush()
+			sc.send = func([]item) {}
+			return
+		}
 		sc.items = append(sc.items, stream.WatermarkItem[stream.Tuple](wm))
 		sc.flush()
 	}

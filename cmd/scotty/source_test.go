@@ -80,7 +80,7 @@ func checkAgainstOracle(t *testing.T, input []byte, chunk int) {
 	var stderr strings.Builder
 	src := csvSource(&chunkReader{r: bytes.NewReader(input), n: chunk}, &stderr,
 		obs.NewRegistry().Counter("scotty_lines_malformed_total"))
-	sc := &scanner{rb: &rebaser{step: 1000, margin: 4001}, feeder: stream.NewFeeder[stream.Tuple](wm),
+	sc := &scanner{ctx: context.Background(), rb: &rebaser{step: 1000, margin: 4001}, feeder: stream.NewFeeder[stream.Tuple](wm),
 		send: func(batch []item) { got = append(got, batch...) }}
 	gotErr := src(context.Background(), sc)
 

@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -16,19 +15,6 @@ import (
 // benchmark harness.
 
 func ident(v float64) float64 { return v }
-
-type key struct {
-	query      int
-	start, end int64
-}
-
-func approx(a, b float64) bool {
-	if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
-		return true
-	}
-	d := math.Abs(a - b)
-	return d <= 1e-6 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
 
 func genEvents(rng *rand.Rand, n int) []stream.Event[float64] {
 	ev := make([]stream.Event[float64], 0, n)
@@ -47,41 +33,37 @@ func genEvents(rng *rand.Rand, n int) []stream.Event[float64] {
 	return ev
 }
 
-func drive(op Operator[float64, float64], items []stream.Item[float64]) map[key]Result[float64] {
-	finals := map[key]Result[float64]{}
-	collect := func(rs []Result[float64]) {
-		for _, r := range rs {
-			finals[key{r.Query, r.Start, r.End}] = r
-		}
-	}
+// emitted feeds items through op, one call per item, and returns every row
+// it emitted, in order.
+func emitted(op Operator[float64, float64], items []stream.Item[float64]) []reference.Row {
+	var rows []reference.Row
 	for _, it := range items {
+		var rs []Result[float64]
 		if it.Kind == stream.KindEvent {
-			collect(op.ProcessElement(it.Event))
+			rs = op.ProcessElement(it.Event)
 		} else {
-			collect(op.ProcessWatermark(it.Watermark))
+			rs = op.ProcessWatermark(it.Watermark)
+		}
+		for _, r := range rs {
+			rows = append(rows, reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update})
 		}
 	}
-	return finals
+	return rows
 }
 
-func check(t *testing.T, label string, finals map[key]Result[float64], qid int, want []reference.Final[float64]) {
+// checkQuery holds query qid's rows against the oracle's windows of q over
+// ev (reference.Check; techniques may skip empty windows, as buckets do).
+func checkQuery(t *testing.T, label string, rows []reference.Row, qid int, q reference.Query[float64], ev []stream.Event[float64]) {
 	t.Helper()
-	for _, w := range want {
-		got, ok := finals[key{qid, w.Start, w.End}]
-		if !ok {
-			// Techniques may skip empty windows (buckets materialize
-			// windows only when a tuple arrives, as Flink does).
-			if w.N != 0 {
-				t.Errorf("%s: missing window [%d,%d) want %v", label, w.Start, w.End, w.Value)
-			}
-			continue
+	var mine []reference.Row
+	for _, r := range rows {
+		if r.Query == qid {
+			mine = append(mine, r)
 		}
-		if !approx(got.Value, w.Value) {
-			t.Errorf("%s window [%d,%d): got %v want %v", label, w.Start, w.End, got.Value, w.Value)
-		}
-		if got.N != w.N {
-			t.Errorf("%s window [%d,%d): got N=%d want %d", label, w.Start, w.End, got.N, w.N)
-		}
+	}
+	want := reference.Want{Rows: reference.Windows(aggregate.Sum[float64](ident), q, qid, nil, ev, stream.MaxTime), Final: stream.MaxTime}
+	if v := reference.Check(mine, want); v.Failed() > 0 {
+		t.Errorf("%s: query %d: %v", label, qid, v)
 	}
 }
 
@@ -115,10 +97,9 @@ func goldenBaseline(t *testing.T, label string, mk func() Operator[float64, floa
 		wmPeriod = 0
 	}
 	items := stream.Prepare(stream.Watermarker{Period: wmPeriod, Lag: d.MaxDelay + 1}, stream.Apply(d, ev))
-	f := aggregate.Sum[float64](ident)
-	finals := drive(op, items)
+	rows := emitted(op, items)
 	for id, rq := range ids {
-		check(t, label, finals, id, reference.Finals(f, rq, ev, stream.MaxTime))
+		checkQuery(t, label, rows, id, rq, ev)
 	}
 }
 
@@ -182,7 +163,7 @@ func TestCountWindowsAcrossBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	ev := genEvents(rng, 1500)
 	f := aggregate.Sum[float64](ident)
-	want := reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 60, Slide: 25}, ev, stream.MaxTime)
+	want := reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 60, Slide: 25}
 
 	cases := []struct {
 		label string
@@ -204,8 +185,7 @@ func TestCountWindowsAcrossBaselines(t *testing.T) {
 				wmPeriod = 0
 			}
 			items := stream.Prepare(stream.Watermarker{Period: wmPeriod, Lag: c.d.MaxDelay + 1}, stream.Apply(c.d, ev))
-			finals := drive(op, items)
-			check(t, c.label, finals, qid, want)
+			checkQuery(t, c.label, emitted(op, items), qid, want, ev)
 		})
 	}
 }

@@ -148,7 +148,9 @@ func (p *Pairs[V, A, Out]) emit(q *query[V], s, e int64) {
 		if sl.start >= e {
 			break
 		}
-		end := int64(stream.MaxTime)
+		// The open slice holds tuples up to the newest seen; a window a
+		// watermark triggers past it must not take them in.
+		end := p.view.maxSeen + 1
 		if i+1 < len(p.slices) {
 			end = p.slices[i+1].start
 		}

@@ -1,8 +1,13 @@
-// Package benchutil is the benchmark harness shared by the repository's
-// testing.B benchmarks and the cmd/benchmark experiment driver. It provides a
-// uniform operator abstraction over general stream slicing and every baseline
-// technique, the paper's workload generators (§6.1-§6.3), throughput and
-// latency runners, and table/CSV output.
+// Package benchutil is the benchmark and test harness shared by the
+// repository's testing.B benchmarks, the cmd/benchmark experiment driver and
+// every differential test. It provides one operator factory over general
+// stream slicing, the fleet, the keyed operator and every baseline technique
+// — build's switch is the only code that turns a Technique into an operator —
+// with three faces: Op and BatchOp time a run (per tuple or per batch), and
+// Rows returns what the operator emitted as internal/reference rows, for
+// reference.Check and the differential harness (docs/ROBUSTNESS.md, "The
+// differential harness"). It also holds the paper's workload generators
+// (§6.1-§6.3), throughput and latency runners, and table/CSV output.
 package benchutil
 
 import (
@@ -14,6 +19,8 @@ import (
 	"scotty/internal/core"
 	"scotty/internal/fleet"
 	"scotty/internal/obs"
+	"scotty/internal/reference"
+	"scotty/internal/spill"
 	"scotty/internal/stream"
 	"scotty/internal/window"
 )
@@ -38,6 +45,15 @@ const (
 	// while the sharing layer changes the workload's physical shape — it gets
 	// its own figure (benchmark -fig fleet).
 	FleetSlicing Technique = "fleet-slicing"
+
+	// Keyed runs core.Keyed over the lazy core, keyed by stream.Tuple's Key.
+	// KeyedTTL adds idle-key expiry after Workload.IdleTTL of event time, and
+	// KeyedSpill bounds resident state to Workload.SpillBudget bytes, cold
+	// keys spilled to Workload.SpillDir. Like the fleet they are absent from
+	// AllTechniques.
+	Keyed      Technique = "keyed"
+	KeyedTTL   Technique = "keyed-ttl"
+	KeyedSpill Technique = "keyed-spill"
 )
 
 // AllTechniques lists every technique for sweep experiments.
@@ -51,66 +67,172 @@ var AllTechniques = []Technique{
 // the lazy fold, so benchmarking it there would mislead.
 func (t Technique) InOrderOnly() bool { return t == Pairs || t == Cutty || t == DABASlicing }
 
-// Op drives one operator instance uniformly: feed an item, learn how many
-// results it emitted.
-type Op func(it stream.Item[stream.Tuple]) int
-
 // Workload describes an experiment's stream-independent configuration.
 type Workload struct {
 	Ordered  bool
 	Lateness int64
 	Defs     func() []window.Definition // fresh definitions per operator
+
+	// FleetStore is the store under FleetSlicing's core (the slicing
+	// techniques name theirs).
+	FleetStore core.StoreKind
+	// IdleTTL is KeyedTTL's idle-key expiry, in event time.
+	IdleTTL int64
+	// SpillBudget, SpillDir and SpillMetrics configure KeyedSpill: the
+	// resident byte budget, the directory cold keys go to, and the registry
+	// its counters aggregate into (nil: a private one).
+	SpillBudget  int64
+	SpillDir     string
+	SpillMetrics *obs.Registry
 }
 
-// NewOp builds an operator of the given technique for the workload, using
-// the aggregation function f. An unknown technique is a caller error and is
-// reported as one, not a panic: cmd/benchmark takes technique names from the
-// command line.
-func NewOp[A, Out any](t Technique, f aggregate.Function[stream.Tuple, A, Out], w Workload) (Op, error) {
-	defs := w.Defs()
-	switch t {
-	case LazySlicing, EagerSlicing, DABASlicing:
-		ag := core.New(f, core.Options{Ordered: w.Ordered, Lateness: w.Lateness, Store: storeKind(t)})
-		for _, d := range defs {
-			ag.MustAddQuery(d)
+// operator is what build returns: exactly one field is set.
+type operator[A, Out any] struct {
+	ag   *core.Aggregator[stream.Tuple, A, Out]
+	fl   *fleet.Fleet[stream.Tuple, A, Out]
+	kd   *core.Keyed[int32, stream.Tuple, A, Out]
+	base baselines.Operator[stream.Tuple, Out]
+}
+
+// build is the operator factory: the one place a Technique becomes an
+// operator, registering the workload's queries on it. A technique that
+// rejects the workload by rule — mixed measures on an unordered stream, a
+// window type a baseline does not support — is an error, and so is an
+// unknown technique: cmd/benchmark takes technique names from the command
+// line.
+func build[A, Out any](t Technique, f aggregate.Function[stream.Tuple, A, Out], w Workload) (op operator[A, Out], err error) {
+	newAg := func(store core.StoreKind) (*core.Aggregator[stream.Tuple, A, Out], error) {
+		ag := core.New(f, core.Options{Ordered: w.Ordered, Lateness: w.Lateness, Store: store})
+		for _, d := range w.Defs() {
+			if _, err := ag.AddQuery(d); err != nil {
+				return nil, err
+			}
 		}
+		return ag, nil
+	}
+	switch t {
+	case LazySlicing:
+		op.ag, err = newAg(core.StoreLazy)
+	case EagerSlicing:
+		op.ag, err = newAg(core.StoreEager)
+	case DABASlicing:
+		op.ag, err = newAg(core.StoreDABA)
+	case FleetSlicing:
+		op.fl = fleet.New(f, fleet.Options{Options: core.Options{Ordered: w.Ordered, Lateness: w.Lateness, Store: w.FleetStore}})
+		for _, d := range w.Defs() {
+			if _, err = op.fl.AddQuery(d); err != nil {
+				break
+			}
+		}
+	case Keyed, KeyedTTL, KeyedSpill:
+		op.kd, err = buildKeyed(t, newAg, w)
+	case Pairs:
+		op.base, err = addQueries(baselines.NewPairs(f), w)
+	case Cutty:
+		op.base, err = addQueries(baselines.NewCutty(f), w)
+	case Buckets:
+		op.base, err = addQueries(baselines.NewBuckets(f, false, w.Ordered, w.Lateness), w)
+	case TupleBuckets:
+		op.base, err = addQueries(baselines.NewBuckets(f, true, w.Ordered, w.Lateness), w)
+	case TupleBuffer:
+		op.base, err = addQueries(baselines.NewTupleBuffer(f, w.Ordered, w.Lateness), w)
+	case AggTree:
+		op.base, err = addQueries(baselines.NewAggTree(f, w.Ordered, w.Lateness), w)
+	default:
+		err = fmt.Errorf("benchutil: unknown technique %q", t)
+	}
+	return op, err
+}
+
+// buildKeyed builds the keyed techniques. One operator is built first to
+// validate the workload: core.NewKeyed builds every key's operator itself and
+// has no way to report a query set the core rejects.
+func buildKeyed[A, Out any](t Technique, newAg func(core.StoreKind) (*core.Aggregator[stream.Tuple, A, Out], error), w Workload) (*core.Keyed[int32, stream.Tuple, A, Out], error) {
+	if _, err := newAg(core.StoreLazy); err != nil {
+		return nil, err
+	}
+	var ttl int64
+	if t == KeyedTTL {
+		ttl = w.IdleTTL
+	}
+	k := core.NewKeyed(func(v stream.Tuple) int32 { return v.Key }, ttl, func() *core.Aggregator[stream.Tuple, A, Out] {
+		ag, _ := newAg(core.StoreLazy) // the same workload was accepted above; the core's rules read nothing else
+		return ag
+	})
+	if t == KeyedSpill {
+		if w.SpillDir == "" {
+			return nil, fmt.Errorf("benchutil: %s needs a spill directory", t)
+		}
+		st, err := spill.Open(w.SpillDir)
+		if err != nil {
+			return nil, err
+		}
+		if err := k.EnableSpill(core.SpillConfig{Budget: w.SpillBudget, Store: st, Metrics: w.SpillMetrics}); err != nil {
+			return nil, err
+		}
+	}
+	return k, nil
+}
+
+// addQueries registers the workload's queries on a baseline. A baseline
+// rejects a window type it does not support by panicking in AddQuery; that
+// is returned as an error here, like the core's rejections.
+func addQueries[Out any](op baselines.Operator[stream.Tuple, Out], w Workload) (_ baselines.Operator[stream.Tuple, Out], err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	for _, d := range w.Defs() {
+		op.AddQuery(d)
+	}
+	return op, nil
+}
+
+// Op drives one operator instance uniformly: feed an item, learn how many
+// results it emitted.
+type Op func(it stream.Item[stream.Tuple]) int
+
+// NewOp builds an operator of the given technique for the workload, using
+// the aggregation function f, driven one ProcessElement or ProcessWatermark
+// call per item.
+func NewOp[A, Out any](t Technique, f aggregate.Function[stream.Tuple, A, Out], w Workload) (Op, error) {
+	op, err := build(t, f, w)
+	switch {
+	case err != nil:
+		return nil, err
+	case op.ag != nil:
+		ag := op.ag
 		return func(it stream.Item[stream.Tuple]) int {
 			if it.Kind == stream.KindEvent {
 				return len(ag.ProcessElement(it.Event))
 			}
 			return len(ag.ProcessWatermark(it.Watermark))
 		}, nil
-	case FleetSlicing:
-		fl := fleet.New(f, fleet.Options{Options: core.Options{Ordered: w.Ordered, Lateness: w.Lateness}})
-		for _, d := range defs {
-			fl.MustAddQuery(d)
-		}
+	case op.fl != nil:
+		fl := op.fl
 		return func(it stream.Item[stream.Tuple]) int {
 			if it.Kind == stream.KindEvent {
 				return len(fl.ProcessElement(it.Event))
 			}
 			return len(fl.ProcessWatermark(it.Watermark))
 		}, nil
-	case Pairs:
-		op := baselines.NewPairs(f)
-		return feedBaseline(op, defs), nil
-	case Cutty:
-		op := baselines.NewCutty(f)
-		return feedBaseline(op, defs), nil
-	case Buckets:
-		op := baselines.NewBuckets(f, false, w.Ordered, w.Lateness)
-		return feedBaseline(op, defs), nil
-	case TupleBuckets:
-		op := baselines.NewBuckets(f, true, w.Ordered, w.Lateness)
-		return feedBaseline(op, defs), nil
-	case TupleBuffer:
-		op := baselines.NewTupleBuffer(f, w.Ordered, w.Lateness)
-		return feedBaseline(op, defs), nil
-	case AggTree:
-		op := baselines.NewAggTree(f, w.Ordered, w.Lateness)
-		return feedBaseline(op, defs), nil
+	case op.kd != nil:
+		kd := op.kd
+		return func(it stream.Item[stream.Tuple]) int {
+			if it.Kind == stream.KindEvent {
+				return len(kd.ProcessElement(it.Event))
+			}
+			return len(kd.ProcessWatermark(it.Watermark))
+		}, nil
 	default:
-		return nil, fmt.Errorf("benchutil: unknown technique %q", t)
+		base := op.base
+		return func(it stream.Item[stream.Tuple]) int {
+			if it.Kind == stream.KindEvent {
+				return len(base.ProcessElement(it.Event))
+			}
+			return len(base.ProcessWatermark(it.Watermark))
+		}, nil
 	}
 }
 
@@ -119,64 +241,149 @@ func NewOp[A, Out any](t Technique, f aggregate.Function[stream.Tuple, A, Out], 
 type BatchOp func(items []stream.Item[stream.Tuple]) int
 
 // NewBatchOp builds a batch-driven operator of the given technique. The
-// slicing techniques route through core's ProcessBatch run fast path; the
+// slicing techniques route through their ProcessBatch run fast path; the
 // baselines loop per item behind the same signature (their per-tuple work is
 // the cost the batch path exists to amortize away).
 func NewBatchOp[A, Out any](t Technique, f aggregate.Function[stream.Tuple, A, Out], w Workload) (BatchOp, error) {
-	switch t {
-	case LazySlicing, EagerSlicing, DABASlicing:
-		ag := core.New(f, core.Options{Ordered: w.Ordered, Lateness: w.Lateness, Store: storeKind(t)})
-		for _, d := range w.Defs() {
-			ag.MustAddQuery(d)
-		}
-		return func(items []stream.Item[stream.Tuple]) int {
-			return len(ag.ProcessBatch(items))
-		}, nil
-	case FleetSlicing:
-		fl := fleet.New(f, fleet.Options{Options: core.Options{Ordered: w.Ordered, Lateness: w.Lateness}})
-		for _, d := range w.Defs() {
-			fl.MustAddQuery(d)
-		}
-		return func(items []stream.Item[stream.Tuple]) int {
-			return len(fl.ProcessBatch(items))
-		}, nil
+	op, err := build(t, f, w)
+	switch {
+	case err != nil:
+		return nil, err
+	case op.ag != nil:
+		return func(items []stream.Item[stream.Tuple]) int { return len(op.ag.ProcessBatch(items)) }, nil
+	case op.fl != nil:
+		return func(items []stream.Item[stream.Tuple]) int { return len(op.fl.ProcessBatch(items)) }, nil
+	case op.kd != nil:
+		return func(items []stream.Item[stream.Tuple]) int { return len(op.kd.ProcessBatch(items)) }, nil
 	default:
-		op, err := NewOp(t, f, w)
-		if err != nil {
-			return nil, err
-		}
 		return func(items []stream.Item[stream.Tuple]) int {
 			n := 0
 			for _, it := range items {
-				n += op(it)
+				if it.Kind == stream.KindEvent {
+					n += len(op.base.ProcessElement(it.Event))
+				} else {
+					n += len(op.base.ProcessWatermark(it.Watermark))
+				}
 			}
 			return n
 		}, nil
 	}
 }
 
-// storeKind maps a slicing technique to its core store selection.
-func storeKind(t Technique) core.StoreKind {
-	switch t {
-	case EagerSlicing:
-		return core.StoreEager
-	case DABASlicing:
-		return core.StoreDABA
+// Rows is an operator built for a differential harness. Element feeds one
+// item through ProcessElement or ProcessWatermark, Batch a run of items
+// through ProcessBatch (per item for the baselines); both return the rows
+// emitted, in emission order. Snapshot and Restore are nil where the
+// technique has no snapshots, AddQuery and RemoveQuery where it cannot change
+// its query set mid-stream. Op is the operator itself, for assertions on its
+// statistics or plan.
+type Rows struct {
+	Element     func(it stream.Item[stream.Tuple]) []reference.Row
+	Batch       func(items []stream.Item[stream.Tuple]) []reference.Row
+	Snapshot    func() ([]byte, error)
+	Restore     func(data []byte) error
+	AddQuery    func(def window.Definition) (int, error)
+	RemoveQuery func(id int)
+	Op          any
+}
+
+// NewRows builds an operator of the given technique for the workload, with
+// the aggregation function f, behind Rows.
+func NewRows[A any](t Technique, f aggregate.Function[stream.Tuple, A, float64], w Workload) (*Rows, error) {
+	op, err := build(t, f, w)
+	switch {
+	case err != nil:
+		return nil, err
+	case op.ag != nil:
+		ag := op.ag
+		return &Rows{
+			Element: func(it stream.Item[stream.Tuple]) []reference.Row {
+				if it.Kind == stream.KindEvent {
+					return coreRows(ag.ProcessElement(it.Event))
+				}
+				return coreRows(ag.ProcessWatermark(it.Watermark))
+			},
+			Batch:       func(items []stream.Item[stream.Tuple]) []reference.Row { return coreRows(ag.ProcessBatch(items)) },
+			Snapshot:    ag.Snapshot,
+			Restore:     ag.Restore,
+			AddQuery:    ag.AddQuery,
+			RemoveQuery: ag.RemoveQuery,
+			Op:          ag,
+		}, nil
+	case op.fl != nil:
+		fl := op.fl
+		return &Rows{
+			Element: func(it stream.Item[stream.Tuple]) []reference.Row {
+				if it.Kind == stream.KindEvent {
+					return coreRows(fl.ProcessElement(it.Event))
+				}
+				return coreRows(fl.ProcessWatermark(it.Watermark))
+			},
+			Batch:       func(items []stream.Item[stream.Tuple]) []reference.Row { return coreRows(fl.ProcessBatch(items)) },
+			Snapshot:    fl.Snapshot,
+			Restore:     fl.Restore,
+			AddQuery:    fl.AddQuery,
+			RemoveQuery: fl.RemoveQuery,
+			Op:          fl,
+		}, nil
+	case op.kd != nil:
+		kd := op.kd
+		return &Rows{
+			Element: func(it stream.Item[stream.Tuple]) []reference.Row {
+				if it.Kind == stream.KindEvent {
+					return keyedRows(kd.ProcessElement(it.Event))
+				}
+				return keyedRows(kd.ProcessWatermark(it.Watermark))
+			},
+			Batch:    func(items []stream.Item[stream.Tuple]) []reference.Row { return keyedRows(kd.ProcessBatch(items)) },
+			Snapshot: kd.Snapshot,
+			Restore:  kd.Restore,
+			Op:       kd,
+		}, nil
 	default:
-		return core.StoreLazy
+		base := op.base
+		element := func(it stream.Item[stream.Tuple]) []reference.Row {
+			if it.Kind == stream.KindEvent {
+				return baselineRows(base.ProcessElement(it.Event))
+			}
+			return baselineRows(base.ProcessWatermark(it.Watermark))
+		}
+		return &Rows{
+			Element: element,
+			Batch: func(items []stream.Item[stream.Tuple]) []reference.Row {
+				var rows []reference.Row
+				for _, it := range items {
+					rows = append(rows, element(it)...)
+				}
+				return rows
+			},
+			Op: base,
+		}, nil
 	}
 }
 
-func feedBaseline[Out any](op baselines.Operator[stream.Tuple, Out], defs []window.Definition) Op {
-	for _, d := range defs {
-		op.AddQuery(d)
+func coreRows(rs []core.Result[float64]) []reference.Row {
+	rows := make([]reference.Row, len(rs))
+	for i, r := range rs {
+		rows[i] = reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
 	}
-	return func(it stream.Item[stream.Tuple]) int {
-		if it.Kind == stream.KindEvent {
-			return len(op.ProcessElement(it.Event))
-		}
-		return len(op.ProcessWatermark(it.Watermark))
+	return rows
+}
+
+func keyedRows(rs []core.KeyedResult[int32, float64]) []reference.Row {
+	rows := make([]reference.Row, len(rs))
+	for i, r := range rs {
+		rows[i] = reference.Row{Key: int64(r.Key), Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
 	}
+	return rows
+}
+
+func baselineRows(rs []baselines.Result[float64]) []reference.Row {
+	rows := make([]reference.Row, len(rs))
+	for i, r := range rs {
+		rows[i] = reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
+	}
+	return rows
 }
 
 // SumFn is the default aggregation of §6.2/§6.3: sum over the value column.

@@ -22,42 +22,23 @@ import (
 	"time"
 
 	"scotty/internal/aggregate"
-	"scotty/internal/baselines"
 	"scotty/internal/benchutil"
 	"scotty/internal/checkpoint"
-	"scotty/internal/core"
 	"scotty/internal/engine"
 	"scotty/internal/fleet"
 	"scotty/internal/obs"
-	"scotty/internal/spill"
+	"scotty/internal/reference"
 	"scotty/internal/stream"
 	"scotty/internal/window"
 )
 
-// Keyed names the per-key operator (core.Keyed) as an additional technique
-// beyond benchutil.AllTechniques.
-const Keyed = benchutil.Technique("keyed")
-
-// KeyedTTL is the keyed operator with idle-key expiry: the Machine profile's
-// global 1500ms gaps leave keys idle for up to ~370ms of watermark time (the
-// 1001ms watermark lag swallows most of the gap), enough for several keys per
-// run to be drained, deleted, and later re-materialized seeded at the current
-// watermark. Recovery must reproduce the expiry drains and the re-creations
-// exactly.
-const KeyedTTL = benchutil.Technique("keyed-ttl")
-
-// KeyedSpill is the keyed operator under a deliberately tiny memory budget:
-// every watermark spills most keys cold and the next tuples re-hydrate them,
-// so crashes land between spill bursts and re-loads. Recovery restores from
-// self-contained snapshots (cold blobs are inlined) and clears the stale
-// spill directory — the results must not show any of it.
-const KeyedSpill = benchutil.Technique("keyed-spill")
-
-// keyedTTL and keyedLateness configure the keyed-ttl workload. Expiry fires
-// when wm - lastSeen > ttl + lateness, and the largest idle span the Machine
+// keyedTTL and keyedLateness configure keyed-ttl. Expiry fires when
+// wm - lastSeen > ttl + lateness, and the largest idle span the Machine
 // stream exposes is ~370ms (post-gap watermark jumps), so the sum must stay
-// under that. The lateness can shrink safely: the watermark lag (1001ms)
-// exceeds the disorder's max delay, so nothing is ever dropped as late.
+// under that: enough for several keys per run to be drained, deleted, and
+// later re-materialized seeded at the current watermark. The lateness can
+// shrink safely: the watermark lag (1001ms) exceeds the disorder's max delay,
+// so nothing is ever dropped as late.
 const (
 	keyedTTL      = int64(100)
 	keyedLateness = int64(100)
@@ -73,7 +54,7 @@ const keyedSpillBudget = int64(8 << 10)
 // factor-window sharing layer.
 func Techniques() []benchutil.Technique {
 	return append(append([]benchutil.Technique{}, benchutil.AllTechniques...),
-		Keyed, KeyedTTL, KeyedSpill, benchutil.FleetSlicing)
+		benchutil.Keyed, benchutil.KeyedTTL, benchutil.KeyedSpill, benchutil.FleetSlicing)
 }
 
 // ------------------------------------------------------------- schedule ----
@@ -153,235 +134,88 @@ func (c *crashState) shouldPanic(part int, seen int64) bool {
 // partition. Within a partition emission order is deterministic; across
 // partitions it is not, which is why the log never interleaves them.
 type Log struct {
-	mu    sync.Mutex
-	lines [][]string
+	mu   sync.Mutex
+	rows [][]reference.Row
 }
 
 // NewLog creates a log for par partitions.
-func NewLog(par int) *Log { return &Log{lines: make([][]string, par)} }
+func NewLog(par int) *Log { return &Log{rows: make([][]reference.Row, par)} }
 
-func (l *Log) append(part int, line string) {
+func (l *Log) append(part int, r reference.Row) {
 	l.mu.Lock()
-	l.lines[part] = append(l.lines[part], line)
+	l.rows[part] = append(l.rows[part], r)
 	l.mu.Unlock()
 }
 
-// Partition returns one partition's result lines in emission order.
-func (l *Log) Partition(p int) []string {
+// Partition returns one partition's result rows in emission order.
+func (l *Log) Partition(p int) []reference.Row {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]string(nil), l.lines[p]...)
+	return append([]reference.Row(nil), l.rows[p]...)
 }
 
 // Partitions returns the number of partitions the log covers.
-func (l *Log) Partitions() int { return len(l.lines) }
+func (l *Log) Partitions() int { return len(l.rows) }
 
 // ------------------------------------------------------------ operators ----
 
-// operator adapts one windowing technique: feed an item, get the formatted
-// result lines it emitted.
-type operator interface {
-	feed(it stream.Item[stream.Tuple]) []string
-}
+// sum is every chaos workload's aggregation.
+var sum = aggregate.Sum(stream.Val)
 
-// snapOperator additionally exposes the technique's snapshot support.
-type snapOperator interface {
-	operator
-	snapshot() ([]byte, error)
-	restore(data []byte) error
-}
-
-func formatResult(q int, start, end int64, value float64, n int64, update bool) string {
-	return fmt.Sprintf("q%d [%d,%d) n=%d v=%.9g u=%t", q, start, end, n, value, update)
-}
-
-// sliceOp wraps the slicing core (any store kind); it is snapshottable.
-type sliceOp struct {
-	ag *core.Aggregator[stream.Tuple, float64, float64]
-}
-
-func (o *sliceOp) feed(it stream.Item[stream.Tuple]) []string {
-	var rs []core.Result[float64]
-	if it.Kind == stream.KindEvent {
-		rs = o.ag.ProcessElement(it.Event)
-	} else {
-		rs = o.ag.ProcessWatermark(it.Watermark)
+// workload is the shared workload per technique: sum over five tumbling
+// queries, 4 s lateness where the technique tolerates disorder. The fleet
+// gets correlated sliding queries plus an exact duplicate, so recovery must
+// reconstruct pane rings, factored trigger cursors and the logical fan-out,
+// not just core slices. spillDir and reg are used only by keyed-spill (the
+// partition's blob directory and the run-wide registry its counters
+// aggregate into).
+func workload(t benchutil.Technique, spillDir string, reg *obs.Registry) benchutil.Workload {
+	w := benchutil.Workload{
+		Ordered:  t.InOrderOnly(),
+		Lateness: 4000,
+		// Fresh definitions on every call: window definitions carry
+		// trigger-cursor state, so per-key operators sharing one defs slice
+		// would hand each window's single trigger to whichever key
+		// processes it first (see core.NewKeyed).
+		Defs:         func() []window.Definition { return benchutil.TumblingQueries(5) },
+		IdleTTL:      keyedTTL,
+		SpillBudget:  keyedSpillBudget,
+		SpillDir:     spillDir,
+		SpillMetrics: reg,
 	}
-	lines := make([]string, len(rs))
-	for i, r := range rs {
-		lines[i] = formatResult(r.Query, r.Start, r.End, r.Value, r.N, r.Update)
-	}
-	return lines
-}
-
-func (o *sliceOp) snapshot() ([]byte, error) { return o.ag.Snapshot() }
-func (o *sliceOp) restore(data []byte) error { return o.ag.Restore(data) }
-
-// keyedOp wraps the per-key operator; it is snapshottable.
-type keyedOp struct {
-	op *core.Keyed[int32, stream.Tuple, float64, float64]
-}
-
-func (o *keyedOp) feed(it stream.Item[stream.Tuple]) []string {
-	var rs []core.KeyedResult[int32, float64]
-	if it.Kind == stream.KindEvent {
-		rs = o.op.ProcessElement(it.Event)
-	} else {
-		rs = o.op.ProcessWatermark(it.Watermark)
-	}
-	lines := make([]string, len(rs))
-	for i, r := range rs {
-		lines[i] = fmt.Sprintf("k%d %s", r.Key, formatResult(r.Query, r.Start, r.End, r.Value, r.N, r.Update))
-	}
-	return lines
-}
-
-func (o *keyedOp) snapshot() ([]byte, error) { return o.op.Snapshot() }
-func (o *keyedOp) restore(data []byte) error { return o.op.Restore(data) }
-
-// fleetOp wraps the factor-window sharing layer; it is snapshottable, and its
-// workload is built to actually factor (correlated sliding queries plus an
-// exact duplicate), so recovery must reconstruct pane rings, factored trigger
-// cursors, and the logical fan-out — not just core slices.
-type fleetOp struct {
-	fl *fleet.Fleet[stream.Tuple, float64, float64]
-}
-
-func (o *fleetOp) feed(it stream.Item[stream.Tuple]) []string {
-	var rs []core.Result[float64]
-	if it.Kind == stream.KindEvent {
-		rs = o.fl.ProcessElement(it.Event)
-	} else {
-		rs = o.fl.ProcessWatermark(it.Watermark)
-	}
-	lines := make([]string, len(rs))
-	for i, r := range rs {
-		lines[i] = formatResult(r.Query, r.Start, r.End, r.Value, r.N, r.Update)
-	}
-	return lines
-}
-
-func (o *fleetOp) snapshot() ([]byte, error) { return o.fl.Snapshot() }
-func (o *fleetOp) restore(data []byte) error { return o.fl.Restore(data) }
-
-// baseOp wraps a baseline technique; baselines carry no snapshot support, so
-// the engine recovers them by replaying from the stream origin.
-type baseOp struct {
-	op baselines.Operator[stream.Tuple, float64]
-}
-
-func (o *baseOp) feed(it stream.Item[stream.Tuple]) []string {
-	var rs []baselines.Result[float64]
-	if it.Kind == stream.KindEvent {
-		rs = o.op.ProcessElement(it.Event)
-	} else {
-		rs = o.op.ProcessWatermark(it.Watermark)
-	}
-	lines := make([]string, len(rs))
-	for i, r := range rs {
-		lines[i] = formatResult(r.Query, r.Start, r.End, r.Value, r.N, r.Update)
-	}
-	return lines
-}
-
-// buildOperator constructs the operator for one technique over the shared
-// workload: sum aggregation, five tumbling queries, 4s lateness for the
-// techniques that tolerate disorder. spillDir and reg are used only by
-// KeyedSpill (the partition's blob directory and the run-wide metrics
-// registry its counters aggregate into).
-func buildOperator(t benchutil.Technique, spillDir string, reg *obs.Registry) (operator, error) {
-	f := aggregate.Sum(stream.Val)
-	defs := benchutil.TumblingQueries(5)
-	ordered := t.InOrderOnly()
-	lateness := int64(4000)
-	if ordered {
-		lateness = 0
-	}
-	if t == KeyedTTL {
+	switch {
+	case w.Ordered:
+		w.Lateness = 0
+	case t == benchutil.KeyedTTL:
 		// The watermark lag (1001ms) already exceeds the disorder's max
 		// delay, so shrinking the lateness drops nothing — it only lets
 		// idle expiry observe the post-gap watermark jump.
-		lateness = keyedLateness
-	}
-	newAg := func(kind core.StoreKind) *core.Aggregator[stream.Tuple, float64, float64] {
-		ag := core.New(f, core.Options{Ordered: ordered, Lateness: lateness, Store: kind})
-		// Fresh definitions on every call: window definitions carry
-		// trigger-cursor state, so per-key operators sharing one defs
-		// slice would hand each window's single trigger to whichever key
-		// processes it first, silently starving every other key (see
-		// core.NewKeyed). The single-operator techniques below call this
-		// once, so they are unaffected either way.
-		for _, d := range benchutil.TumblingQueries(5) {
-			ag.MustAddQuery(d)
-		}
-		return ag
-	}
-	switch t {
-	case benchutil.LazySlicing:
-		return &sliceOp{ag: newAg(core.StoreLazy)}, nil
-	case benchutil.EagerSlicing:
-		return &sliceOp{ag: newAg(core.StoreEager)}, nil
-	case benchutil.DABASlicing:
-		return &sliceOp{ag: newAg(core.StoreDABA)}, nil
-	case benchutil.FleetSlicing:
-		fl := fleet.New(f, fleet.Options{Options: core.Options{Lateness: lateness}})
-		for _, d := range []window.Definition{
-			window.Sliding(stream.Time, 4000, 250),
-			window.Sliding(stream.Time, 8000, 250),
-			window.Sliding(stream.Time, 2000, 250),
-			window.Sliding(stream.Time, 4000, 250), // exact duplicate → fan-out
-			window.Tumbling(stream.Time, 1000),
-		} {
-			fl.MustAddQuery(d)
-		}
-		if fl.Plan().Factored == 0 {
-			return nil, fmt.Errorf("chaos: fleet workload was meant to factor")
-		}
-		return &fleetOp{fl: fl}, nil
-	case Keyed, KeyedTTL, KeyedSpill:
-		var ttl int64
-		if t == KeyedTTL {
-			ttl = keyedTTL
-		}
-		k := core.NewKeyed(
-			func(v stream.Tuple) int32 { return v.Key }, ttl,
-			func() *core.Aggregator[stream.Tuple, float64, float64] { return newAg(core.StoreLazy) },
-		)
-		if t == KeyedSpill {
-			if spillDir == "" {
-				return nil, fmt.Errorf("chaos: keyed-spill needs a spill directory")
-			}
-			st, err := spill.Open(spillDir)
-			if err != nil {
-				return nil, err
-			}
-			if err := k.EnableSpill(core.SpillConfig{Budget: keyedSpillBudget, Store: st, Metrics: reg}); err != nil {
-				return nil, err
+		w.Lateness = keyedLateness
+	case t == benchutil.FleetSlicing:
+		w.Defs = func() []window.Definition {
+			return []window.Definition{
+				window.Sliding(stream.Time, 4000, 250),
+				window.Sliding(stream.Time, 8000, 250),
+				window.Sliding(stream.Time, 2000, 250),
+				window.Sliding(stream.Time, 4000, 250), // exact duplicate → fan-out
+				window.Tumbling(stream.Time, 1000),
 			}
 		}
-		return &keyedOp{op: k}, nil
-	case benchutil.Pairs:
-		return feedQueries(baselines.NewPairs(f), defs), nil
-	case benchutil.Cutty:
-		return feedQueries(baselines.NewCutty(f), defs), nil
-	case benchutil.Buckets:
-		return feedQueries(baselines.NewBuckets(f, false, ordered, lateness), defs), nil
-	case benchutil.TupleBuckets:
-		return feedQueries(baselines.NewBuckets(f, true, ordered, lateness), defs), nil
-	case benchutil.TupleBuffer:
-		return feedQueries(baselines.NewTupleBuffer(f, ordered, lateness), defs), nil
-	case benchutil.AggTree:
-		return feedQueries(baselines.NewAggTree(f, ordered, lateness), defs), nil
-	default:
-		return nil, fmt.Errorf("chaos: unknown technique %q", t)
 	}
+	return w
 }
 
-func feedQueries(op baselines.Operator[stream.Tuple, float64], defs []window.Definition) *baseOp {
-	for _, d := range defs {
-		op.AddQuery(d)
+// newOperator builds the technique's operator for one partition through the
+// benchutil factory.
+func newOperator(t benchutil.Technique, spillDir string, reg *obs.Registry) (*benchutil.Rows, error) {
+	op, err := benchutil.NewRows(t, sum, workload(t, spillDir, reg))
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	return &baseOp{op: op}
+	if fl, ok := op.Op.(*fleet.Fleet[stream.Tuple, float64, float64]); ok && fl.Plan().Factored == 0 {
+		return nil, fmt.Errorf("chaos: fleet workload was meant to factor")
+	}
+	return op, nil
 }
 
 // ------------------------------------------------------------ processor ----
@@ -392,7 +226,7 @@ func feedQueries(op baselines.Operator[stream.Tuple, float64], defs []window.Def
 // sink" whose contents the equivalence check compares.
 type proc struct {
 	part  int
-	op    operator
+	op    *benchutil.Rows
 	log   *Log
 	crash *crashState
 	seen  int64 // tuples processed since the stream origin
@@ -406,15 +240,15 @@ func (p *proc) ProcessItem(it stream.Item[stream.Tuple]) int {
 		}
 		p.seen++
 	}
-	lines := p.op.feed(it)
-	for _, ln := range lines {
+	rows := p.op.Element(it)
+	for _, r := range rows {
 		if p.trim > 0 {
 			p.trim--
 			continue
 		}
-		p.log.append(p.part, ln)
+		p.log.append(p.part, r)
 	}
-	return len(lines)
+	return len(rows)
 }
 
 func (p *proc) TrimReplay(n int64) { p.trim = n }
@@ -425,11 +259,10 @@ func (p *proc) TrimReplay(n int64) { p.trim = n }
 // restores.
 type snapProc struct {
 	proc
-	snap snapOperator
 }
 
 func (p *snapProc) Snapshot() ([]byte, error) {
-	state, err := p.snap.snapshot()
+	state, err := p.op.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +282,7 @@ func (p *snapProc) Restore(data []byte) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := p.snap.restore(state); err != nil {
+	if err := p.op.Restore(state); err != nil {
 		return err
 	}
 	p.seen = seen
@@ -493,7 +326,7 @@ func Run(o Options) (RunResult, error) {
 		spillRoot string
 		spillReg  *obs.Registry
 	)
-	if o.Technique == KeyedSpill {
+	if o.Technique == benchutil.KeyedSpill {
 		dir, err := os.MkdirTemp("", "chaos-spill-")
 		if err != nil {
 			return RunResult{}, err
@@ -503,14 +336,10 @@ func Run(o Options) (RunResult, error) {
 	}
 	// Validate the technique once up front (partition index o.Par is a
 	// scratch spill directory no real partition uses).
-	if _, err := buildOperator(o.Technique, partitionSpillDir(spillRoot, o.Par), spillReg); err != nil {
+	if _, err := newOperator(o.Technique, partitionSpillDir(spillRoot, o.Par), spillReg); err != nil {
 		return RunResult{}, err
 	}
-	d := stream.Disorder{Fraction: 0.1, MaxDelay: 1000, Seed: o.Seed}
-	if o.Technique.InOrderOnly() {
-		d = stream.Disorder{}
-	}
-	in := benchutil.MakeInput(stream.Machine(), o.Events, d, o.Seed)
+	in := input(o.Technique, o.Events, o.Seed)
 
 	log := NewLog(o.Par)
 	var points []CrashPoint
@@ -524,11 +353,11 @@ func Run(o Options) (RunResult, error) {
 		SpillDir:    spillRoot,
 		Key:         func(e stream.Event[stream.Tuple]) uint64 { return uint64(e.Value.Key) },
 		NewProcessor: func(p int) engine.Processor[stream.Tuple] {
-			//lint:ignore errflow the technique was validated by buildOperator before the run started; rebuilding it for a partition cannot fail differently
-			op, _ := buildOperator(o.Technique, partitionSpillDir(spillRoot, p), spillReg) // validated above
+			//lint:ignore errflow the technique was validated by newOperator before the run started; rebuilding it for a partition cannot fail differently
+			op, _ := newOperator(o.Technique, partitionSpillDir(spillRoot, p), spillReg) // validated above
 			base := proc{part: p, op: op, log: log, crash: crash}
-			if so, ok := op.(snapOperator); ok {
-				return &snapProc{proc: base, snap: so}
+			if op.Snapshot != nil {
+				return &snapProc{proc: base}
 			}
 			return &base
 		},
@@ -593,10 +422,21 @@ func tearEvenSnapshots(path string, data []byte) error {
 	return checkpoint.WriteFileAtomic(path, data)
 }
 
+// input is the stream every run of a technique sees: the Machine profile,
+// 10% of it delayed by up to 1 s unless the technique takes in-order input
+// only.
+func input(t benchutil.Technique, events int, seed int64) benchutil.Input {
+	d := stream.Disorder{Fraction: 0.1, MaxDelay: 1000, Seed: seed}
+	if t.InOrderOnly() {
+		d = stream.Disorder{}
+	}
+	return benchutil.MakeInput(stream.Machine(), events, d, seed)
+}
+
 // Equivalent reports whether two runs emitted identical results: the same
-// event and result counts and, per partition, byte-identical result lines in
-// identical order. It returns nil when equivalent and a description of the
-// first divergence otherwise.
+// event and result counts and, per partition, identical rows in identical
+// order (reference.Diff). It returns nil when equivalent and a description
+// of the first divergence otherwise.
 func Equivalent(clean, got RunResult) error {
 	if clean.Stats.Events != got.Stats.Events {
 		return fmt.Errorf("events: %d, clean %d", got.Stats.Events, clean.Stats.Events)
@@ -608,14 +448,45 @@ func Equivalent(clean, got RunResult) error {
 		return fmt.Errorf("partitions: %d, clean %d", got.Log.Partitions(), clean.Log.Partitions())
 	}
 	for p := 0; p < clean.Log.Partitions(); p++ {
-		a, b := clean.Log.Partition(p), got.Log.Partition(p)
-		if len(a) != len(b) {
-			return fmt.Errorf("partition %d: %d results, clean %d", p, len(b), len(a))
+		if d := reference.Diff(clean.Log.Partition(p), got.Log.Partition(p), nil); d != "" {
+			return fmt.Errorf("partition %d: %s", p, d)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return fmt.Errorf("partition %d result %d: %q, clean %q", p, i, b[i], a[i])
-			}
+	}
+	return nil
+}
+
+// CheckOracle holds a clean run of o against internal/reference: each
+// partition's rows (reference.Check) against the oracle's windows over the
+// events the engine routed to it — per key for the keyed techniques. It does
+// not apply to keyed-ttl, whose contract is that expiry ends a key's stream:
+// its TTL sits far below the window lengths on purpose, so an expired key's
+// windows are drained early and a returning key's windows announced again.
+func CheckOracle(o Options, res RunResult) error {
+	if o.Technique == benchutil.KeyedTTL {
+		return nil
+	}
+	parts := make([][]stream.Event[stream.Tuple], o.Par)
+	for _, it := range input(o.Technique, o.Events, o.Seed).Items {
+		if it.Kind == stream.KindEvent {
+			p := int(uint64(it.Event.Value.Key) % uint64(o.Par))
+			parts[p] = append(parts[p], it.Event)
+		}
+	}
+	var keyOf func(stream.Tuple) int64
+	switch o.Technique {
+	case benchutil.Keyed, benchutil.KeyedSpill:
+		keyOf = func(v stream.Tuple) int64 { return int64(v.Key) }
+	}
+	defs := workload(o.Technique, "", nil).Defs()
+	for p, events := range parts {
+		want := reference.Want{Final: stream.MaxTime}
+		for id, d := range defs {
+			length, slide := d.(interface{ Params() (int64, int64) }).Params()
+			q := reference.Query[stream.Tuple]{Kind: reference.Periodic, Measure: d.Measure(), Length: length, Slide: slide}
+			want.Rows = append(want.Rows, reference.Windows(sum, q, id, keyOf, events, stream.MaxTime)...)
+		}
+		if v := reference.Check(res.Log.Partition(p), want); v.Failed() > 0 {
+			return fmt.Errorf("partition %d: %v", p, v)
 		}
 	}
 	return nil

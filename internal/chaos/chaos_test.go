@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scotty/internal/benchutil"
+	"scotty/internal/core"
 	"scotty/internal/stream"
 )
 
@@ -19,12 +20,16 @@ const (
 // cleanRun executes the reference run: no checkpointing, no faults.
 func cleanRun(t *testing.T, tech benchutil.Technique, seed int64) RunResult {
 	t.Helper()
-	res, err := Run(Options{Technique: tech, Events: chaosEvents, Par: chaosPar, Seed: seed})
+	o := Options{Technique: tech, Events: chaosEvents, Par: chaosPar, Seed: seed}
+	res, err := Run(o)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	if res.Stats.Results == 0 {
 		t.Fatalf("clean run emitted no results — the workload proves nothing")
+	}
+	if err := CheckOracle(o, res); err != nil {
+		t.Fatalf("clean run against the oracle: %v", err)
 	}
 	return res
 }
@@ -64,7 +69,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 // checkpoint files — the only ones torn files and barrier faults can affect.
 var snapshottableTechniques = []benchutil.Technique{
 	benchutil.LazySlicing, benchutil.EagerSlicing, benchutil.DABASlicing,
-	Keyed, KeyedTTL, KeyedSpill,
+	benchutil.Keyed, benchutil.KeyedTTL, benchutil.KeyedSpill,
 }
 
 // TestTornSnapshotEquivalence tears every even-id snapshot file on disk (the
@@ -158,18 +163,16 @@ func TestSnapshottableTechniquesRestoreFromCheckpoints(t *testing.T) {
 // TestKeyedTTLWorkloadExpiresKeys guards the keyed-ttl technique against
 // vacuity: on the shared Machine workload the idle TTL must actually fire —
 // the key count has to fall after it peaked (post-gap expiry drains) — or the
-// technique would just re-run plain Keyed under a different name.
+// technique would just re-run plain benchutil.Keyed under a different name.
 func TestKeyedTTLWorkloadExpiresKeys(t *testing.T) {
-	op, err := buildOperator(KeyedTTL, "", nil)
+	op, err := newOperator(benchutil.KeyedTTL, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := op.(*keyedOp).op
-	d := stream.Disorder{Fraction: 0.1, MaxDelay: 1000, Seed: seeds[0]}
-	in := benchutil.MakeInput(stream.Machine(), chaosEvents, d, seeds[0])
+	k := op.Op.(*core.Keyed[int32, stream.Tuple, float64, float64])
 	maxKeys, expired := 0, false
-	for _, it := range in.Items {
-		op.feed(it)
+	for _, it := range input(benchutil.KeyedTTL, chaosEvents, seeds[0]).Items {
+		op.Element(it)
 		if n := k.Keys(); n > maxKeys {
 			maxKeys = n
 		} else if n < maxKeys {
@@ -189,7 +192,7 @@ func TestKeyedTTLWorkloadExpiresKeys(t *testing.T) {
 // cold state out and re-hydrate it, or the chaos equivalence over this
 // technique would never touch the spill paths.
 func TestKeyedSpillWorkloadSpills(t *testing.T) {
-	res := cleanRun(t, KeyedSpill, seeds[0])
+	res := cleanRun(t, benchutil.KeyedSpill, seeds[0])
 	if res.SpillStores == 0 {
 		t.Error("no key was ever spilled — the budget is not binding")
 	}

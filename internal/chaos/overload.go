@@ -126,14 +126,10 @@ func RunOverload(o OverloadOptions) (OverloadResult, error) {
 	}
 
 	tq := benchutil.LazySlicing
-	if _, err := buildOperator(tq, "", nil); err != nil {
+	if _, err := newOperator(tq, "", nil); err != nil {
 		return OverloadResult{}, err
 	}
-	d := stream.Disorder{Fraction: 0.1, MaxDelay: 1000, Seed: o.Seed}
-	if tq.InOrderOnly() {
-		d = stream.Disorder{}
-	}
-	in := benchutil.MakeInput(stream.Machine(), o.Events, d, o.Seed)
+	in := input(tq, o.Events, o.Seed)
 
 	log := NewLog(o.Par)
 	crash := newCrashState(nil)
@@ -141,8 +137,8 @@ func RunOverload(o OverloadOptions) (OverloadResult, error) {
 		Parallelism: o.Par,
 		Key:         func(e stream.Event[stream.Tuple]) uint64 { return uint64(e.Value.Key) },
 		NewProcessor: func(p int) engine.Processor[stream.Tuple] {
-			//lint:ignore errflow the technique was validated by buildOperator before the run started; rebuilding it for a partition cannot fail differently
-			op, _ := buildOperator(tq, "", nil) // validated above
+			//lint:ignore errflow the technique was validated by newOperator before the run started; rebuilding it for a partition cannot fail differently
+			op, _ := newOperator(tq, "", nil) // validated above
 			return &proc{part: p, op: op, log: log, crash: crash}
 		},
 		BatchSize:    o.BatchSize,

@@ -2,13 +2,13 @@ package chaos
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"scotty/internal/benchutil"
 	"scotty/internal/obs"
 	"scotty/internal/ops"
+	"scotty/internal/reference"
 	"scotty/internal/stream"
 )
 
@@ -120,27 +120,23 @@ func metricTotal(reg *obs.Registry, name string) int64 {
 // any correct engine configuration that loses nothing must produce.
 func sequentialOracle(t *testing.T, tq benchutil.Technique, items []stream.Item[stream.Tuple], par int) *Log {
 	t.Helper()
-	procs := make([]operator, par)
-	for p := range procs {
-		op, err := buildOperator(tq, "", nil)
+	ops := make([]*benchutil.Rows, par)
+	for p := range ops {
+		op, err := newOperator(tq, "", nil)
 		if err != nil {
 			t.Fatalf("oracle operator: %v", err)
 		}
-		procs[p] = op
+		ops[p] = op
 	}
 	log := NewLog(par)
 	for _, it := range items {
-		if it.Kind != stream.KindEvent {
-			for p, op := range procs {
-				for _, ln := range op.feed(it) {
-					log.append(p, ln)
-				}
+		for p, op := range ops {
+			if it.Kind == stream.KindEvent && p != int(uint64(it.Event.Value.Key)%uint64(par)) {
+				continue
 			}
-			continue
-		}
-		p := int(uint64(it.Event.Value.Key) % uint64(par))
-		for _, ln := range procs[p].feed(it) {
-			log.append(p, ln)
+			for _, r := range op.Element(it) {
+				log.append(p, r)
+			}
 		}
 	}
 	return log
@@ -156,7 +152,7 @@ func TestBlockEquivalentToSequentialOracle(t *testing.T) {
 		benchutil.EagerSlicing,
 		benchutil.DABASlicing,
 		benchutil.Buckets,
-		Keyed,
+		benchutil.Keyed,
 	}
 	for _, tq := range techs {
 		tq := tq
@@ -167,15 +163,10 @@ func TestBlockEquivalentToSequentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine run: %v", err)
 			}
-			d := stream.Disorder{Fraction: 0.1, MaxDelay: 1000, Seed: seed}
-			if tq.InOrderOnly() {
-				d = stream.Disorder{}
-			}
-			in := benchutil.MakeInput(stream.Machine(), events, d, seed)
-			want := sequentialOracle(t, tq, in.Items, par)
+			want := sequentialOracle(t, tq, input(tq, events, seed).Items, par)
 			for p := 0; p < par; p++ {
-				if w, g := want.Partition(p), got.Log.Partition(p); !reflect.DeepEqual(w, g) {
-					t.Fatalf("partition %d diverged from oracle: engine %d lines, oracle %d lines\nengine: %.3q\noracle: %.3q", p, len(g), len(w), g, w)
+				if d := reference.Diff(want.Partition(p), got.Log.Partition(p), nil); d != "" {
+					t.Fatalf("partition %d diverged from oracle: %s", p, d)
 				}
 			}
 		})
@@ -213,8 +204,8 @@ func TestDropPoliciesIdentityWithoutPressure(t *testing.T) {
 				pol, got.Stats.Events, clean.Stats.Events, got.Stats.Results, clean.Stats.Results)
 		}
 		for p := 0; p < got.Log.Partitions(); p++ {
-			if !reflect.DeepEqual(clean.Log.Partition(p), got.Log.Partition(p)) {
-				t.Fatalf("%s partition %d output diverged from Block", pol, p)
+			if d := reference.Diff(clean.Log.Partition(p), got.Log.Partition(p), nil); d != "" {
+				t.Fatalf("%s partition %d output diverged from Block: %s", pol, p, d)
 			}
 		}
 	}

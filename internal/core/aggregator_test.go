@@ -22,23 +22,39 @@ type key struct {
 
 type finalMap map[key]Result[float64]
 
-// run feeds a prepared stream through the aggregator and returns the last
-// result emitted per window.
-func run(ag *Aggregator[float64, float64, float64], items []stream.Item[float64]) finalMap {
-	finals := finalMap{}
-	collect := func(rs []Result[float64]) {
+// emitted feeds a prepared stream through the aggregator, one call per item,
+// and returns every row it emitted, in order.
+func emitted(ag *Aggregator[float64, float64, float64], items []stream.Item[float64]) []reference.Row {
+	var rows []reference.Row
+	add := func(rs []Result[float64]) {
 		for _, r := range rs {
-			finals[key{r.Query, r.Start, r.End}] = r
+			rows = append(rows, reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update})
 		}
 	}
 	for _, it := range items {
 		if it.Kind == stream.KindEvent {
-			collect(ag.ProcessElement(it.Event))
+			add(ag.ProcessElement(it.Event))
 		} else {
-			collect(ag.ProcessWatermark(it.Watermark))
+			add(ag.ProcessWatermark(it.Watermark))
 		}
 	}
-	return finals
+	return rows
+}
+
+// checkQuery holds query qid's rows against the oracle's windows of q over
+// ev (reference.Check).
+func checkQuery(t *testing.T, rows []reference.Row, f aggregate.Function[float64, float64, float64], qid int, q reference.Query[float64], ev []stream.Event[float64]) {
+	t.Helper()
+	var mine []reference.Row
+	for _, r := range rows {
+		if r.Query == qid {
+			mine = append(mine, r)
+		}
+	}
+	want := reference.Want{Rows: reference.Windows(f, q, qid, nil, ev, stream.MaxTime), Final: stream.MaxTime}
+	if v := reference.Check(mine, want); v.Failed() > 0 {
+		t.Errorf("query %d: %v", qid, v)
+	}
 }
 
 func approx(a, b float64) bool {
@@ -47,47 +63,6 @@ func approx(a, b float64) bool {
 	}
 	d := math.Abs(a - b)
 	return d <= 1e-6 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// checkAgainst asserts that, for the given query id, the operator's final
-// results match the oracle exactly (spans and values).
-func checkAgainst(t *testing.T, finals finalMap, qid int, want []reference.Final[float64]) {
-	t.Helper()
-	seen := 0
-	for _, w := range want {
-		got, ok := finals[key{qid, w.Start, w.End}]
-		if !ok {
-			t.Errorf("query %d: missing window [%d,%d) want value %v", qid, w.Start, w.End, w.Value)
-			continue
-		}
-		seen++
-		if !approx(got.Value, w.Value) {
-			t.Errorf("query %d window [%d,%d): got %v want %v", qid, w.Start, w.End, got.Value, w.Value)
-		}
-		if got.N != w.N {
-			t.Errorf("query %d window [%d,%d): got N=%d want N=%d", qid, w.Start, w.End, got.N, w.N)
-		}
-	}
-	// No spurious extra windows for this query.
-	extras := 0
-	for k := range finals {
-		if k.query != qid {
-			continue
-		}
-		found := false
-		for _, w := range want {
-			if w.Start == k.start && w.End == k.end {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extras++
-			if extras <= 5 {
-				t.Errorf("query %d: unexpected window [%d,%d)", qid, k.start, k.end)
-			}
-		}
-	}
 }
 
 // streamLen scales a randomized-stream length down under -short so the
@@ -277,11 +252,10 @@ func goldenAgainst(t *testing.T, ordered, eager bool, d stream.Disorder) {
 		wmPeriod = 100
 	}
 	items := prepare(ev, d, wmPeriod)
-	finals := run(ag, items)
+	rows := emitted(ag, items)
 
 	for i, qq := range qs {
-		want := reference.Finals(sum, qq.ref, ev, stream.MaxTime)
-		checkAgainst(t, finals, ids[i], want)
+		checkQuery(t, rows, sum, ids[i], qq.ref, ev)
 		if t.Failed() {
 			t.Fatalf("query %d (%v) diverged from oracle", i, qq.def)
 		}

@@ -36,22 +36,6 @@ func collectBatched[A, O any](ag *Aggregator[float64, A, O], items []stream.Item
 	return out
 }
 
-// runBatch is run (see aggregator_test.go) over the ProcessBatch API: it
-// drains items in chunks of bs and indexes the results by window.
-func runBatch(ag *Aggregator[float64, float64, float64], items []stream.Item[float64], bs int) finalMap {
-	finals := finalMap{}
-	for i := 0; i < len(items); i += bs {
-		j := i + bs
-		if j > len(items) {
-			j = len(items)
-		}
-		for _, r := range ag.ProcessBatch(items[i:j]) {
-			finals[key{r.Query, r.Start, r.End}] = r
-		}
-	}
-	return finals
-}
-
 // batchSizes are the chunkings every equivalence stream is replayed at.
 // whole-stream is appended per trial (depends on the stream length).
 var batchSizes = []int{1, 7, 256}

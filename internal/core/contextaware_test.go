@@ -14,40 +14,6 @@ import (
 // oracle: count windows exercise the shift cascade (Fig 6), punctuation
 // windows the FCF split path, CountInTime the FCA watermark splits.
 
-func runGeneric[A, Out any](t *testing.T, ag *Aggregator[float64, A, Out], items []stream.Item[float64]) map[key]Result[Out] {
-	t.Helper()
-	finals := map[key]Result[Out]{}
-	for _, it := range items {
-		var rs []Result[Out]
-		if it.Kind == stream.KindEvent {
-			rs = ag.ProcessElement(it.Event)
-		} else {
-			rs = ag.ProcessWatermark(it.Watermark)
-		}
-		for _, r := range rs {
-			finals[key{r.Query, r.Start, r.End}] = r
-		}
-	}
-	return finals
-}
-
-func checkFloats[A any](t *testing.T, finals map[key]Result[float64], qid int, want []reference.Final[float64], label string) {
-	t.Helper()
-	for _, w := range want {
-		got, ok := finals[key{qid, w.Start, w.End}]
-		if !ok {
-			t.Errorf("%s: missing window [%d,%d) want %v", label, w.Start, w.End, w.Value)
-			continue
-		}
-		if !approx(got.Value, w.Value) {
-			t.Errorf("%s window [%d,%d): got %v want %v", label, w.Start, w.End, got.Value, w.Value)
-		}
-		if got.N != w.N {
-			t.Errorf("%s window [%d,%d): got N=%d want %d", label, w.Start, w.End, got.N, w.N)
-		}
-	}
-}
-
 // -------------------------------------------------------- count windows ---
 
 func testCountWindows(t *testing.T, f aggregate.Function[float64, float64, float64], d stream.Disorder, eager bool) {
@@ -58,12 +24,10 @@ func testCountWindows(t *testing.T, f aggregate.Function[float64, float64, float
 	qTumb := ag.MustAddQuery(window.Tumbling(stream.Count, 100))
 	qSlide := ag.MustAddQuery(window.Sliding(stream.Count, 60, 25))
 	items := prepare(ev, d, 100)
-	finals := runGeneric(t, ag, items)
+	rows := emitted(ag, items)
 
-	wantTumb := reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 100, Slide: 100}, ev, stream.MaxTime)
-	wantSlide := reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 60, Slide: 25}, ev, stream.MaxTime)
-	checkFloats[float64](t, finals, qTumb, wantTumb, "count-tumbling/"+f.Props().Name)
-	checkFloats[float64](t, finals, qSlide, wantSlide, "count-sliding/"+f.Props().Name)
+	checkQuery(t, rows, f, qTumb, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 100, Slide: 100}, ev)
+	checkQuery(t, rows, f, qSlide, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 60, Slide: 25}, ev)
 }
 
 func TestCountWindowsInOrderEquivalent(t *testing.T) {
@@ -98,7 +62,7 @@ func TestCountShiftCascadeStats(t *testing.T) {
 	ev := genEvents(rng, 1500)
 	ag := New[float64](aggregate.Sum[float64](ident), Options{Lateness: 1 << 40})
 	ag.MustAddQuery(window.Tumbling(stream.Count, 50))
-	runGeneric(t, ag, prepare(ev, d, 100))
+	emitted(ag, prepare(ev, d, 100))
 	st := ag.Stats()
 	if st.Shifts == 0 {
 		t.Error("expected shift operations for out-of-order count windows")
@@ -124,10 +88,9 @@ func testPunctuation(t *testing.T, d stream.Disorder) {
 	if !d.None() {
 		wmPeriod = 100
 	}
-	finals := runGeneric(t, ag, prepare(ev, d, wmPeriod))
+	rows := emitted(ag, prepare(ev, d, wmPeriod))
 
-	want := reference.Finals(f, reference.Query[float64]{Kind: reference.Punctuation, Pred: pred}, ev, stream.MaxTime)
-	checkFloats[float64](t, finals, qid, want, "punctuation")
+	checkQuery(t, rows, f, qid, reference.Query[float64]{Kind: reference.Punctuation, Pred: pred}, ev)
 }
 
 func TestPunctuationInOrder(t *testing.T) { testPunctuation(t, stream.Disorder{}) }
@@ -157,10 +120,9 @@ func testCountInTime(t *testing.T, d stream.Disorder) {
 		t.Fatal("FCA windows must store tuples even in order (Fig 4)")
 	}
 	items := prepare(ev, d, 250)
-	finals := runGeneric(t, ag, items)
+	rows := emitted(ag, items)
 
-	want := reference.Finals(f, reference.Query[float64]{Kind: reference.CountInTime, N: 25, Every: 500}, ev, stream.MaxTime)
-	checkFloats[float64](t, finals, qid, want, "countInTime")
+	checkQuery(t, rows, f, qid, reference.Query[float64]{Kind: reference.CountInTime, N: 25, Every: 500}, ev)
 	if st := ag.Stats(); st.Splits == 0 {
 		t.Error("FCA windows should split slices when materializing edges")
 	}
@@ -184,14 +146,11 @@ func TestMixedQueriesShareSlicesInOrder(t *testing.T) {
 	qTime := ag.MustAddQuery(window.Sliding(stream.Time, 100, 40))
 	qCount := ag.MustAddQuery(window.Tumbling(stream.Count, 75))
 	qSess := ag.MustAddQuery(window.Session[float64](150))
-	finals := runGeneric(t, ag, prepare(ev, stream.Disorder{}, 0))
+	rows := emitted(ag, prepare(ev, stream.Disorder{}, 0))
 
-	checkFloats[float64](t, finals, qTime,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Time, Length: 100, Slide: 40}, ev, stream.MaxTime), "mixed/time")
-	checkFloats[float64](t, finals, qCount,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 75, Slide: 75}, ev, stream.MaxTime), "mixed/count")
-	checkFloats[float64](t, finals, qSess,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Session, Gap: 150}, ev, stream.MaxTime), "mixed/session")
+	checkQuery(t, rows, f, qTime, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Time, Length: 100, Slide: 40}, ev)
+	checkQuery(t, rows, f, qCount, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 75, Slide: 75}, ev)
+	checkQuery(t, rows, f, qSess, reference.Query[float64]{Kind: reference.Session, Gap: 150}, ev)
 }
 
 func TestMixedMeasuresRejectedWhenUnordered(t *testing.T) {
@@ -365,10 +324,9 @@ func TestSessionsNeverRecompute(t *testing.T) {
 		t.Fatal("sessions must not force tuple storage")
 	}
 	d := stream.Disorder{Fraction: 0.4, MaxDelay: 600, Seed: 61}
-	finals := runGeneric(t, ag, prepare(ev, d, 100))
+	rows := emitted(ag, prepare(ev, d, 100))
 	if ag.Stats().Recomputes != 0 {
 		t.Errorf("sessions recomputed %d times; the paper guarantees zero", ag.Stats().Recomputes)
 	}
-	want := reference.Finals(f, reference.Query[float64]{Kind: reference.Session, Gap: 150}, ev, stream.MaxTime)
-	checkFloats[float64](t, finals, qid, want, "sessions-heavy-disorder")
+	checkQuery(t, rows, f, qid, reference.Query[float64]{Kind: reference.Session, Gap: 150}, ev)
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"scotty/internal/aggregate"
+	"scotty/internal/reference"
 	"scotty/internal/stream"
 	"scotty/internal/window"
 )
@@ -25,20 +27,8 @@ func runPair(t *testing.T, items []stream.Item[float64], mk func(Options) *Aggre
 	t.Helper()
 	dab := mk(Options{Ordered: true, Store: StoreDABA})
 	lazy := mk(Options{Ordered: true})
-	got := run(dab, items)
-	want := run(lazy, items)
-	if len(got) != len(want) {
-		t.Fatalf("daba emitted %d windows, lazy %d", len(got), len(want))
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("daba missing window q=%d [%d,%d)", k.query, k.start, k.end)
-		}
-		if g.Value != w.Value || g.N != w.N {
-			t.Fatalf("q=%d [%d,%d): daba (v=%v n=%d) lazy (v=%v n=%d)",
-				k.query, k.start, k.end, g.Value, g.N, w.Value, w.N)
-		}
+	if d := reference.Diff(emitted(lazy, items), emitted(dab, items), nil); d != "" {
+		t.Fatalf("daba vs lazy: %s", d)
 	}
 	return dab
 }
@@ -95,41 +85,19 @@ func TestDABAQueryChurn(t *testing.T) {
 		ag.MustAddQuery(window.Sliding(stream.Time, 200, 50))
 		return ag
 	}
-	drive := func(ag *agg) finalMap {
-		finals := finalMap{}
-		collect := func(rs []Result[float64]) {
-			for _, r := range rs {
-				finals[key{r.Query, r.Start, r.End}] = r
-			}
-		}
-		for i, it := range items {
+	drive := func(ag *agg) []reference.Row {
+		var rows []reference.Row
+		for i := range items {
 			if i == cut {
 				ag.RemoveQuery(0) // merges unneeded edges under the sliding ring
 				ag.MustAddQuery(window.Tumbling(stream.Time, 90))
 			}
-			if it.Kind == stream.KindEvent {
-				collect(ag.ProcessElement(it.Event))
-			} else {
-				collect(ag.ProcessWatermark(it.Watermark))
-			}
+			rows = append(rows, emitted(ag, items[i:i+1])...)
 		}
-		return finals
+		return rows
 	}
-
-	got := drive(mk(Options{Ordered: true, Store: StoreDABA}))
-	want := drive(mk(Options{Ordered: true}))
-	if len(got) != len(want) {
-		t.Fatalf("daba emitted %d windows, lazy %d", len(got), len(want))
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("daba missing window q=%d [%d,%d)", k.query, k.start, k.end)
-		}
-		if g.Value != w.Value || g.N != w.N {
-			t.Fatalf("q=%d [%d,%d): daba (v=%v n=%d) lazy (v=%v n=%d)",
-				k.query, k.start, k.end, g.Value, g.N, w.Value, w.N)
-		}
+	if d := reference.Diff(drive(mk(Options{Ordered: true})), drive(mk(Options{Ordered: true, Store: StoreDABA})), nil); d != "" {
+		t.Fatalf("daba vs lazy: %s", d)
 	}
 }
 
@@ -145,29 +113,9 @@ func TestDABABatchMatchesTuple(t *testing.T) {
 		ag.MustAddQuery(window.Sliding(stream.Time, 100, 25))
 		return ag
 	}
-	want := run(mk(), items)
+	want := collectSequential(mk(), items)
 	for _, bs := range []int{1, 7, 256, len(items)} {
-		ag := mk()
-		got := finalMap{}
-		for i := 0; i < len(items); i += bs {
-			j := i + bs
-			if j > len(items) {
-				j = len(items)
-			}
-			for _, r := range ag.ProcessBatch(items[i:j]) {
-				got[key{r.Query, r.Start, r.End}] = r
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("bs=%d: batch emitted %d windows, tuple %d", bs, len(got), len(want))
-		}
-		for k, w := range want {
-			g := got[k]
-			if g.Value != w.Value || g.N != w.N {
-				t.Fatalf("bs=%d q=%d [%d,%d): batch (v=%v n=%d) tuple (v=%v n=%d)",
-					bs, k.query, k.start, k.end, g.Value, g.N, w.Value, w.N)
-			}
-		}
+		compareResultRuns(t, fmt.Sprintf("bs=%d", bs), want, collectBatched(mk(), items, bs))
 	}
 }
 

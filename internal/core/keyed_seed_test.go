@@ -291,7 +291,7 @@ func TestKeyedSilentKeyLateTuple(t *testing.T) {
 	for _, perKey := range []bool{false, true} {
 		for _, d := range drivers() {
 			t.Run(fmt.Sprintf("perKey=%v/%s", perKey, d.name), func(t *testing.T) {
-				k := newDiffKeyed(t, []periodicDef{{1000, 1000}}, perKey, 0)
+				k := newKeyedSum(t, []periodicDef{{1000, 1000}}, perKey, 0)
 				periodic := func(rs []KeyedResult[int, float64], key int) []string {
 					var out []KeyedResult[int, float64]
 					for _, r := range rs {

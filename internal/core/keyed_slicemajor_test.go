@@ -99,7 +99,7 @@ func TestSliceMajorSnapshotRestore(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		cut := 1 + rng.Intn(len(items)-2)
 		ttl := int64(round%2) * 1500 // odd rounds expire idle keys on both sides
-		whole := newDiffKeyed(t, defs, false, ttl)
+		whole := newKeyedSum(t, defs, false, ttl)
 		runBatched(whole, items[:cut], 64, len(defs))
 		snap, err := whole.Snapshot()
 		if err != nil {
@@ -107,7 +107,7 @@ func TestSliceMajorSnapshotRestore(t *testing.T) {
 		}
 		want := runBatched(whole, items[cut:len(items)-1], 64, len(defs))
 
-		restored := newDiffKeyed(t, defs, false, ttl)
+		restored := newKeyedSum(t, defs, false, ttl)
 		if err := restored.Restore(snap); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -144,13 +144,13 @@ func TestKeyedSnapshotsDoNotCrossRepresentations(t *testing.T) {
 	defs := []periodicDef{{1000, 1000}}
 	items := lateStream(50, 2000, 5)
 	for _, perKey := range []bool{false, true} {
-		src := newDiffKeyed(t, defs, perKey, 0)
+		src := newKeyedSum(t, defs, perKey, 0)
 		runBatched(src, items[:len(items)-1], 0, 1)
 		snap, err := src.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := newDiffKeyed(t, defs, !perKey, 0)
+		dst := newKeyedSum(t, defs, !perKey, 0)
 		if err := dst.Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Errorf("perKey=%v snapshot into perKey=%v operator: %v, want ErrSnapshotMismatch", perKey, !perKey, err)
 		}
@@ -349,4 +349,76 @@ func BenchmarkKeyedZipf(b *testing.B) {
 			b.ReportMetric(float64(rows)/float64(b.N), "rows")
 		})
 	}
+}
+
+type periodicDef struct{ length, slide int64 }
+
+// diffLateness and diffWatermarker are scotty's defaults; diffDisorder delays
+// a fifth of the tuples by up to 3.5 s — behind the watermark (lag 2001) but
+// inside lag + lateness, so every tuple is accepted and many are late.
+const diffLateness = 2000
+
+var (
+	diffWatermarker = stream.Watermarker{Period: 1000, Lag: 2001}
+	diffDisorder    = stream.Disorder{Fraction: 0.2, MaxDelay: 3500, Seed: 7}
+)
+
+// newKeyedSum builds a keyed sum over sliding windows and asserts which
+// representation NewKeyed chose: a session member — registered last, so the
+// periodic queries keep ids 0..len(defs)-1 — slices on the data and thereby
+// forces the per-key one. (The keyed differential against internal/reference
+// is TestKeyedDifferential, a case of internal/differential.)
+func newKeyedSum(t testing.TB, defs []periodicDef, perKey bool, idleTTL int64) *Keyed[int, kv, float64, float64] {
+	k := NewKeyed(func(v kv) int { return v.Key }, idleTTL, func() *Aggregator[kv, float64, float64] {
+		ag := New(keyedSum(), Options{Lateness: diffLateness})
+		for _, d := range defs {
+			ag.MustAddQuery(window.Sliding(stream.Time, d.length, d.slide))
+		}
+		if perKey {
+			ag.MustAddQuery(window.Session[kv](700))
+		}
+		return ag
+	})
+	if (k.sm == nil) != perKey {
+		t.Fatalf("builder asked for perKey=%v, NewKeyed chose slice-major=%v", perKey, k.sm != nil)
+	}
+	return k
+}
+
+// diffEvents generates n in-order tuples, about one every 2 ms, over a
+// skewed key space: low keys are hot, high keys appear late and rarely.
+func diffEvents(keys, n int, seed int64) []stream.Event[kv] {
+	rng := rand.New(rand.NewSource(seed))
+	events := make([]stream.Event[kv], n)
+	ts := int64(0)
+	for i := range events {
+		ts += int64(rng.Intn(4))
+		key := rng.Intn(keys)
+		if rng.Intn(2) == 0 {
+			key = rng.Intn(1 + keys/10)
+		}
+		events[i] = stream.Event[kv]{Time: ts, Seq: int64(i), Value: kv{Key: key, V: float64(rng.Intn(100))}}
+	}
+	return events
+}
+
+// runBatched feeds items in batches of bs (0: one call) and returns the rows
+// of the first nq queries in emission order.
+func runBatched(k *Keyed[int, kv, float64, float64], items []stream.Item[kv], bs, nq int) []KeyedResult[int, float64] {
+	if bs <= 0 {
+		bs = len(items)
+	}
+	var rows []KeyedResult[int, float64]
+	for i := 0; i < len(items); i += bs {
+		for _, r := range k.ProcessBatch(items[i:min(i+bs, len(items))]) {
+			if r.Query < nq {
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows
+}
+
+func rowString(r KeyedResult[int, float64]) string {
+	return fmt.Sprintf("k%d q%d [%d,%d) n=%d v=%v upd=%v", r.Key, r.Query, r.Start, r.End, r.N, r.Value, r.Update)
 }

@@ -26,7 +26,7 @@ func TestGoldenWithTightEviction(t *testing.T) {
 	qSess := ag.MustAddQuery(window.Session[float64](150))
 
 	items := prepare(ev, d, 100)
-	finals := run(ag, items)
+	rows := emitted(ag, items)
 
 	if dropped := ag.Stats().Dropped; dropped != 0 {
 		t.Fatalf("watermark lag exceeds delays, nothing may be dropped; got %d", dropped)
@@ -37,12 +37,9 @@ func TestGoldenWithTightEviction(t *testing.T) {
 		t.Fatalf("eviction ineffective: %d live slices", s)
 	}
 
-	checkAgainst(t, finals, qTumb,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Time, Length: 50, Slide: 50}, ev, stream.MaxTime))
-	checkAgainst(t, finals, qSlide,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Time, Length: 100, Slide: 30}, ev, stream.MaxTime))
-	checkAgainst(t, finals, qSess,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Session, Gap: 150}, ev, stream.MaxTime))
+	checkQuery(t, rows, f, qTumb, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Time, Length: 50, Slide: 50}, ev)
+	checkQuery(t, rows, f, qSlide, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Time, Length: 100, Slide: 30}, ev)
+	checkQuery(t, rows, f, qSess, reference.Query[float64]{Kind: reference.Session, Gap: 150}, ev)
 }
 
 // TestGoldenCountWithTightEviction is the count-measure variant.
@@ -54,13 +51,12 @@ func TestGoldenCountWithTightEviction(t *testing.T) {
 
 	ag := New[float64](f, Options{Lateness: 2 * d.MaxDelay})
 	q := ag.MustAddQuery(window.Sliding(stream.Count, 60, 25))
-	finals := run(ag, prepare(ev, d, 100))
+	rows := emitted(ag, prepare(ev, d, 100))
 
 	if s := ag.Stats().Slices; s > 200 {
 		t.Fatalf("eviction ineffective: %d live slices", s)
 	}
-	checkAgainst(t, finals, q,
-		reference.Finals(f, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 60, Slide: 25}, ev, stream.MaxTime))
+	checkQuery(t, rows, f, q, reference.Query[float64]{Kind: reference.Periodic, Measure: stream.Count, Length: 60, Slide: 25}, ev)
 }
 
 // TestAddQueryMidStream verifies that a query registered mid-stream emits

@@ -30,7 +30,7 @@ var burstScript = []burst{
 // runBursts plays the script against a fleet (through ProcessBatch, chunk
 // items to a call) and an unshared core aggregator registering the same
 // queries one by one. Logical ids line up: both sides assign sequentially.
-func runBursts(t *testing.T, chunk int) (gotF, gotU seqMap, nq int, fl *Fleet[stream.Tuple, float64, float64]) {
+func runBursts(t *testing.T, chunk int) (gotF, gotU seqMap, fl *Fleet[stream.Tuple, float64, float64]) {
 	t.Helper()
 	fl = newSumFleet(Options{})
 	ag := core.New(aggregate.Sum(stream.Val), core.Options{})
@@ -67,7 +67,6 @@ func runBursts(t *testing.T, chunk int) (gotF, gotU seqMap, nq int, fl *Fleet[st
 			if idF != idU {
 				t.Fatalf("id drift: fleet %d, unshared %d", idF, idU)
 			}
-			nq = idF + 1
 		}
 		for _, id := range st.remove {
 			fl.RemoveQuery(id)
@@ -78,7 +77,7 @@ func runBursts(t *testing.T, chunk int) (gotF, gotU seqMap, nq int, fl *Fleet[st
 		}
 	}
 	push(len(items))
-	return gotF, gotU, nq, fl
+	return gotF, gotU, fl
 }
 
 // TestBurstsMidStreamMatchUnshared: with planning deferred to the next batch,
@@ -88,8 +87,8 @@ func runBursts(t *testing.T, chunk int) (gotF, gotU seqMap, nq int, fl *Fleet[st
 // emission order is comparable — and with larger batches the same final
 // value for every window.
 func TestBurstsMidStreamMatchUnshared(t *testing.T) {
-	gotF, gotU, nq, fl := runBursts(t, 1)
-	diffSeqs(t, "bursts", gotU, gotF, nq)
+	gotF, gotU, fl := runBursts(t, 1)
+	same(t, "bursts", gotU, gotF)
 	p := fl.Plan()
 	if t.Failed() {
 		t.Fatalf("plan: %+v", p)
@@ -101,16 +100,8 @@ func TestBurstsMidStreamMatchUnshared(t *testing.T) {
 		t.Fatalf("fleet_plan_runs_total = %d, want one per burst that changed the spec set (6)", runs)
 	}
 
-	gotF, gotU, _, _ = runBursts(t, 64)
-	want, got := finals(gotU), finals(gotF)
-	if len(got) != len(want) {
-		t.Fatalf("batched: %d final windows, unshared has %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if g, ok := got[k]; !ok || g != v {
-			t.Fatalf("batched: window %+v: fleet %+v (present %v), unshared %+v", k, g, ok, v)
-		}
-	}
+	gotF, gotU, _ = runBursts(t, 64)
+	sameFinals(t, "batched", gotU, gotF)
 }
 
 // TestSnapshotWhilePlanIsDirty: a snapshot taken between a burst of

@@ -110,3 +110,41 @@ func TestCountInTimeFinals(t *testing.T) {
 		t.Fatalf("CIT values: %+v", finals)
 	}
 }
+
+func TestCheckRules(t *testing.T) {
+	row := func(q int, s, e, n int64, v float64, upd bool) Row {
+		return Row{Query: q, Start: s, End: e, N: n, Value: v, Update: upd}
+	}
+	want := Want{Rows: []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Final: 100}
+	for _, tc := range []struct {
+		name string
+		rows []Row
+		got  Verdict
+	}{
+		{"an update supersedes", []Row{row(0, 0, 10, 1, 1, false), row(0, 0, 10, 2, 3, true), row(1, 0, 30, 3, 7, false)}, Verdict{}},
+		{"the last row is wrong", []Row{row(0, 0, 10, 2, 3, false), row(0, 0, 10, 1, 1, true), row(1, 0, 30, 3, 7, false)}, Verdict{Wrong: 1}},
+		{"missing", []Row{row(0, 0, 10, 2, 3, false)}, Verdict{Missing: 1}},
+		{"empty and provisional rows are not unexpected", []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false), row(0, 10, 20, 0, 0, false), row(0, 100, 110, 5, 5, false)}, Verdict{}},
+		{"a non-empty unknown window", []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false), row(0, 20, 30, 1, 1, false)}, Verdict{Unexpected: 1}},
+		{"a session later extended nests in the known one", []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 20, 2, 4, false), row(1, 0, 30, 3, 7, true)}, Verdict{}},
+		{"announced twice", []Row{row(0, 0, 10, 1, 1, false), row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Verdict{Twice: 1}},
+		{"re-announced unchanged", []Row{row(0, 0, 10, 2, 3, false), row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Verdict{}},
+	} {
+		v := Check(tc.rows, want)
+		v.Expected, v.First = 0, ""
+		if v != tc.got {
+			t.Errorf("%s: %+v, want %+v", tc.name, v, tc.got)
+		}
+	}
+}
+
+func TestDiffGroups(t *testing.T) {
+	a := []Row{{Key: 1, Start: 0, End: 10, N: 1, Value: 1}, {Key: 2, Start: 0, End: 10, N: 1, Value: 2}}
+	b := []Row{a[1], a[0]}
+	if d := Diff(a, b, func(r Row) int64 { return r.Key }); d != "" {
+		t.Errorf("per-key groups in another interleaving: %s", d)
+	}
+	if d := Diff(a, b, nil); d == "" {
+		t.Error("one group in another order passed")
+	}
+}

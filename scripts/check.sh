@@ -47,17 +47,18 @@ else
   go test -shuffle=on -count=1 ./...
 fi
 
-echo '== go test -race -short (engine, ops, core, fleet, stream, obs)'
+echo '== go test -race -short (engine, ops, core, fleet, differential, stream, obs)'
 # The engine leg covers the batched pipeline too (BatchProcessor handoff,
 # buffer-pool recycling, keyed ProcessBatch behind parallel partitions); the
 # ops leg hammers the backpressure edges, breaker, and DLQ under concurrency.
 # The core leg carries the keyed differential (TestKeyedDifferential: both
 # representations of core.Keyed against internal/reference, keys x windows x
-# disorder x batch size); -short shrinks its streams, it never skips. The
-# fleet leg runs the sharing layer's oracle, planner and emission tests
-# (the emission scratch is reused across calls; -short shrinks the planner's
-# scaling shapes).
-go test -race -short ./internal/engine ./internal/ops ./internal/core ./internal/fleet ./internal/stream ./internal/obs
+# disorder x batch size) and the fleet leg the fleet oracle (TestOracle*),
+# both cases of the one differential harness; the differential leg runs the
+# harness itself on drawn cases of every technique. -short shrinks streams
+# and trial counts, it never skips; it also shrinks the planner's scaling
+# shapes.
+go test -race -short ./internal/engine ./internal/ops ./internal/core ./internal/fleet ./internal/differential ./internal/stream ./internal/obs
 
 echo '== chaos: crash/torn-snapshot/barrier-fault equivalence'
 # The fault-injection harness kills every technique at seeded points and
@@ -66,14 +67,16 @@ echo '== chaos: crash/torn-snapshot/barrier-fault equivalence'
 # suite to shake out order dependence between recovered state and fresh state.
 go test ./internal/chaos/... -race -count=2
 
-echo '== fuzz smoke (40s total; skip with SKIP_FUZZ=1)'
+echo '== fuzz smoke (50s total; skip with SKIP_FUZZ=1)'
 # Each fuzz target gets a short randomized burst on top of its checked-in
 # seed corpus: the envelope decoder must never panic on arbitrary bytes
 # (recovery reads checkpoint files straight off disk), the lint directive
 # parser backs every suppression in the tree, scotty's block reader and
 # in-place line parser must accept, reject and parse exactly what the
-# Scanner/Split/strconv feed they replaced did, and a row must show any
-# float64 as %v does (integral values skip strconv's shortest-digits search).
+# Scanner/Split/strconv feed they replaced did, a row must show any
+# float64 as %v does (integral values skip strconv's shortest-digits search),
+# and every operator must agree with internal/reference on whatever case the
+# fuzzer decodes (FuzzOperatorVsReference, the differential harness).
 if [ "${SKIP_FUZZ:-0}" = "1" ]; then
   echo 'skipped (SKIP_FUZZ=1)'
 else
@@ -81,6 +84,7 @@ else
   go test ./internal/lint -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 10s
   go test ./cmd/scotty -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 10s
   go test ./cmd/scotty -run '^$' -fuzz '^FuzzRowValueMatchesFprintf$' -fuzztime 10s
+  go test ./internal/differential -run '^$' -fuzz '^FuzzOperatorVsReference$' -fuzztime 10s
 fi
 
 echo 'OK'
