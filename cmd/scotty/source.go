@@ -69,17 +69,23 @@ func (sc *scanner) push(e event) {
 // watermarks appends the watermarks that are due, each cut behind.
 //
 // One event far ahead of the stream makes a watermark due for every period up
-// to it, so cancellation is checked per watermark: once ctx is done, what came
-// before is sent and nothing after it is — the event that opened the gap
-// included — so the drain covers only what was processed. The schedule is not
-// jumped ahead in one step: the operator triggers query-major within one
-// watermark interval, and one watermark spanning several periods would reorder
-// a multi-query run's rows.
+// to it, so cancellation is checked per watermark once the walk has gone
+// past the first: once ctx is done, what came before is sent and nothing
+// after it is — the event that opened the gap included — so the drain covers
+// only what was processed. An ordinary tuple makes at most one watermark due,
+// so a cancellation that arrives mid-block cuts nothing and the block is
+// processed whole. The schedule is not jumped ahead in one step: the operator
+// triggers query-major within one watermark interval, and one watermark
+// spanning several periods would reorder a multi-query run's rows.
 //
 //slicelint:coldpath runs once per watermark period of event time, not per tuple
 func (sc *scanner) watermarks() {
-	for wm, ok := sc.feeder.Due(); ok; wm, ok = sc.feeder.Due() {
-		if sc.ctx.Err() != nil {
+	for walked := false; ; walked = true {
+		wm, ok := sc.feeder.Due()
+		if !ok {
+			return
+		}
+		if walked && sc.ctx.Err() != nil {
 			sc.flush()
 			sc.send = func([]item) {}
 			return

@@ -530,3 +530,38 @@ func BenchmarkFleet64Emit(b *testing.B) {
 	b.ReportMetric(float64(rows)/tuples, "rows/tuple")
 	b.ReportMetric((float64(mallocs)-float64(halfMallocs))/float64(rows-halfRows), "allocs/row")
 }
+
+// TestCancelMidBlockKeepsOrdinaryInput: a cancellation that arrives while a
+// block is being scanned cuts nothing while each tuple makes at most one
+// watermark due — the block goes out whole, as an uncanceled scan sends it,
+// so no line consumed from the input is lost. Only a walk across a gap stops:
+// after its first watermark, before the event that opened it.
+func TestCancelMidBlockKeepsOrdinaryInput(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	scan := func(ctx context.Context, input string) []item {
+		var got []item
+		sc := &scanner{ctx: ctx, rb: &rebaser{step: 1000, margin: 4001},
+			feeder: stream.NewFeeder[stream.Tuple](stream.Watermarker{Period: 1000, Lag: 2001}),
+			send:   func(batch []item) { got = append(got, batch...) }}
+		src := csvSource(strings.NewReader(input), io.Discard, obs.NewRegistry().Counter("scotty_lines_malformed_total"))
+		if err := src(context.Background(), sc); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	var in strings.Builder
+	for ts := 0; ts <= 20_000; ts += 250 {
+		fmt.Fprintf(&in, "%d,1\n", ts)
+	}
+	want := scan(context.Background(), in.String())
+	if got := scan(canceled, in.String()); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("canceled scan sent %d items, uncanceled %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+
+	in.WriteString("90000000000000,3\n20250,1\n")
+	got := scan(canceled, in.String())
+	if n := len(got); n != len(want)+1 || got[n-1].Kind != stream.KindWatermark {
+		t.Fatalf("canceled gap walk sent %d items, want the %d before the gap and one watermark of it:\n%v", n, len(want), got[len(want):])
+	}
+}

@@ -61,7 +61,8 @@ func checkQuery(t *testing.T, label string, rows []reference.Row, qid int, q ref
 			mine = append(mine, r)
 		}
 	}
-	want := reference.Want{Rows: reference.Windows(aggregate.Sum[float64](ident), q, qid, nil, ev, stream.MaxTime), Final: stream.MaxTime}
+	want := reference.Want{Rows: reference.Windows(aggregate.Sum[float64](ident), q, qid, nil, ev, stream.MaxTime), Final: stream.MaxTime,
+		Recut: map[int]bool{qid: q.Recut()}}
 	if v := reference.Check(mine, want); v.Failed() > 0 {
 		t.Errorf("%s: query %d: %v", label, qid, v)
 	}

@@ -111,7 +111,11 @@ func (c *Cutty[V, A, Out]) ProcessWatermark(wm int64) []Result[Out] {
 }
 
 func (c *Cutty[V, A, Out]) trigger(wm int64) {
-	if wm <= c.currWM {
+	// A repeated watermark still triggers: a window the watermark passed
+	// while it lay wholly after the newest tuple was postponed (empty so
+	// far), and it must fire before the tuple that ends it joins the open
+	// slice, which the window would otherwise take in.
+	if wm < c.currWM {
 		return
 	}
 	if wm < c.wake {

@@ -40,11 +40,14 @@ const (
 	AggTree      Technique = "agg-tree"      // FlatFAT over tuples
 
 	// FleetSlicing runs the cost-based factor-window sharing layer
-	// (internal/fleet) over the lazy slicing core. It is deliberately absent
-	// from AllTechniques: the sweep figures compare per-query techniques,
-	// while the sharing layer changes the workload's physical shape — it gets
-	// its own figure (benchmark -fig fleet).
+	// (internal/fleet) over the lazy slicing core, FleetEager and FleetDABA
+	// over the eager and DABA stores. They are deliberately absent from
+	// AllTechniques: the sweep figures compare per-query techniques, while
+	// the sharing layer changes the workload's physical shape — it gets its
+	// own figure (benchmark -fig fleet).
 	FleetSlicing Technique = "fleet-slicing"
+	FleetEager   Technique = "fleet-eager-slicing"
+	FleetDABA    Technique = "fleet-daba-slicing"
 
 	// Keyed runs core.Keyed over the lazy core, keyed by stream.Tuple's Key.
 	// KeyedTTL adds idle-key expiry after Workload.IdleTTL of event time, and
@@ -65,7 +68,15 @@ var AllTechniques = []Technique{
 // DABA-Lite is an in-order structure by construction (FIFO pushes of closed
 // slices); on out-of-order streams the DABA store would silently degrade to
 // the lazy fold, so benchmarking it there would mislead.
-func (t Technique) InOrderOnly() bool { return t == Pairs || t == Cutty || t == DABASlicing }
+func (t Technique) InOrderOnly() bool {
+	return t == Pairs || t == Cutty || t == DABASlicing || t == FleetDABA
+}
+
+// stores is the core store a slicing or fleet technique runs on, where it
+// is not the lazy one.
+var stores = map[Technique]core.StoreKind{
+	EagerSlicing: core.StoreEager, FleetEager: core.StoreEager, DABASlicing: core.StoreDABA, FleetDABA: core.StoreDABA,
+}
 
 // Workload describes an experiment's stream-independent configuration.
 type Workload struct {
@@ -73,17 +84,12 @@ type Workload struct {
 	Lateness int64
 	Defs     func() []window.Definition // fresh definitions per operator
 
-	// FleetStore is the store under FleetSlicing's core (the slicing
-	// techniques name theirs).
-	FleetStore core.StoreKind
 	// IdleTTL is KeyedTTL's idle-key expiry, in event time.
 	IdleTTL int64
-	// SpillBudget, SpillDir and SpillMetrics configure KeyedSpill: the
-	// resident byte budget, the directory cold keys go to, and the registry
-	// its counters aggregate into (nil: a private one).
-	SpillBudget  int64
-	SpillDir     string
-	SpillMetrics *obs.Registry
+	// SpillBudget and SpillDir configure KeyedSpill: the resident byte
+	// budget and the directory cold keys go to.
+	SpillBudget int64
+	SpillDir    string
 }
 
 // operator is what build returns: exactly one field is set.
@@ -111,14 +117,10 @@ func build[A, Out any](t Technique, f aggregate.Function[stream.Tuple, A, Out], 
 		return ag, nil
 	}
 	switch t {
-	case LazySlicing:
-		op.ag, err = newAg(core.StoreLazy)
-	case EagerSlicing:
-		op.ag, err = newAg(core.StoreEager)
-	case DABASlicing:
-		op.ag, err = newAg(core.StoreDABA)
-	case FleetSlicing:
-		op.fl = fleet.New(f, fleet.Options{Options: core.Options{Ordered: w.Ordered, Lateness: w.Lateness, Store: w.FleetStore}})
+	case LazySlicing, EagerSlicing, DABASlicing:
+		op.ag, err = newAg(stores[t])
+	case FleetSlicing, FleetEager, FleetDABA:
+		op.fl = fleet.New(f, fleet.Options{Options: core.Options{Ordered: w.Ordered, Lateness: w.Lateness, Store: stores[t]}})
 		for _, d := range w.Defs() {
 			if _, err = op.fl.AddQuery(d); err != nil {
 				break
@@ -167,7 +169,7 @@ func buildKeyed[A, Out any](t Technique, newAg func(core.StoreKind) (*core.Aggre
 		if err != nil {
 			return nil, err
 		}
-		if err := k.EnableSpill(core.SpillConfig{Budget: w.SpillBudget, Store: st, Metrics: w.SpillMetrics}); err != nil {
+		if err := k.EnableSpill(core.SpillConfig{Budget: w.SpillBudget, Store: st}); err != nil {
 			return nil, err
 		}
 	}
@@ -295,95 +297,64 @@ func NewRows[A any](t Technique, f aggregate.Function[stream.Tuple, A, float64],
 	case err != nil:
 		return nil, err
 	case op.ag != nil:
-		ag := op.ag
-		return &Rows{
-			Element: func(it stream.Item[stream.Tuple]) []reference.Row {
-				if it.Kind == stream.KindEvent {
-					return coreRows(ag.ProcessElement(it.Event))
-				}
-				return coreRows(ag.ProcessWatermark(it.Watermark))
-			},
-			Batch:       func(items []stream.Item[stream.Tuple]) []reference.Row { return coreRows(ag.ProcessBatch(items)) },
-			Snapshot:    ag.Snapshot,
-			Restore:     ag.Restore,
-			AddQuery:    ag.AddQuery,
-			RemoveQuery: ag.RemoveQuery,
-			Op:          ag,
-		}, nil
+		r := rowsOf(op.ag, op.ag.ProcessBatch, coreRow)
+		r.Snapshot, r.Restore, r.AddQuery, r.RemoveQuery = op.ag.Snapshot, op.ag.Restore, op.ag.AddQuery, op.ag.RemoveQuery
+		return r, nil
 	case op.fl != nil:
-		fl := op.fl
-		return &Rows{
-			Element: func(it stream.Item[stream.Tuple]) []reference.Row {
-				if it.Kind == stream.KindEvent {
-					return coreRows(fl.ProcessElement(it.Event))
-				}
-				return coreRows(fl.ProcessWatermark(it.Watermark))
-			},
-			Batch:       func(items []stream.Item[stream.Tuple]) []reference.Row { return coreRows(fl.ProcessBatch(items)) },
-			Snapshot:    fl.Snapshot,
-			Restore:     fl.Restore,
-			AddQuery:    fl.AddQuery,
-			RemoveQuery: fl.RemoveQuery,
-			Op:          fl,
-		}, nil
+		r := rowsOf(op.fl, op.fl.ProcessBatch, coreRow)
+		r.Snapshot, r.Restore, r.AddQuery, r.RemoveQuery = op.fl.Snapshot, op.fl.Restore, op.fl.AddQuery, op.fl.RemoveQuery
+		return r, nil
 	case op.kd != nil:
-		kd := op.kd
-		return &Rows{
-			Element: func(it stream.Item[stream.Tuple]) []reference.Row {
-				if it.Kind == stream.KindEvent {
-					return keyedRows(kd.ProcessElement(it.Event))
-				}
-				return keyedRows(kd.ProcessWatermark(it.Watermark))
-			},
-			Batch:    func(items []stream.Item[stream.Tuple]) []reference.Row { return keyedRows(kd.ProcessBatch(items)) },
-			Snapshot: kd.Snapshot,
-			Restore:  kd.Restore,
-			Op:       kd,
-		}, nil
+		r := rowsOf(op.kd, op.kd.ProcessBatch, func(r core.KeyedResult[int32, float64]) reference.Row {
+			row := coreRow(r.Result)
+			row.Key = int64(r.Key)
+			return row
+		})
+		r.Snapshot, r.Restore = op.kd.Snapshot, op.kd.Restore
+		return r, nil
 	default:
-		base := op.base
-		element := func(it stream.Item[stream.Tuple]) []reference.Row {
-			if it.Kind == stream.KindEvent {
-				return baselineRows(base.ProcessElement(it.Event))
-			}
-			return baselineRows(base.ProcessWatermark(it.Watermark))
+		return rowsOf(op.base, nil, func(r baselines.Result[float64]) reference.Row { return coreRow(core.Result[float64](r)) }), nil
+	}
+}
+
+// processor is the per-item face every operator has; R is its result type.
+type processor[R any] interface {
+	ProcessElement(e stream.Event[stream.Tuple]) []R
+	ProcessWatermark(wm int64) []R
+}
+
+// rowsOf is the one Element/Batch adapter behind Rows: op's results,
+// converted by row. batch is op's ProcessBatch, or nil to loop per item.
+func rowsOf[R any](op processor[R], batch func([]stream.Item[stream.Tuple]) []R, row func(R) reference.Row) *Rows {
+	rows := func(rs []R) []reference.Row {
+		out := make([]reference.Row, len(rs))
+		for i, r := range rs {
+			out[i] = row(r)
 		}
-		return &Rows{
-			Element: element,
-			Batch: func(items []stream.Item[stream.Tuple]) []reference.Row {
-				var rows []reference.Row
-				for _, it := range items {
-					rows = append(rows, element(it)...)
-				}
-				return rows
-			},
-			Op: base,
-		}, nil
+		return out
 	}
+	element := func(it stream.Item[stream.Tuple]) []reference.Row {
+		if it.Kind == stream.KindEvent {
+			return rows(op.ProcessElement(it.Event))
+		}
+		return rows(op.ProcessWatermark(it.Watermark))
+	}
+	r := &Rows{Element: element, Op: op}
+	r.Batch = func(items []stream.Item[stream.Tuple]) []reference.Row {
+		if batch != nil {
+			return rows(batch(items))
+		}
+		var out []reference.Row
+		for _, it := range items {
+			out = append(out, element(it)...)
+		}
+		return out
+	}
+	return r
 }
 
-func coreRows(rs []core.Result[float64]) []reference.Row {
-	rows := make([]reference.Row, len(rs))
-	for i, r := range rs {
-		rows[i] = reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
-	}
-	return rows
-}
-
-func keyedRows(rs []core.KeyedResult[int32, float64]) []reference.Row {
-	rows := make([]reference.Row, len(rs))
-	for i, r := range rs {
-		rows[i] = reference.Row{Key: int64(r.Key), Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
-	}
-	return rows
-}
-
-func baselineRows(rs []baselines.Result[float64]) []reference.Row {
-	rows := make([]reference.Row, len(rs))
-	for i, r := range rs {
-		rows[i] = reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
-	}
-	return rows
+func coreRow(r core.Result[float64]) reference.Row {
+	return reference.Row{Query: r.Query, Start: r.Start, End: r.End, N: r.N, Value: r.Value, Update: r.Update}
 }
 
 // SumFn is the default aggregation of §6.2/§6.3: sum over the value column.

@@ -26,7 +26,6 @@ import (
 	"scotty/internal/checkpoint"
 	"scotty/internal/engine"
 	"scotty/internal/fleet"
-	"scotty/internal/obs"
 	"scotty/internal/reference"
 	"scotty/internal/stream"
 	"scotty/internal/window"
@@ -166,10 +165,9 @@ var sum = aggregate.Sum(stream.Val)
 // queries, 4 s lateness where the technique tolerates disorder. The fleet
 // gets correlated sliding queries plus an exact duplicate, so recovery must
 // reconstruct pane rings, factored trigger cursors and the logical fan-out,
-// not just core slices. spillDir and reg are used only by keyed-spill (the
-// partition's blob directory and the run-wide registry its counters
-// aggregate into).
-func workload(t benchutil.Technique, spillDir string, reg *obs.Registry) benchutil.Workload {
+// not just core slices. spillDir, the partition's blob directory, is used
+// only by keyed-spill.
+func workload(t benchutil.Technique, spillDir string) benchutil.Workload {
 	w := benchutil.Workload{
 		Ordered:  t.InOrderOnly(),
 		Lateness: 4000,
@@ -177,11 +175,10 @@ func workload(t benchutil.Technique, spillDir string, reg *obs.Registry) benchut
 		// trigger-cursor state, so per-key operators sharing one defs slice
 		// would hand each window's single trigger to whichever key
 		// processes it first (see core.NewKeyed).
-		Defs:         func() []window.Definition { return benchutil.TumblingQueries(5) },
-		IdleTTL:      keyedTTL,
-		SpillBudget:  keyedSpillBudget,
-		SpillDir:     spillDir,
-		SpillMetrics: reg,
+		Defs:        func() []window.Definition { return benchutil.TumblingQueries(5) },
+		IdleTTL:     keyedTTL,
+		SpillBudget: keyedSpillBudget,
+		SpillDir:    spillDir,
 	}
 	switch {
 	case w.Ordered:
@@ -207,8 +204,8 @@ func workload(t benchutil.Technique, spillDir string, reg *obs.Registry) benchut
 
 // newOperator builds the technique's operator for one partition through the
 // benchutil factory.
-func newOperator(t benchutil.Technique, spillDir string, reg *obs.Registry) (*benchutil.Rows, error) {
-	op, err := benchutil.NewRows(t, sum, workload(t, spillDir, reg))
+func newOperator(t benchutil.Technique, spillDir string) (*benchutil.Rows, error) {
+	op, err := benchutil.NewRows(t, sum, workload(t, spillDir))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
@@ -310,33 +307,22 @@ type RunResult struct {
 	Stats    engine.Stats
 	Log      *Log
 	Restores int64
-	// SpillStores and SpillLoads aggregate the keyed-spill technique's
-	// blob writes and re-hydrations across partitions and restarts (zero
-	// for every other technique). Their exact values are nondeterministic
-	// across fault plans — they witness that spilling happened, nothing
-	// more.
-	SpillStores int64
-	SpillLoads  int64
 }
 
 // Run executes one technique under the options and returns what an external
 // observer saw: the per-partition result log and the engine stats.
 func Run(o Options) (RunResult, error) {
-	var (
-		spillRoot string
-		spillReg  *obs.Registry
-	)
+	var spillRoot string
 	if o.Technique == benchutil.KeyedSpill {
 		dir, err := os.MkdirTemp("", "chaos-spill-")
 		if err != nil {
 			return RunResult{}, err
 		}
 		spillRoot = dir // handed to the engine below, which removes it
-		spillReg = obs.NewRegistry()
 	}
 	// Validate the technique once up front (partition index o.Par is a
 	// scratch spill directory no real partition uses).
-	if _, err := newOperator(o.Technique, partitionSpillDir(spillRoot, o.Par), spillReg); err != nil {
+	if _, err := newOperator(o.Technique, partitionSpillDir(spillRoot, o.Par)); err != nil {
 		return RunResult{}, err
 	}
 	in := input(o.Technique, o.Events, o.Seed)
@@ -354,7 +340,7 @@ func Run(o Options) (RunResult, error) {
 		Key:         func(e stream.Event[stream.Tuple]) uint64 { return uint64(e.Value.Key) },
 		NewProcessor: func(p int) engine.Processor[stream.Tuple] {
 			//lint:ignore errflow the technique was validated by newOperator before the run started; rebuilding it for a partition cannot fail differently
-			op, _ := newOperator(o.Technique, partitionSpillDir(spillRoot, p), spillReg) // validated above
+			op, _ := newOperator(o.Technique, partitionSpillDir(spillRoot, p)) // validated above
 			base := proc{part: p, op: op, log: log, crash: crash}
 			if op.Snapshot != nil {
 				return &snapProc{proc: base}
@@ -390,12 +376,7 @@ func Run(o Options) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	res := RunResult{Stats: stats, Log: log, Restores: crash.Restores.Load()}
-	if spillReg != nil {
-		res.SpillStores = spillReg.Counter("core_spill_stores_total").Value()
-		res.SpillLoads = spillReg.Counter("core_spill_loads_total").Value()
-	}
-	return res, nil
+	return RunResult{Stats: stats, Log: log, Restores: crash.Restores.Load()}, nil
 }
 
 // partitionSpillDir is engine.PartitionSpillDir gated on spilling being
@@ -477,7 +458,7 @@ func CheckOracle(o Options, res RunResult) error {
 	case benchutil.Keyed, benchutil.KeyedSpill:
 		keyOf = func(v stream.Tuple) int64 { return int64(v.Key) }
 	}
-	defs := workload(o.Technique, "", nil).Defs()
+	defs := workload(o.Technique, "").Defs()
 	for p, events := range parts {
 		want := reference.Want{Final: stream.MaxTime}
 		for id, d := range defs {

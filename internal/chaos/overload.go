@@ -126,7 +126,7 @@ func RunOverload(o OverloadOptions) (OverloadResult, error) {
 	}
 
 	tq := benchutil.LazySlicing
-	if _, err := newOperator(tq, "", nil); err != nil {
+	if _, err := newOperator(tq, ""); err != nil {
 		return OverloadResult{}, err
 	}
 	in := input(tq, o.Events, o.Seed)
@@ -138,7 +138,7 @@ func RunOverload(o OverloadOptions) (OverloadResult, error) {
 		Key:         func(e stream.Event[stream.Tuple]) uint64 { return uint64(e.Value.Key) },
 		NewProcessor: func(p int) engine.Processor[stream.Tuple] {
 			//lint:ignore errflow the technique was validated by newOperator before the run started; rebuilding it for a partition cannot fail differently
-			op, _ := newOperator(tq, "", nil) // validated above
+			op, _ := newOperator(tq, "") // validated above
 			return &proc{part: p, op: op, log: log, crash: crash}
 		},
 		BatchSize:    o.BatchSize,

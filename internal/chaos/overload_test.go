@@ -122,7 +122,7 @@ func sequentialOracle(t *testing.T, tq benchutil.Technique, items []stream.Item[
 	t.Helper()
 	ops := make([]*benchutil.Rows, par)
 	for p := range ops {
-		op, err := newOperator(tq, "", nil)
+		op, err := newOperator(tq, "")
 		if err != nil {
 			t.Fatalf("oracle operator: %v", err)
 		}

@@ -51,7 +51,7 @@ func checkQuery(t *testing.T, rows []reference.Row, f aggregate.Function[float64
 			mine = append(mine, r)
 		}
 	}
-	want := reference.Want{Rows: reference.Windows(f, q, qid, nil, ev, stream.MaxTime), Final: stream.MaxTime}
+	want := reference.Want{Rows: reference.Windows(f, q, qid, nil, ev, stream.MaxTime), Final: stream.MaxTime, Recut: map[int]bool{qid: q.Recut()}}
 	if v := reference.Check(mine, want); v.Failed() > 0 {
 		t.Errorf("query %d: %v", qid, v)
 	}

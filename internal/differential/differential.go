@@ -19,7 +19,6 @@ import (
 
 	"scotty/internal/aggregate"
 	"scotty/internal/benchutil"
-	"scotty/internal/core"
 	"scotty/internal/reference"
 	"scotty/internal/stream"
 	"scotty/internal/window"
@@ -92,24 +91,20 @@ func (s Spec) timePeriodic() bool {
 // agg is one aggregation function, both as the factory builds it and as the
 // oracle folds it.
 type agg struct {
-	name string
-	rows func(benchutil.Technique, benchutil.Workload) (*benchutil.Rows, error)
-	want func(q reference.Query[stream.Tuple], id int, keyOf func(stream.Tuple) int64, events []stream.Event[stream.Tuple], final int64) []reference.Row
-	// commutative is Props().Commutative: out of order, only a
-	// commutative function lets the core keep aggregates instead of tuples.
-	commutative bool
+	props aggregate.Props
+	rows  func(benchutil.Technique, benchutil.Workload) (*benchutil.Rows, error)
+	want  func(q reference.Query[stream.Tuple], id int, keyOf func(stream.Tuple) int64, events []stream.Event[stream.Tuple], final int64) []reference.Row
 }
 
 func aggOf[A any](f aggregate.Function[stream.Tuple, A, float64]) agg {
 	return agg{
-		name: f.Props().Name,
+		props: f.Props(),
 		rows: func(t benchutil.Technique, w benchutil.Workload) (*benchutil.Rows, error) {
 			return benchutil.NewRows(t, f, w)
 		},
 		want: func(q reference.Query[stream.Tuple], id int, keyOf func(stream.Tuple) int64, events []stream.Event[stream.Tuple], final int64) []reference.Row {
 			return reference.Windows(f, q, id, keyOf, events, final)
 		},
-		commutative: f.Props().Commutative,
 	}
 }
 
@@ -167,7 +162,6 @@ type Case struct {
 	Added                 Spec
 	Removed               int
 	TTL, Budget           int64 // keyed-ttl's expiry, keyed-spill's budget
-	FleetStore            core.StoreKind
 	// Forcing marks the last Spec as there only to force a keyed case onto
 	// one operator per key; its rows are not compared.
 	Forcing bool
@@ -177,6 +171,12 @@ type Case struct {
 var harnessTechniques = []benchutil.Technique{
 	benchutil.LazySlicing, benchutil.EagerSlicing, benchutil.DABASlicing, benchutil.FleetSlicing, benchutil.Keyed, benchutil.KeyedTTL, benchutil.KeyedSpill,
 	benchutil.Pairs, benchutil.Cutty, benchutil.Buckets, benchutil.TupleBuckets, benchutil.TupleBuffer, benchutil.AggTree,
+}
+
+// unshared maps each fleet technique to the slicing technique on the same
+// store, which runs its queries unshared.
+var unshared = map[benchutil.Technique]benchutil.Technique{
+	benchutil.FleetSlicing: benchutil.LazySlicing, benchutil.FleetEager: benchutil.EagerSlicing, benchutil.FleetDABA: benchutil.DABASlicing,
 }
 
 // draw reads a case's choices from the fuzz input, one byte each in a fixed
@@ -281,7 +281,7 @@ func drawSpec(d *draw, k Kind, step int64, before []Spec) Spec {
 
 func (c Case) String() string {
 	return fmt.Sprintf("%s/%s ordered=%v specs=%v disorder=%+v period=%d lag=%d lateness=%d keys=%d events=%d step=%d seed=%d batch=%d change=%d@%d added=%v removed=%d ttl=%d budget=%d",
-		c.Tech, aggs[c.Agg].name, c.Ordered, c.Specs, c.Disorder, c.Period, c.Lag, c.Lateness, c.Keys, c.Events, c.MaxStep, c.Seed, c.Batch, c.Change, c.At, c.Added, c.Removed, c.TTL, c.Budget)
+		c.Tech, aggs[c.Agg].props.Name, c.Ordered, c.Specs, c.Disorder, c.Period, c.Lag, c.Lateness, c.Keys, c.Events, c.MaxStep, c.Seed, c.Batch, c.Change, c.At, c.Added, c.Removed, c.TTL, c.Budget)
 }
 
 // events draws the case's tuples in event-time order: ties, steps up to
@@ -308,6 +308,8 @@ func (c Case) events() []stream.Event[stream.Tuple] {
 	return ev
 }
 
+func (c Case) fleet() bool { _, ok := unshared[c.Tech]; return ok }
+
 func (c Case) keyed() bool {
 	return c.Tech == benchutil.Keyed || c.Tech == benchutil.KeyedTTL || c.Tech == benchutil.KeyedSpill
 }
@@ -323,7 +325,6 @@ func (c Case) workload(t testing.TB, specs []Spec) benchutil.Workload {
 			}
 			return defs
 		},
-		FleetStore:  c.FleetStore,
 		IdleTTL:     c.TTL,
 		SpillBudget: c.Budget,
 	}
@@ -376,10 +377,9 @@ func (c Case) Gap() string {
 		specs = append([]Spec{c.Added}, specs...)
 	}
 	var longest int64
-	ranks, context, cit, punct := false, false, false, false
+	ranks, context, cit := false, false, false
 	for _, s := range specs {
 		cit = cit || s.Kind == CountInTime
-		punct = punct || s.Kind == Punctuation
 		switch {
 		case s.measure() == stream.Count:
 			ranks = true
@@ -390,6 +390,7 @@ func (c Case) Gap() string {
 			longest = max(longest, s.A)
 		}
 	}
+	fn := aggs[c.Agg].props
 	baseline := c.Tech == benchutil.TupleBuffer || c.Tech == benchutil.AggTree || c.Tech == benchutil.Buckets || c.Tech == benchutil.TupleBuckets
 	evicts := c.Lateness < 1<<40
 	late := c.Disorder.MaxDelay >= c.Lag
@@ -404,17 +405,17 @@ func (c Case) Gap() string {
 		return "late tuples behind a change"
 	case c.Change == AddQuery && (context || ranks):
 		return "a query added mid-stream beside context-aware or count windows"
-	case c.Tech == benchutil.FleetSlicing && (c.Change == AddQuery || c.Change == RemoveQuery):
+	case c.fleet() && (c.Change == AddQuery || c.Change == RemoveQuery):
 		return "fleet: a query added or removed mid-stream"
 	case late && cit:
 		return "late tuples, count-in-time windows"
-	case late && len(c.Specs) == 1 && c.Specs[0].Kind == Session && aggs[c.Agg].commutative:
+	case late && len(c.Specs) == 1 && c.Specs[0].Kind == Session && fn.Commutative:
 		return "late tuples, a session alone on a store without tuples"
-	case c.Ordered && punct && ranks:
-		return "ordered, punctuation beside count windows"
+	case c.Ordered && context && ranks:
+		return "ordered, a session or punctuation window beside count windows"
 	case c.Tech == benchutil.DABASlicing && ranks && longest > 0:
 		return "daba: time windows beside count windows"
-	case (c.Tech == benchutil.Buckets || c.Tech == benchutil.TupleBuckets) && !c.Ordered && !aggs[c.Agg].commutative:
+	case (c.Tech == benchutil.Buckets || c.Tech == benchutil.TupleBuckets) && !c.Ordered && !fn.Commutative:
 		return "buckets: a non-commutative function out of order"
 	}
 	return ""
@@ -531,11 +532,12 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 	if c.Forcing {
 		ignored = len(c.Specs) - 1
 	}
-	want := reference.Want{Final: stream.MaxTime}
+	want := reference.Want{Final: stream.MaxTime, Recut: map[int]bool{}}
 	for id, s := range c.Specs {
 		if id != removed && id != ignored {
 			_, q := s.query()
 			want.Rows = append(want.Rows, fn.want(q, id, keyOf, events, stream.MaxTime)...)
+			want.Recut[id] = q.Recut()
 		}
 	}
 	if added >= 0 {
@@ -582,15 +584,15 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 		switch {
 		case c.keyed():
 			same(t, c, "batch ≡ element", elem, batch, func(r reference.Row) int64 { return r.Key })
-		case c.Tech != benchutil.FleetSlicing:
+		case !c.fleet():
 			same(t, c, "batch ≡ element", elem, batch, nil)
 		}
 	}
 
 	// fleet ≡ unshared, per query.
-	if c.Tech == benchutil.FleetSlicing {
-		unshared, _ := run(mustRows(t, c, benchutil.LazySlicing), items, 1, at, do(benchutil.LazySlicing))
-		same(t, c, "fleet ≡ unshared", unshared, elem, func(r reference.Row) int64 { return int64(r.Query) })
+	if u, ok := unshared[c.Tech]; ok {
+		plain, _ := run(mustRows(t, c, u), items, 1, at, do(u))
+		same(t, c, "fleet ≡ unshared", plain, elem, func(r reference.Row) int64 { return int64(r.Query) })
 	}
 
 	// slice-major ≡ per-key: a trailing session member moves every key onto

@@ -56,6 +56,9 @@ func TestCorpusShapes(t *testing.T) {
 		// A watermark triggering a window past the newest tuple (pairs
 		// folded the open slice into it).
 		"pairs-window-past-newest-tuple": {"pairs/sum ordered=true specs=[{0 321 0}]"},
+		// A sampling window (slide above length) postponed while empty and
+		// ended by the next tuple (cutty took that tuple in).
+		"cutty-window-ended-by-next-tuple": {"cutty/median ordered=true specs=[{1 4 6}]", "lag=1 "},
 		// A session gap shorter than the disorder beside a sliding window
 		// (the splitTime panic).
 		"sliding-plus-session-gap-under-disorder": {"lazy-slicing/sum ordered=false specs=[{1 4084 1021} {2 702 0}]", "MaxDelay:3509", "lag=2011 "},

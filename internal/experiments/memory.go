@@ -4,7 +4,6 @@ import (
 	"io"
 	"reflect"
 
-	"scotty/internal/baselines"
 	"scotty/internal/benchutil"
 	"scotty/internal/core"
 	"scotty/internal/memsize"
@@ -32,43 +31,17 @@ func buildState(t benchutil.Technique, m stream.Measure, n, slices int) any {
 	if length < 1 {
 		length = 1
 	}
-	def := window.Tumbling(m, length)
-	f := benchutil.SumFn()
-	const lateness = int64(1) << 40
-	ev := evenEvents(n)
-
-	switch t {
-	case benchutil.LazySlicing, benchutil.EagerSlicing:
-		ag := core.New(f, core.Options{Lateness: lateness, Eager: t == benchutil.EagerSlicing})
-		ag.MustAddQuery(def)
-		for _, e := range ev {
-			ag.ProcessElement(e)
-		}
-		return ag
-	case benchutil.Buckets, benchutil.TupleBuckets:
-		op := baselines.NewBuckets(f, t == benchutil.TupleBuckets, false, lateness)
-		op.AddQuery(def)
-		for _, e := range ev {
-			op.ProcessElement(e)
-		}
-		return op
-	case benchutil.TupleBuffer:
-		op := baselines.NewTupleBuffer(f, false, lateness)
-		op.AddQuery(def)
-		for _, e := range ev {
-			op.ProcessElement(e)
-		}
-		return op
-	case benchutil.AggTree:
-		op := baselines.NewAggTree(f, false, lateness)
-		op.AddQuery(def)
-		for _, e := range ev {
-			op.ProcessElement(e)
-		}
-		return op
-	default:
-		panic("experiments: no state builder for " + string(t))
+	op, err := benchutil.NewRows(t, benchutil.SumFn(), benchutil.Workload{
+		Lateness: 1 << 40,
+		Defs:     func() []window.Definition { return []window.Definition{window.Tumbling(m, length)} },
+	})
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
+	for _, e := range evenEvents(n) {
+		op.Element(stream.EventItem(e))
+	}
+	return op.Op
 }
 
 var memTechniques = []benchutil.Technique{

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"scotty/internal/benchutil"
-	"scotty/internal/core"
 	"scotty/internal/differential"
 	"scotty/internal/fleet"
 	"scotty/internal/stream"
@@ -51,18 +50,18 @@ func TestOracleRandomizedWorkloads(t *testing.T) {
 	legs := []struct {
 		name     string
 		ordered  bool
-		store    core.StoreKind
+		tech     benchutil.Technique
 		disorder stream.Disorder
 		lateness int64
 		sessions bool
 	}{
-		{name: "ordered-lazy", ordered: true, store: core.StoreLazy, sessions: true},
-		{name: "ordered-eager", ordered: true, store: core.StoreEager, sessions: true},
-		{name: "ordered-daba", ordered: true, store: core.StoreDABA},
-		{name: "unordered-inorder-lazy", store: core.StoreLazy, sessions: true},
-		{name: "ooo-lazy", store: core.StoreLazy, sessions: true,
+		{name: "ordered-lazy", ordered: true, tech: benchutil.FleetSlicing, sessions: true},
+		{name: "ordered-eager", ordered: true, tech: benchutil.FleetEager, sessions: true},
+		{name: "ordered-daba", ordered: true, tech: benchutil.FleetDABA},
+		{name: "unordered-inorder-lazy", tech: benchutil.FleetSlicing, sessions: true},
+		{name: "ooo-lazy", tech: benchutil.FleetSlicing, sessions: true,
 			disorder: stream.Disorder{Fraction: 0.2, MaxDelay: 900, Seed: 7}, lateness: 2000},
-		{name: "ooo-eager", store: core.StoreEager, sessions: true,
+		{name: "ooo-eager", tech: benchutil.FleetEager, sessions: true,
 			disorder: stream.Disorder{Fraction: 0.25, MaxDelay: 700, Seed: 8}, lateness: 1500},
 	}
 	for _, lg := range legs {
@@ -72,7 +71,7 @@ func TestOracleRandomizedWorkloads(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed * 77))
 				c := oracleCase(fleetSpecs(rng, 6+rng.Intn(8), lg.sessions), seed, 1)
-				c.Ordered, c.FleetStore, c.Disorder, c.Lag, c.Lateness = lg.ordered, lg.store, lg.disorder, lg.disorder.MaxDelay+1, lg.lateness
+				c.Ordered, c.Tech, c.Disorder, c.Lag, c.Lateness = lg.ordered, lg.tech, lg.disorder, lg.disorder.MaxDelay+1, lg.lateness
 				differential.Run(t, c)
 			}
 		})

@@ -33,10 +33,13 @@ func (r Row) Window() Window { return Window{r.Key, r.Query, r.Start, r.End} }
 // Want is the oracle's side of a comparison: one row for every window that
 // holds at least one tuple and that a watermark closed, and Final, the last
 // watermark before the closing drain (stream.MaxTime when the stream ended
-// with a closing watermark, so nothing is provisional).
+// with a closing watermark, so nothing is provisional), and Recut, the ids
+// of the queries whose windows a late tuple can re-cut after they were
+// announced (sessions and punctuation windows).
 type Want struct {
 	Rows  []Row
 	Final int64
+	Recut map[int]bool
 }
 
 // Windows computes the oracle rows of one query, registered as id: for every
@@ -97,10 +100,12 @@ func (v *Verdict) note(format string, args ...any) {
 //     are provisional and skipped;
 //   - empty windows are excluded on both sides: an operator prints n=0 rows
 //     only for spans it happens to exist over;
-//   - a window the oracle does not know is allowed if it nests with one the
-//     oracle knows, of the same key and query: a row cannot be retracted, so
-//     a session a late tuple later extended, or a punctuation window a late
-//     marker later split, keeps the row it was announced with;
+//   - a window of a Recut query the oracle does not know is allowed if it
+//     nests with one the oracle knows, of the same key and query: a row
+//     cannot be retracted, so a session a late tuple later extended, or a
+//     punctuation window a late marker later split, keeps the row it was
+//     announced with. Every other query's extents are fixed, so any window
+//     the oracle does not know is unexpected;
 //   - values compare within approx's tolerance.
 func Check(rows []Row, want Want) Verdict {
 	v := Verdict{Expected: len(want.Rows)}
@@ -145,7 +150,7 @@ func Check(rows []Row, want Want) Verdict {
 				nested[k] = append(nested[k], o)
 			}
 		}
-		if !nests(nested[[2]int64{w.Key, int64(w.Query)}], w) {
+		if !want.Recut[w.Query] || !nests(nested[[2]int64{w.Key, int64(w.Query)}], w) {
 			v.Unexpected++
 			v.note("unexpected window %+v (n=%d v=%v)", w, r.N, r.Value)
 		}

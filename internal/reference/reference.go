@@ -35,6 +35,11 @@ type Query[V any] struct {
 	Every   int64          // CountInTime: trigger period (ms)
 }
 
+// Recut reports whether a late tuple can re-cut the query's windows after
+// they were announced: a session extends or merges, a punctuation window
+// splits. Every other query's extents are fixed in advance.
+func (q Query[V]) Recut() bool { return q.Kind == Session || q.Kind == Punctuation }
+
 // Final is one expected window result.
 type Final[Out any] struct {
 	Start, End int64

@@ -115,7 +115,8 @@ func TestCheckRules(t *testing.T) {
 	row := func(q int, s, e, n int64, v float64, upd bool) Row {
 		return Row{Query: q, Start: s, End: e, N: n, Value: v, Update: upd}
 	}
-	want := Want{Rows: []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Final: 100}
+	// Query 1 is a session, whose windows a late tuple can re-cut.
+	want := Want{Rows: []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Final: 100, Recut: map[int]bool{1: true}}
 	for _, tc := range []struct {
 		name string
 		rows []Row
@@ -127,6 +128,7 @@ func TestCheckRules(t *testing.T) {
 		{"empty and provisional rows are not unexpected", []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false), row(0, 10, 20, 0, 0, false), row(0, 100, 110, 5, 5, false)}, Verdict{}},
 		{"a non-empty unknown window", []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false), row(0, 20, 30, 1, 1, false)}, Verdict{Unexpected: 1}},
 		{"a session later extended nests in the known one", []Row{row(0, 0, 10, 2, 3, false), row(1, 0, 20, 2, 4, false), row(1, 0, 30, 3, 7, true)}, Verdict{}},
+		{"a periodic window nesting in a known one", []Row{row(0, 0, 10, 2, 3, false), row(0, 0, 5, 1, 1, false), row(1, 0, 30, 3, 7, false)}, Verdict{Unexpected: 1}},
 		{"announced twice", []Row{row(0, 0, 10, 1, 1, false), row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Verdict{Twice: 1}},
 		{"re-announced unchanged", []Row{row(0, 0, 10, 2, 3, false), row(0, 0, 10, 2, 3, false), row(1, 0, 30, 3, 7, false)}, Verdict{}},
 	} {
