@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"net/http"
 	"os"
@@ -563,8 +564,9 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 	return unkeyedOp[Out]{ag}, 0
 }
 
-// feed runs the source through its scanner into op, a batch at a time, and
-// returns the source's read error.
+// feed runs the source through its scanner into op, a batch at a time, calls
+// blockDone behind the last batch of every piece of input the source handed
+// over, and returns the source's read error.
 //
 // A batch is what one read of the input returned — never topped up, so a
 // paced source is processed as it arrives — with the watermarks that became
@@ -585,28 +587,29 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 // ops.Edge in front of whichever operator runs: the source goroutine parses
 // and sends, this loop receives one-item batches, and under overload whole
 // events are dropped by the policy — counted, never silent. Watermarks are
-// control flow and never dropped. Drops fall on whatever event is at the
+// control flow and never dropped; with no piece of input on this side of the
+// queue, each one ends a block. Drops fall on whatever event is at the
 // queue's edge, so under -keyed the loss is spread over keys in proportion to
 // their traffic.
-func (env *runEnv) feed(op func([]item)) error {
+func (env *runEnv) feed(op func([]item), blockDone func()) error {
 	ctx, stop := context.WithCancel(env.ctx)
 	defer stop()
 	// No final watermark when the source ends: EOF and cancellation share the
 	// shutdown path in runPipeline, which snapshots the resumable state and
 	// then drains — the snapshot must not see MaxTime as the watermark.
-	pump := func(send func([]item)) error {
+	pump := func(send func([]item), blockDone func()) error {
 		var orderErr error
 		if env.opts.Ordered {
 			send = env.inOrder(send, stop, &orderErr)
 		}
-		err := env.src(ctx, &scanner{ctx: ctx, rb: env.rb, feeder: stream.NewFeeder[stream.Tuple](env.wm), send: send})
+		err := env.src(ctx, &scanner{ctx: ctx, rb: env.rb, feeder: stream.NewFeeder[stream.Tuple](env.wm), send: send, blockDone: blockDone})
 		if orderErr != nil {
 			return orderErr
 		}
 		return err
 	}
 	if env.policy == ops.Block {
-		return pump(op)
+		return pump(op, blockDone)
 	}
 
 	dropped := env.reg.Counter("scotty_events_dropped_total", obs.L("reason", env.policy.String()))
@@ -622,7 +625,7 @@ func (env *runEnv) feed(op func([]item)) error {
 			for _, it := range batch {
 				edge.Send(it)
 			}
-		})
+		}, nil)
 		edge.Close()
 	}()
 	var one [1]item
@@ -632,6 +635,9 @@ func (env *runEnv) feed(op func([]item)) error {
 			break
 		}
 		op(one[:])
+		if one[0].Kind == stream.KindWatermark {
+			blockDone()
+		}
 	}
 	if n := dropped.Value(); n > 0 {
 		fmt.Fprintf(env.stderr, "backpressure: dropped %d events (%s)\n", n, env.policy)
@@ -714,7 +720,10 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 
 	// The sink sits behind whichever operator runs: stdout, or — with
 	// -breaker — the guarded rowSink. Both are handed the one row buffer the
-	// operator appends to.
+	// operator appends to. Stdout is written when a block of input ends and
+	// whenever outBufSize bytes have piled up before that, so a row waits for
+	// at most one block's processing and the pipe sees one write per block,
+	// not one per watermark.
 	var sink *rowSink
 	if env.breaker {
 		var err error
@@ -725,7 +734,7 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 		defer sink.finish()
 	}
 	rows := &rowBuf[Out]{keyed: env.keyed, qPrefix: env.qPrefix, rb: rb, appendValue: valueAppender[Out]()}
-	deliver := func(flush bool) {
+	deliver := func(blockEnd bool) {
 		if rows.n == 0 {
 			return
 		}
@@ -733,7 +742,7 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 			// Guarded egress offers each result batch to the writer on its
 			// own, so a rejected batch is dead-lettered whole.
 			sink.write(rows.buf, rows.n)
-		} else if flush || len(rows.buf) >= outBufSize {
+		} else if blockEnd || len(rows.buf) >= outBufSize {
 			// A writer that rejects rows is what -breaker guards against; without
 			// it the run carries on, as it always has.
 			_, _ = stdout.Write(rows.buf)
@@ -745,11 +754,10 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 	defer deliver(true)
 	process := func(batch []item) {
 		ag.ProcessBatch(batch, rows)
-		// Watermarks bound the output and debug staleness for a streaming
-		// source: flush emitted rows and publish a fresh slice snapshot.
-		atWatermark := batch[len(batch)-1].Kind == stream.KindWatermark
-		deliver(atWatermark)
-		if atWatermark && ms != nil {
+		deliver(false)
+		// Watermarks bound the debug staleness for a streaming source:
+		// publish a fresh slice snapshot.
+		if ms != nil && batch[len(batch)-1].Kind == stream.KindWatermark {
 			sl := ag.SliceSnapshot()
 			for i := range sl {
 				sl[i].Start = rb.unshift(sl[i].Start)
@@ -761,7 +769,7 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 	if ms != nil {
 		ms.ready.Store(true) // the run loop is up: /healthz turns ready
 	}
-	feedErr := env.feed(process)
+	feedErr := env.feed(process, func() { deliver(true) })
 
 	// Shutdown: snapshot first, then drain. The snapshot captures the
 	// resumable mid-stream state (buffered slices plus the true watermark
@@ -837,9 +845,11 @@ func restoreFinal[Out any](ag operator[Out], rb *rebaser, data []byte) error {
 	return nil
 }
 
-// outBufSize is how many bytes of rows may wait for the next watermark before
-// they are written out regardless (what bufio.Writer's default buffer held).
-const outBufSize = 4096
+// outBufSize is how many bytes of rows may wait for the end of the block
+// before they are written out regardless: a pipe buffer's worth, so that a
+// block that emits more than that still costs a few writes, not one per
+// watermark (docs/PERFORMANCE.md, "The ingest and emission path").
+const outBufSize = 16 << 10
 
 // rowBuf is the one reused output buffer: operators append a rendered row per
 // result, the run loop hands the bytes to the sink and resets it. A row is
@@ -853,33 +863,79 @@ type rowBuf[Out any] struct {
 	appendValue    func([]byte, Out) []byte
 	// A fleet's watermark releases a row per query for the same window end:
 	// "q<id>\t" per query id and ", <end>)\t n=" of the last end printed are
-	// rendered once and copied.
-	qTags  [][]byte
+	// rendered once and copied. Its rows' starts are a few dozen values, and
+	// a keyed watermark's rows all share one: "[<start>" is rendered once
+	// into a small direct-mapped cache and copied from there.
+	qTags  []tag
 	end    int64
-	endTag []byte
+	endTag tag
+	starts [1 << startBits]startTag
+}
+
+// startBits sizes rowBuf's start cache: 1<<startBits slots.
+const startBits = 6
+
+// tag is a rendered piece of a row, copied into the row as one fixed-size
+// move rather than a copy of its length: put writes all of b and keeps n.
+type tag struct {
+	b [32]byte
+	n int
+}
+
+// startTag is one rendered "[<start>" in the start cache; n 0 is an empty
+// slot.
+type startTag struct {
+	tag
+	start int64
+}
+
+// rowRoom is the room add makes in buf before a row, so that put never
+// writes past its capacity: "k<key>\t", "q<id>\t" and "[<start>" take at most
+// 13 + 21 + 21 bytes, and the last put writes 32.
+const rowRoom = 128
+
+// rowPad is what add appends to make room, and then cuts off again.
+var rowPad [rowRoom]byte
+
+// put appends t; buf has room for all of t.b (add made it).
+func (w *rowBuf[Out]) put(t *tag) {
+	l := len(w.buf)
+	*(*[32]byte)(w.buf[l : l+32]) = t.b
+	w.buf = w.buf[:l+t.n]
 }
 
 //slicelint:hotpath
 func (w *rowBuf[Out]) add(key int32, r *core.Result[Out]) {
+	if cap(w.buf)-len(w.buf) < rowRoom {
+		w.buf = append(w.buf, rowPad[:]...)[:len(w.buf)]
+	}
 	if w.keyed {
-		w.buf = append(strconv.AppendInt(append(w.buf, 'k'), int64(key), 10), '\t')
+		w.buf = append(appendInt(append(w.buf, 'k'), int64(key)), '\t')
 	}
 	if w.qPrefix {
 		if r.Query >= len(w.qTags) {
 			w.growTags(r.Query)
 		}
-		w.buf = append(w.buf, w.qTags[r.Query]...)
+		w.put(&w.qTags[r.Query])
 	}
 	s, e := r.Start, r.End
 	if r.Measure == stream.Time {
 		s, e = w.rb.unshift(s), w.rb.unshift(e)
 	}
-	if e != w.end || len(w.endTag) == 0 {
-		w.end = e
-		w.endTag = append(strconv.AppendInt(append(w.endTag[:0], ", "...), e, 10), ")\t n="...)
+	// Fibonacci hashing spreads starts that are multiples of a slide.
+	if t := &w.starts[uint64(s)*0x9e3779b97f4a7c15>>(64-startBits)]; t.n > 0 && t.start == s {
+		w.put(&t.tag)
+	} else {
+		i := len(w.buf)
+		w.buf = appendInt(append(w.buf, '['), s)
+		t.start, t.n = s, copy(t.b[:], w.buf[i:])
 	}
-	w.buf = append(strconv.AppendInt(append(w.buf, '['), s, 10), w.endTag...)
-	w.buf = w.appendValue(append(strconv.AppendInt(w.buf, r.N, 10), "\t "...), r.Value)
+	if e != w.end || w.endTag.n == 0 {
+		w.end = e
+		w.endTag.n = len(append(appendInt(append(w.endTag.b[:0], ", "...), e), ")\t n="...))
+	}
+	w.put(&w.endTag)
+	w.buf = w.appendValue(append(appendInt(w.buf, r.N), "\t "...), r.Value)
 	if r.Update {
 		w.buf = append(w.buf, "  (update)"...)
 	}
@@ -890,7 +946,9 @@ func (w *rowBuf[Out]) add(key int32, r *core.Result[Out]) {
 //slicelint:coldpath runs once per query id, the first time a row carries it
 func (w *rowBuf[Out]) growTags(id int) {
 	for id >= len(w.qTags) {
-		w.qTags = append(w.qTags, append(strconv.AppendInt([]byte{'q'}, int64(len(w.qTags)), 10), '\t'))
+		var t tag
+		t.n = copy(t.b[:], append(strconv.AppendInt([]byte{'q'}, int64(len(w.qTags)), 10), '\t'))
+		w.qTags = append(w.qTags, t)
 	}
 }
 
@@ -912,10 +970,69 @@ func valueAppender[Out any]() func([]byte, Out) []byte {
 func appendFloat(b []byte, v float64) []byte {
 	if -1e6 < v && v < 1e6 {
 		if i := int64(v); float64(i) == v && (i != 0 || !math.Signbit(v)) {
-			return strconv.AppendInt(b, i, 10)
+			return appendInt(b, i)
 		}
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendInt appends v in decimal, byte for byte as strconv.AppendInt(b, v, 10)
+// does, but in place: the number is sized first, b grown by that many bytes,
+// and the digits written into them from the right, two per step, where
+// strconv writes them into a buffer of its own and copies that.
+func appendInt(b []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	i := len(b) + decimalLen(u)
+	if i <= cap(b) {
+		b = b[:i]
+	} else {
+		b = append(b, "00000000000000000000"[:i-len(b)]...)
+	}
+	for u >= 100 {
+		q := u / 100
+		r := (u - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
+}
+
+// digitPairs is "00" to "99", the steps appendInt writes.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10u holds 10^0 to 10^19, every power of ten a uint64 holds.
+var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimalLen is how many digits u has (1 for 0): its bit length times
+// log10(2) — 1233/4096 — estimates the number of digits less one, and one
+// comparison corrects the estimate. u|1 keeps 0 at one digit and compares
+// like u against every even power of ten.
+func decimalLen(u uint64) int {
+	t := bits.Len64(u|1) * 1233 >> 12
+	if u|1 < pow10u[t] {
+		return t
+	}
+	return t + 1
 }
 
 // rowSink is scotty's guarded egress: every result-row batch passes a

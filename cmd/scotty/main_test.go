@@ -237,6 +237,17 @@ func TestSlidingPlusSessionUnderDisorder(t *testing.T) {
 	}
 }
 
+// TestSessionExtendedOutOfOrder: a late tuple that extends a session moves
+// the session's end edge. These five tuples — 373 extends the session
+// [0, 672) after 755 opened the next — used to end the run with exit 2
+// ("window boundary inside populated slice").
+func TestSessionExtendedOutOfOrder(t *testing.T) {
+	got := runScotty(t, []string{"-window", "session", "-gap", "300"}, "0,1\n372,2\n755,3\n373,4\n270,5\n")
+	if want := "[0, 673)\t n=4\t 12\n[755, 1055)\t n=1\t 3\n"; got != want {
+		t.Errorf("rows %q, want %q", got, want)
+	}
+}
+
 // TestWindowsBadSpecsExitNonZero covers the -windows parser's error paths.
 func TestWindowsBadSpecsExitNonZero(t *testing.T) {
 	for _, spec := range []string{"sliding", "session", "tumbling:0", "sliding:1000:-5", "heptagonal:9", "tumbling:1000:2:3", " , "} {

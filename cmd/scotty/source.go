@@ -25,16 +25,20 @@ type source func(ctx context.Context, sc *scanner) error
 // makes due — stream.Feeder's schedule, at one comparison per in-order tuple
 // — and hands the batch to send, cut behind every item that can make the
 // operator emit (feed has why): each watermark, and each event older than the
-// newest before it. A source flushes what is left at the end of every piece
-// of input it was handed, so a batch is never held back waiting for more.
-// send may keep a batch only until it returns.
+// newest before it. A source ends every piece of input it was handed with
+// endBlock, so a batch is never held back waiting for more, and neither are
+// the rows it made. send may keep a batch only until it returns.
 type scanner struct {
 	ctx    context.Context
 	rb     *rebaser
 	feeder *stream.Feeder[stream.Tuple]
 	send   func([]item)
-	items  []item
-	seq    int64 // the next CSV line's sequence number
+	// blockDone, when set, is called behind the last batch of every piece of
+	// input, before the source waits for the next: the run loop writes its
+	// rows out there.
+	blockDone func()
+	items     []item
+	seq       int64 // the next CSV line's sequence number
 }
 
 // push is a tuple's one step from input to item.
@@ -103,6 +107,15 @@ func (sc *scanner) flush() {
 	}
 }
 
+// endBlock flushes what is left of a piece of input and says the piece is
+// over.
+func (sc *scanner) endBlock() {
+	sc.flush()
+	if sc.blockDone != nil {
+		sc.blockDone()
+	}
+}
+
 // demoBatch is how many generated events one demo batch carries at most:
 // about what a block of CSV lines does.
 const demoBatch = 256
@@ -117,7 +130,7 @@ func demoSource(n int, ooo float64) source {
 			for _, e := range events[i:min(i+demoBatch, len(events))] {
 				sc.push(e)
 			}
-			sc.flush()
+			sc.endBlock()
 		}
 		return nil
 	}
@@ -237,12 +250,12 @@ func csvSource(stdin io.Reader, stderr io.Writer, malformed *obs.Counter) source
 	}
 }
 
-// lines pushes the tuple of every line of block, then flushes. A line that is
-// exactly the fast grammar (scanFields) up to its newline is parsed where it
-// lies, without finding its end first; any other line — blank, a comment,
-// CRLF, spaces, anything scanFields declines — is cut at its newline, trimmed
-// and given to parseLine, and to bad if it is malformed. What is accepted and
-// what it parses to is therefore exactly parseLine's grammar.
+// lines pushes the tuple of every line of block, then ends the block. A line
+// that is exactly the fast grammar (scanFields) up to its newline is parsed
+// where it lies, without finding its end first; any other line — blank, a
+// comment, CRLF, spaces, anything scanFields declines — is cut at its newline,
+// trimmed and given to parseLine, and to bad if it is malformed. What is
+// accepted and what it parses to is therefore exactly parseLine's grammar.
 //
 //slicelint:hotpath
 func (sc *scanner) lines(block []byte, bad func(line []byte)) {
@@ -268,7 +281,7 @@ func (sc *scanner) lines(block []byte, bad func(line []byte)) {
 		sc.push(event{Time: ts, Seq: sc.seq, Value: stream.Tuple{Key: key, V: v}})
 		sc.seq++
 	}
-	sc.flush()
+	sc.endBlock()
 }
 
 // pow10 holds the powers of ten scanFields divides by; each is an exact

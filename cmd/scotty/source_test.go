@@ -492,34 +492,35 @@ func fleet64CSV(n int) []byte {
 	return b.Bytes()
 }
 
-// lineCounter counts the rows written to it.
-type lineCounter struct{ rows int }
+// lineCounter counts the rows written to it and the writes they took.
+type lineCounter struct{ rows, writes int }
 
 func (c *lineCounter) Write(p []byte) (int, error) {
 	c.rows += bytes.Count(p, []byte{'\n'})
+	c.writes++
 	return len(p), nil
 }
 
 // BenchmarkFleet64Emit is the in-process rung for csv-ooo-fleet64: run() over
 // that workload's stream and query set, where the time goes into factored
 // emission and row rendering (docs/PERFORMANCE.md "Fleet emission"). allocs/row
-// is marginal — what the second half of the stream allocates per row it emits.
+// is marginal — what the second half of the stream allocates per row it emits;
+// writes/tuple is how often stdout is written.
 func BenchmarkFleet64Emit(b *testing.B) {
 	const tuples = 20_000
 	in := fleet64CSV(tuples)
-	measure := func(in []byte) (rows int, mallocs uint64) {
-		var out lineCounter
+	measure := func(in []byte) (out lineCounter, mallocs uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if code := run(context.Background(), fleet64Args, bytes.NewReader(in), &out, io.Discard); code != 0 {
 			b.Fatalf("scotty exited %d", code)
 		}
 		runtime.ReadMemStats(&after)
-		return out.rows, after.Mallocs - before.Mallocs
+		return out, after.Mallocs - before.Mallocs
 	}
 	half := in[:bytes.LastIndexByte(in[:len(in)/2], '\n')+1]
-	halfRows, halfMallocs := measure(half)
-	rows, mallocs := measure(in)
+	halfOut, halfMallocs := measure(half)
+	out, mallocs := measure(in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if code := run(context.Background(), fleet64Args, bytes.NewReader(in), io.Discard, io.Discard); code != 0 {
@@ -527,8 +528,9 @@ func BenchmarkFleet64Emit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/tuple")
-	b.ReportMetric(float64(rows)/tuples, "rows/tuple")
-	b.ReportMetric((float64(mallocs)-float64(halfMallocs))/float64(rows-halfRows), "allocs/row")
+	b.ReportMetric(float64(out.rows)/tuples, "rows/tuple")
+	b.ReportMetric(float64(out.writes)/tuples, "writes/tuple")
+	b.ReportMetric((float64(mallocs)-float64(halfMallocs))/float64(out.rows-halfOut.rows), "allocs/row")
 }
 
 // TestCancelMidBlockKeepsOrdinaryInput: a cancellation that arrives while a

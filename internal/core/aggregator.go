@@ -133,7 +133,6 @@ type Aggregator[V, A, Out any] struct {
 	hasCFTime  bool
 	hasCFCount bool
 	hasCA      bool
-	hasSession bool
 	needRank   bool
 
 	// Slicer caches (§5.3 step 1): the next upcoming window edge. Edge
@@ -395,7 +394,7 @@ func (ag *Aggregator[V, A, Out]) addQuery(def window.Definition, resumed bool) (
 		// since it was last computed, so the new query's share is added to
 		// it and registering n queries costs n, not n².
 		ag.classify(q)
-		ag.decideTuples(ag.st.keepTuples || q.keep || sharedSession(ag.opts.Ordered, ag.hasSession, len(ag.queries)))
+		ag.decideTuples(ag.st.keepTuples || q.keep)
 		ag.syncDabaRings()
 		ag.lowerCFEdge(q)
 		ag.lowerTriggerWake(q)
@@ -492,17 +491,17 @@ func (ag *Aggregator[V, A, Out]) extentMeasure() stream.Measure {
 
 // reconfigure re-derives workload flags and the Fig 4 tuple-storage decision.
 func (ag *Aggregator[V, A, Out]) reconfigure() {
-	ag.hasCFTime, ag.hasCFCount, ag.hasCA, ag.hasSession, ag.needRank = false, false, false, false, false
+	ag.hasCFTime, ag.hasCFCount, ag.hasCA, ag.needRank = false, false, false, false
 	ag.ctxQueries = ag.ctxQueries[:0]
 	// Fig 4 is an "at least one" over the queries on top of what the function
 	// and the stream order decide alone, so each query's share is taken once,
-	// at registration; only a session among other queries depends on the set.
+	// at registration.
 	keep := needTuples(ag.opts.Ordered, ag.f.Props(), nil)
 	for _, q := range ag.queries {
 		ag.classify(q)
 		keep = keep || q.keep
 	}
-	ag.decideTuples(keep || sharedSession(ag.opts.Ordered, ag.hasSession, len(ag.queries)))
+	ag.decideTuples(keep)
 	ag.syncDabaRings()
 	ag.refreshCFEdges()
 	ag.refreshTriggerWake()
@@ -519,7 +518,6 @@ func (ag *Aggregator[V, A, Out]) classify(q *query[V]) {
 		ag.hasCA = true
 		ag.ctxQueries = append(ag.ctxQueries, q)
 	}
-	ag.hasSession = ag.hasSession || window.IsSession(q.def)
 	ag.needRank = ag.needRank || !q.time
 }
 

@@ -20,9 +20,7 @@ import (
 //     slices; sessions are exempt because their splits only ever land in
 //     tuple-free gaps),
 //  3. some query uses a count-based measure (an out-of-order tuple shifts
-//     the rank of every later tuple, cascading tuples across slices),
-//  4. a session window shares the operator with another query (see
-//     sharedSession: the exemption of rule 2 holds for a session alone).
+//     the rank of every later tuple, cascading tuples across slices).
 //
 // The decision depends only on workload characteristics — never on observed
 // data — and is re-evaluated when queries are added or removed (§5.1).
@@ -38,7 +36,6 @@ func needTuples(ordered bool, props aggregate.Props, defs []window.Definition) b
 	if !props.Commutative {
 		return true
 	}
-	session := false
 	for _, d := range defs {
 		if _, cf := d.(window.ContextFree); !cf && !window.IsSession(d) {
 			return true
@@ -46,19 +43,8 @@ func needTuples(ordered bool, props aggregate.Props, defs []window.Definition) b
 		if d.Measure() == stream.Count {
 			return true
 		}
-		session = session || window.IsSession(d)
 	}
-	return sharedSession(ordered, session, len(defs))
-}
-
-// sharedSession is where rule 2's session exemption ends. A session's own
-// edges close every gap it leaves, so a late tuple that opens a session in a
-// gap splits an empty slice. Another query on the same operator cuts slices
-// across those gaps — a sliding window's edge between a session's last tuple
-// and its end — and a late tuple landing there needs a session edge inside a
-// populated slice. Out of order, a session among other queries keeps tuples.
-func sharedSession(ordered, session bool, queries int) bool {
-	return !ordered && session && queries > 1
+	return false
 }
 
 // periodicParams is how a definition states that it is tumbling or sliding:

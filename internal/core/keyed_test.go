@@ -16,8 +16,7 @@ type kv struct {
 	V   float64
 }
 
-// A per-key operator that stores tuples snapshots them (a session among other
-// queries under disorder, for one).
+// A per-key operator that stores tuples snapshots them, so kv needs a codec.
 func init() {
 	checkpoint.Register("core.kv",
 		func(e *checkpoint.Encoder, v kv) { e.Int(v.Key); e.Float64(v.V) },

@@ -409,8 +409,6 @@ func (c Case) Gap() string {
 		return "fleet: a query added or removed mid-stream"
 	case late && cit:
 		return "late tuples, count-in-time windows"
-	case late && len(c.Specs) == 1 && c.Specs[0].Kind == Session && fn.Commutative:
-		return "late tuples, a session alone on a store without tuples"
 	case c.Ordered && context && ranks:
 		return "ordered, a session or punctuation window beside count windows"
 	case c.Tech == benchutil.DABASlicing && ranks && longest > 0:

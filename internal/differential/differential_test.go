@@ -62,6 +62,9 @@ func TestCorpusShapes(t *testing.T) {
 		// A session gap shorter than the disorder beside a sliding window
 		// (the splitTime panic).
 		"sliding-plus-session-gap-under-disorder": {"lazy-slicing/sum ordered=false specs=[{1 4084 1021} {2 702 0}]", "MaxDelay:3509", "lag=2011 "},
+		// A session alone, extended by a late tuple while its end edge
+		// stayed put (the partialByTime panic).
+		"session-extended-out-of-order": {"lazy-slicing/sum ordered=false specs=[{2 372 0}]", "MaxDelay:4980", "lag=391 "},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOperatorVsReference", name))
 		if err != nil {

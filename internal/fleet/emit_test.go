@@ -97,7 +97,7 @@ func (r *replay[A, Out]) refDrain(wm, maxSeen int64) {
 				continue
 			}
 			hi := min(wm, maxSeen+sp.length)
-			for e := sp.nextEnd; e-1 <= hi; e += sp.slide {
+			for e := sp.nextEnd(); e-1 <= hi; e += sp.slide {
 				r.refWindow(g, sp, e-sp.length, e, false)
 				members[e]++
 			}
@@ -124,7 +124,7 @@ func (r *replay[A, Out]) refReEmitCovering(g *group[A], ps, pe int64) {
 			if e < pe {
 				break
 			}
-			if e < sp.nextEnd && e >= sp.minNextEnd {
+			if e < sp.nextEnd() && e >= sp.minNextEnd {
 				r.refWindow(g, sp, s, e, true)
 			}
 		}

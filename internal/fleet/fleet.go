@@ -90,7 +90,7 @@ type spec[A any] struct {
 	mode    mode
 	physID  int // core query id while direct/draining; -1 when factored
 	grp     *group[A]
-	nextEnd int64 // next window end the factored path emits
+	next    int64 // next window end the factored path emits, in panes of grp
 	lastEnd int64 // highest non-update end emitted while direct/draining
 	// minNextEnd mirrors the direct physical query's trigger cursor as of its
 	// last (re-)registration: core.AddQuery silently drains windows completed
@@ -103,7 +103,14 @@ type spec[A any] struct {
 	// emission of this spec (length / planned slice granularity); the
 	// slice_touches_saved_total counter is measured against it.
 	directFold int64
+
+	// lenP and slideP are length and slide in panes of grp's factor, set
+	// when the spec joins the group: emission walks the ring by adding them.
+	lenP, slideP int64
 }
+
+// nextEnd is the next window end the factored path emits, in time.
+func (sp *spec[A]) nextEnd() int64 { return sp.next * sp.grp.factor }
 
 // resumeEnd is the window end at which factored emission resumes on a
 // hand-over: after the last direct emission when one was observed, else at
@@ -117,6 +124,13 @@ func (sp *spec[A]) resumeEnd() int64 {
 		next = sp.lastEnd + sp.slide
 	}
 	return next
+}
+
+// join puts the spec on factor group g, its length and slide counted in g's
+// panes (both are multiples of g's factor).
+func (sp *spec[A]) join(g *group[A]) {
+	sp.grp = g
+	sp.lenP, sp.slideP = sp.length/g.factor, sp.slide/g.factor
 }
 
 // pane is one factor-window partial: the partial aggregate and tuple count of
@@ -139,8 +153,9 @@ type group[A any] struct {
 }
 
 // due is one member's share of an emission pass (a drain of one group or one
-// reEmitCovering): n windows ending at end, end+step, …, emitted in that
-// order; their folds sit at Fleet.folded[at:at+n].
+// reEmitCovering): n windows ending at pane end, end+step, …, emitted in
+// that order; their folds sit at Fleet.folded[at:at+n]. end and step count
+// panes of the group's factor.
 type due[A any] struct {
 	sp        *spec[A]
 	end, step int64
@@ -148,7 +163,8 @@ type due[A any] struct {
 }
 
 // suffix is the longest window folded so far at one window end of an emission
-// pass: length 0 and the identity pane until a window ends there.
+// pass: length 0 and the identity pane until a window ends there. length
+// counts panes.
 type suffix[A any] struct {
 	length int64
 	p      pane[A]

@@ -372,6 +372,7 @@ func (fl *Fleet[V, A, Out]) groupFor(f int64) *group[A] {
 // uses (window/periodic.go Trigger): the direct query resumes precisely after
 // the last factored emission, with no duplicates and no holes.
 func (fl *Fleet[V, A, Out]) detach(sp *spec[A]) {
+	f := sp.grp.factor
 	sp.grp = nil
 	switch sp.mode {
 	case modeDraining:
@@ -386,7 +387,7 @@ func (fl *Fleet[V, A, Out]) detach(sp *spec[A]) {
 			// measures any worse than the original registration did.
 			panic("fleet: cannot re-register window: " + err.Error())
 		}
-		sp.minNextEnd = sp.nextEnd
+		sp.minNextEnd = sp.next * f
 		sp.physID = id
 		fl.byPhys[id] = sp
 	}
@@ -398,13 +399,13 @@ func (fl *Fleet[V, A, Out]) detach(sp *spec[A]) {
 // mid-stream the spec keeps its physical query and drains until the ring
 // covers its next window (maybeFlip).
 func (fl *Fleet[V, A, Out]) attach(sp *spec[A], g *group[A]) {
-	sp.grp = g
+	sp.join(g)
 	g.specs = append(g.specs, sp)
 	g.maxLen = max(g.maxLen, sp.length)
 	if fl.virgin() {
 		fl.dropPhys(sp)
 		sp.mode = modeFactored
-		sp.nextEnd = sp.resumeEnd()
+		sp.next = sp.resumeEnd() / g.factor
 		sp.lastEnd = 0
 		return
 	}

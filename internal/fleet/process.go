@@ -60,11 +60,23 @@ func (fl *Fleet[V, A, Out]) ingest(rs []core.Result[Out]) {
 			if r.End < sb.floor {
 				continue // subscriber registered after this window
 			}
-			out := *r
+			out := fl.nextResult()
+			*out = *r
 			out.Query = sb.id
-			fl.results = append(fl.results, out)
 		}
 	}
+}
+
+// nextResult appends a slot to fl.results for the caller to fill in field by
+// field: a Result literal appended whole is assembled on the stack and copied
+// out, at a store-forwarding stall per row.
+func (fl *Fleet[V, A, Out]) nextResult() *core.Result[Out] {
+	n := len(fl.results)
+	if n == cap(fl.results) {
+		fl.results = append(fl.results, core.Result[Out]{})
+	}
+	fl.results = fl.results[:n+1]
+	return &fl.results[n]
 }
 
 // pump advances the factored emission frontier. The common case — nothing
@@ -92,10 +104,13 @@ func (fl *Fleet[V, A, Out]) drain(wm, maxSeen int64) {
 			if sp.mode != modeFactored {
 				continue
 			}
-			if hi := min(wm, maxSeen+sp.length); sp.nextEnd-1 <= hi {
-				n := (hi-sp.nextEnd+1)/sp.slide + 1
-				fl.due = append(fl.due, due[A]{sp: sp, end: sp.nextEnd, step: sp.slide, n: int(n)})
-				sp.nextEnd += n * sp.slide
+			if e, hi := sp.nextEnd(), min(wm, maxSeen+sp.length); e-1 <= hi {
+				n := int64(1) // a watermark period is usually one slide
+				if e+sp.slide-1 <= hi {
+					n = (hi-e+1)/sp.slide + 1
+				}
+				fl.due = append(fl.due, due[A]{sp: sp, end: sp.next, step: sp.slideP, n: int(n)})
+				sp.next += n * sp.slideP
 			}
 		}
 		fl.emitDue(g, false)
@@ -132,14 +147,14 @@ func (fl *Fleet[V, A, Out]) maybeFlip(g *group[A], sp *spec[A]) {
 	if g.base < 0 {
 		return
 	}
-	next := sp.resumeEnd()
-	if g.base*g.factor > next-sp.length {
+	next := sp.resumeEnd() / g.factor
+	if g.base > next-sp.lenP {
 		return
 	}
 	fl.dropPhys(sp)
 	sp.mode = modeFactored
 	fl.nDraining--
-	sp.nextEnd = next
+	sp.next = next
 	fl.m.physical.Set(int64(fl.physical()))
 }
 
@@ -157,6 +172,10 @@ func (fl *Fleet[V, A, Out]) maybeFlip(g *group[A], sp *spec[A]) {
 // kept between passes, so ring writes and evictions have nothing to
 // invalidate. Results are then appended member by member in fl.due's order —
 // the order the unshared per-query path emits in.
+//
+// Window ends, lengths and the memo are counted in panes, so the memo slot and
+// the ring leaves of a member's next window are its last ones plus its slide:
+// no window costs a division.
 //
 // The slice-touch savings — what direct emissions would have folded minus
 // the ring and chain combines actually spent — feed slice_touches_saved_total.
@@ -178,26 +197,33 @@ func (fl *Fleet[V, A, Out]) emitDue(g *group[A], update bool) {
 	if !sorted { // members registered shortest first are in chain order already
 		slices.SortFunc(fl.byLen, func(a, b int) int { return cmp.Compare(fl.due[a].sp.length, fl.due[b].sp.length) })
 	}
-	ends := int((hi-lo)/g.factor) + 1
+	ends := int(hi-lo) + 1
 	fl.folded = slices.Grow(fl.folded[:0], total)[:total]
 	fl.memo = slices.Grow(fl.memo[:0], ends)[:ends]
 	none := suffix[A]{p: pane[A]{a: fl.f.Identity()}}
 	for i := range fl.memo {
 		fl.memo[i] = none
 	}
+	// Ring leaves are pane indices less g.base; panes past the ring's tail
+	// hold no tuples (foldPanes).
+	base, leaves := lo-g.base, int64(g.tree.Len())
+	if g.base < 0 {
+		leaves = 0
+	}
 	spent := -g.tree.Combines()
 	for _, i := range fl.byLen {
 		d := &fl.due[i]
-		for k, e := 0, d.end; k < d.n; k, e = k+1, e+d.step {
-			m := &fl.memo[(e-lo)/g.factor]
-			p, ok := fl.foldPanes(g, e-d.sp.length, e-m.length)
+		lenP := d.sp.lenP
+		for k, e := 0, d.end-lo; k < d.n; k, e = k+1, e+d.step {
+			m := &fl.memo[e]
+			p, ok := fl.foldPanes(g, max(e+base-lenP, 0), min(e+base-m.length, leaves))
 			if !ok {
 				p = m.p
 			} else if m.length > 0 {
 				p = pane[A]{a: fl.f.Combine(p.a, m.p.a), n: p.n + m.p.n}
 				spent++
 			}
-			m.length, m.p = d.sp.length, p
+			m.length, m.p = lenP, p
 			fl.folded[d.at+k] = p
 		}
 	}
@@ -206,17 +232,17 @@ func (fl *Fleet[V, A, Out]) emitDue(g *group[A], update bool) {
 	for i := range fl.due {
 		d := &fl.due[i]
 		direct += int64(d.n) * d.sp.directFold
-		for k, e := 0, d.end; k < d.n; k, e = k+1, e+d.step {
+		end, step := d.end*g.factor, d.step*g.factor
+		for k, e := 0, end; k < d.n; k, e = k+1, e+step {
 			p := &fl.folded[d.at+k]
 			v := fl.f.Lower(p.a)
 			for _, sb := range d.sp.subs {
 				if e < sb.floor {
 					continue // subscriber registered after this window
 				}
-				fl.results = append(fl.results, core.Result[Out]{
-					Query: sb.id, Measure: stream.Time,
-					Start: e - d.sp.length, End: e, Value: v, N: p.n, Update: update,
-				})
+				r := fl.nextResult()
+				r.Query, r.Measure, r.Start, r.End = sb.id, stream.Time, e-d.sp.length, e
+				r.Value, r.N, r.Update = v, p.n, update
 			}
 		}
 	}
@@ -227,18 +253,13 @@ func (fl *Fleet[V, A, Out]) emitDue(g *group[A], update bool) {
 	fl.due = fl.due[:0]
 }
 
-// foldPanes folds the panes covering [s, e), reporting false when there are
-// none. Window edges of factored specs are multiples of the factor, so the
-// span maps exactly onto ring leaves. Panes missing beyond the ring's tail
-// contain no tuples — the factor trigger's MaxSeen cap is the only thing that
-// postpones a due pane, and it only postpones empty ones — so clamping to the
-// ring is exact.
-func (fl *Fleet[V, A, Out]) foldPanes(g *group[A], s, e int64) (pane[A], bool) {
-	if g.base < 0 {
-		return pane[A]{}, false
-	}
-	lo := max(s/g.factor-g.base, 0)
-	hi := min(e/g.factor-g.base, int64(g.tree.Len())) // exclusive leaf bound
+// foldPanes folds ring leaves [lo, hi), reporting false when there are none.
+// Window edges of factored specs are multiples of the factor, so a window maps
+// exactly onto ring leaves; the caller clamps it to the ring. Panes missing
+// beyond the ring's tail contain no tuples — the factor trigger's MaxSeen cap
+// is the only thing that postpones a due pane, and it only postpones empty
+// ones — so clamping to the ring is exact.
+func (fl *Fleet[V, A, Out]) foldPanes(g *group[A], lo, hi int64) (pane[A], bool) {
 	switch {
 	case lo >= hi:
 		return pane[A]{}, false
@@ -292,10 +313,10 @@ func (fl *Fleet[V, A, Out]) reEmitCovering(g *group[A], ps, pe int64) {
 		// Window k is [k*slide, k*slide+length): the newest one that starts
 		// at or before the pane and has been announced, down to the oldest
 		// one that still reaches the pane and the floor.
-		newest := min(ps, sp.nextEnd-sp.slide-sp.length) / sp.slide
+		newest := min(ps, sp.nextEnd()-sp.slide-sp.length) / sp.slide
 		oldest := max(0, (max(pe, sp.minNextEnd)-sp.length+sp.slide-1)/sp.slide)
 		if newest >= oldest {
-			fl.due = append(fl.due, due[A]{sp: sp, end: newest*sp.slide + sp.length, step: -sp.slide, n: int(newest - oldest + 1)})
+			fl.due = append(fl.due, due[A]{sp: sp, end: newest*sp.slideP + sp.lenP, step: -sp.slideP, n: int(newest - oldest + 1)})
 		}
 	}
 	fl.emitDue(g, true)
@@ -319,7 +340,7 @@ func (fl *Fleet[V, A, Out]) evictPanes(g *group[A]) {
 		if sp.mode != modeFactored {
 			return
 		}
-		if ns := sp.nextEnd - sp.length; ns < horizon {
+		if ns := sp.nextEnd() - sp.length; ns < horizon {
 			horizon = ns
 		}
 	}
@@ -349,11 +370,12 @@ func (fl *Fleet[V, A, Out]) refreshSchedule() {
 			if sp.mode != modeFactored {
 				continue
 			}
-			if maxSeen != stream.MinTime && sp.nextEnd-1 <= maxSeen+sp.length {
-				if w := sp.nextEnd - 1; w < wake {
+			e := sp.nextEnd()
+			if maxSeen != stream.MinTime && e-1 <= maxSeen+sp.length {
+				if w := e - 1; w < wake {
 					wake = w
 				}
-			} else if w := sp.nextEnd - 1 - sp.length; w < park {
+			} else if w := e - 1 - sp.length; w < park {
 				park = w
 			}
 		}

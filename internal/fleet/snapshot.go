@@ -74,7 +74,11 @@ func (fl *Fleet[V, A, Out]) Snapshot() ([]byte, error) {
 		}
 		enc.Byte(byte(sp.mode))
 		enc.Int64(int64(sp.physID))
-		enc.Int64(sp.nextEnd)
+		var nextEnd int64 // the factored cursor, in time; unused otherwise
+		if sp.mode == modeFactored {
+			nextEnd = sp.nextEnd()
+		}
+		enc.Int64(nextEnd)
 		enc.Int64(sp.lastEnd)
 		enc.Int64(sp.minNextEnd)
 		enc.Int64(sp.directFold)
@@ -140,6 +144,7 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 		return err
 	}
 	specs := make([]*spec[A], 0, ns)
+	nextEnds := make([]int64, 0, ns) // factored cursors, in panes once the group is known
 	for i := 0; i < ns; i++ {
 		sp := &spec[A]{}
 		sp.canon = canon{
@@ -154,7 +159,7 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 		}
 		sp.mode = mode(dec.Byte())
 		sp.physID = int(dec.Int64())
-		sp.nextEnd = dec.Int64()
+		nextEnds = append(nextEnds, dec.Int64())
 		sp.lastEnd = dec.Int64()
 		sp.minNextEnd = dec.Int64()
 		sp.directFold = dec.Int64()
@@ -190,7 +195,8 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 				return fmt.Errorf("%w: group member index out of range", checkpoint.ErrCorruptSnapshot)
 			}
 			g.specs = append(g.specs, specs[si])
-			specs[si].grp = g
+			specs[si].join(g)
+			specs[si].next = nextEnds[si] / g.factor
 		}
 		g.tree = fat.New(func(x, y pane[A]) pane[A] {
 			return pane[A]{a: fl.f.Combine(x.a, y.a), n: x.n + y.n}

@@ -94,11 +94,17 @@ func (c *sessionContext[V]) Observe(e stream.Event[V], rank int64, inOrder bool)
 		ch.Merge = append(ch.Merge, Span{Start: merged.first, End: merged.last + c.gap})
 		ch.Updated = append(ch.Updated, Span{Start: merged.first, End: merged.last + c.gap})
 	case joinPrev:
-		// Extends the predecessor forward.
+		// Extends the predecessor forward. In order, the slicer's cached
+		// next edge follows via NextEdge; out of order, the old end may
+		// already be an edge behind the stream, so the session's end moves
+		// explicitly: an edge at the new end, the old one merged away.
 		c.sessions[i-1].last = ts
 		s := c.sessions[i-1]
 		if !inOrder {
-			ch.Updated = append(ch.Updated, Span{Start: s.first, End: s.last + c.gap})
+			end := s.last + c.gap
+			ch.Add = append(ch.Add, end)
+			ch.Merge = append(ch.Merge, Span{Start: s.first, End: end})
+			ch.Updated = append(ch.Updated, Span{Start: s.first, End: end})
 		}
 	case joinNext:
 		// Extends the successor backward: the window start moves from

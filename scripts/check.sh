@@ -67,7 +67,7 @@ echo '== chaos: crash/torn-snapshot/barrier-fault equivalence'
 # suite to shake out order dependence between recovered state and fresh state.
 go test ./internal/chaos/... -race -count=2
 
-echo '== fuzz smoke (50s total; skip with SKIP_FUZZ=1)'
+echo '== fuzz smoke (55s total; skip with SKIP_FUZZ=1)'
 # Each fuzz target gets a short randomized burst on top of its checked-in
 # seed corpus: the envelope decoder must never panic on arbitrary bytes
 # (recovery reads checkpoint files straight off disk), the lint directive
@@ -75,7 +75,8 @@ echo '== fuzz smoke (50s total; skip with SKIP_FUZZ=1)'
 # in-place line parser must accept, reject and parse exactly what the
 # Scanner/Split/strconv feed they replaced did, a row must show any
 # float64 as %v does (integral values skip strconv's shortest-digits search),
-# and every operator must agree with internal/reference on whatever case the
+# the in-place decimal writer must append what strconv.AppendInt does, and
+# every operator must agree with internal/reference on whatever case the
 # fuzzer decodes (FuzzOperatorVsReference, the differential harness).
 if [ "${SKIP_FUZZ:-0}" = "1" ]; then
   echo 'skipped (SKIP_FUZZ=1)'
@@ -84,6 +85,7 @@ else
   go test ./internal/lint -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 10s
   go test ./cmd/scotty -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 10s
   go test ./cmd/scotty -run '^$' -fuzz '^FuzzRowValueMatchesFprintf$' -fuzztime 10s
+  go test ./cmd/scotty -run '^$' -fuzz '^FuzzAppendIntMatchesStrconv$' -fuzztime 5s
   go test ./internal/differential -run '^$' -fuzz '^FuzzOperatorVsReference$' -fuzztime 10s
 fi
 
