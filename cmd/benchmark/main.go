@@ -29,6 +29,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"scotty/internal/benchutil"
 	"scotty/internal/experiments"
@@ -42,17 +44,23 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchmark", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "", "experiment id: 8..17, table1, taillat, fleet, membound, ablation, or all")
+	fig := fs.String("fig", "", "experiment id: "+strings.Join(experiments.IDs(), ", ")+", or all")
 	full := fs.Bool("full", false, "run at the paper-sized scale")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	benchutil.CSVMode = *csv
-
 	if *fig == "" {
 		fs.Usage()
 		return 2
+	}
+	if *fig != "all" && !slices.Contains(experiments.IDs(), *fig) {
+		fmt.Fprintf(stderr, "unknown experiment %q\n", *fig)
+		return 2
+	}
+	out := stdout
+	if *csv {
+		out = benchutil.CSVWriter{Writer: stdout}
 	}
 	sc := experiments.Quick()
 	scaleName := "quick"
@@ -62,12 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "general stream slicing benchmark — GOMAXPROCS=%d, scale=%s\n",
 		runtime.GOMAXPROCS(0), scaleName)
-	known, err := experiments.Run(*fig, stdout, sc)
-	if !known {
-		fmt.Fprintf(stderr, "unknown experiment %q\n", *fig)
-		return 2
-	}
-	if err != nil {
+	if _, err := experiments.Run(*fig, out, sc); err != nil {
 		fmt.Fprintf(stderr, "experiment %s: %v\n", *fig, err)
 		return 1
 	}

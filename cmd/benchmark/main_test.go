@@ -37,6 +37,9 @@ func TestUnknownFigureExitsNonZero(t *testing.T) {
 	if code := run([]string{"-fig", "99"}, &out, &errOut); code == 0 {
 		t.Fatal("unknown figure should exit non-zero")
 	}
+	if out.Len() != 0 {
+		t.Fatalf("unknown figure wrote to stdout before failing:\n%s", out.String())
+	}
 	if code := run(nil, &out, &errOut); code == 0 {
 		t.Fatal("missing -fig should exit non-zero")
 	}

@@ -20,8 +20,9 @@
 //   - internal/fat, internal/rle, internal/memsize, internal/benchutil,
 //     internal/experiments — supporting substrates and the benchmark harness.
 //
-// The root package holds the benchmark suite (bench_test.go), one benchmark
-// per table and figure of the paper's evaluation. Executables: cmd/benchmark
-// regenerates every experiment; cmd/scotty is a standalone windowed
-// aggregation CLI. Runnable examples live under examples/.
+// internal/experiments defines each table and figure of the paper's
+// evaluation once, in its point functions, and runs them as BenchmarkPaper.
+// Executables: cmd/benchmark regenerates every experiment; cmd/scotty is a
+// standalone windowed aggregation CLI. Runnable examples live under
+// examples/.
 package scotty

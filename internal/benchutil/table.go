@@ -50,13 +50,13 @@ func formatFloat(v float64) string {
 	}
 }
 
-// CSVMode switches Print to CSV output globally (set by cmd/benchmark's
-// -csv flag so experiment code stays format-agnostic).
-var CSVMode bool
+// CSVWriter marks a writer whose tables print as CSV, so experiment code
+// stays format-agnostic: the format travels with the writer it is handed.
+type CSVWriter struct{ io.Writer }
 
-// Print renders the aligned table (or CSV when CSVMode is set).
+// Print renders the aligned table, or CSV when w is a CSVWriter.
 func (t *Table) Print(w io.Writer) {
-	if CSVMode {
+	if _, ok := w.(CSVWriter); ok {
 		if t.Title != "" {
 			fmt.Fprintf(w, "\n# %s\n", t.Title)
 		}

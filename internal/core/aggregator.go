@@ -21,24 +21,12 @@ type Options struct {
 	// out-of-order tuples are still folded in, producing update results.
 	// Tuples later than this are dropped (counted in Stats).
 	Lateness int64
-	// Eager maintains a FlatFAT aggregate tree over the slices, lowering
-	// output latency at the cost of per-tuple tree updates (Table 1 rows
-	// 5 vs 6; §6.2.4). Deprecated alias for Store: StoreEager; ignored
-	// when Store is set to anything other than StoreLazy.
-	Eager bool
 	// Store selects the aggregation structure over the slice partials:
 	// StoreLazy (fold at emission), StoreEager (FlatFAT tree), or
 	// StoreDABA (per-query DABA-Lite rings with worst-case O(1) combines
 	// per operation; requires Ordered, falls back to the lazy fold for
 	// emissions the rings cannot serve).
 	Store StoreKind
-	// KeepTuples overrides the Fig 4 decision when non-nil (used by the
-	// ablation benchmarks).
-	KeepTuples *bool
-	// DisableEdgeCache recomputes the next-window-edge minimum from every
-	// query on every tuple instead of caching it (§5.3 step 1). Exists
-	// only for the ablation benchmark quantifying the cache's value.
-	DisableEdgeCache bool
 	// Metrics is the registry the operator's counters and gauges are
 	// registered in (core_tuples_total, core_splits_total, core_slices,
 	// core_watermark_lag_ms, ...). Nil creates a private registry,
@@ -196,16 +184,6 @@ type pendingUpdate struct {
 
 // New creates an aggregator for the given aggregation function.
 func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Aggregator[V, A, Out] {
-	// Normalize the legacy Eager flag into the Store kind so the rest of
-	// the operator branches on one field.
-	if opts.Eager && opts.Store == StoreLazy {
-		opts.Store = StoreEager
-	}
-	opts.Eager = opts.Store == StoreEager
-	keep := false
-	if opts.KeepTuples != nil {
-		keep = *opts.KeepTuples
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -214,7 +192,7 @@ func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Aggregat
 	ag := &Aggregator[V, A, Out]{
 		f:                 f,
 		opts:              opts,
-		st:                newStore(f, opts.Eager, keep, m),
+		st:                newStore(f, opts.Store == StoreEager, false, m),
 		cachedCFTimeEdge:  stream.MaxTime,
 		cachedCFCountEdge: stream.MaxTime,
 		currWM:            stream.MinTime,
@@ -521,11 +499,8 @@ func (ag *Aggregator[V, A, Out]) classify(q *query[V]) {
 	ag.needRank = ag.needRank || !q.time
 }
 
-// decideTuples applies the Fig 4 decision keep (the ablation override wins).
+// decideTuples applies the Fig 4 decision keep.
 func (ag *Aggregator[V, A, Out]) decideTuples(keep bool) {
-	if ag.opts.KeepTuples != nil {
-		keep = *ag.opts.KeepTuples
-	}
 	if keep && !ag.st.keepTuples && ag.st.totalCount > 0 {
 		// Switching tuple storage on mid-stream applies from the next
 		// slice onwards: cut the open slice so no slice mixes stored
@@ -901,9 +876,6 @@ func (ag *Aggregator[V, A, Out]) rankAt(i int, e stream.Event[V]) int64 {
 // advanceTimeEdges cuts every pending time edge <= ts (Fig 7 step 1). The
 // common case — no edge crossed — costs one comparison per edge source.
 func (ag *Aggregator[V, A, Out]) advanceTimeEdges(ts int64) {
-	if ag.opts.DisableEdgeCache {
-		ag.refreshCFEdges()
-	}
 	for {
 		open := ag.openStart()
 		edge := ag.cachedCFTimeEdge
@@ -1106,7 +1078,7 @@ func (ag *Aggregator[V, A, Out]) emit(q *query[V], s, e int64, update bool) {
 // eager tree's fast path when available.
 func (ag *Aggregator[V, A, Out]) rangeAggregate(m stream.Measure, s, e int64) (A, int64) {
 	if m == stream.Time {
-		if ag.opts.Eager {
+		if ag.opts.Store == StoreEager {
 			if a, n, ok := ag.st.aggregateTimeRangeFast(s, e); ok {
 				return a, n
 			}

@@ -226,6 +226,14 @@ func TestDecisionMatrix(t *testing.T) {
 
 // --------------------------------------------------------- golden tests ---
 
+// storeOf selects the eager (FlatFAT) store for eager, else the lazy one.
+func storeOf(eager bool) StoreKind {
+	if eager {
+		return StoreEager
+	}
+	return StoreLazy
+}
+
 func goldenAgainst(t *testing.T, ordered, eager bool, d stream.Disorder) {
 	rng := rand.New(rand.NewSource(7))
 	ev := genEvents(rng, streamLen(3000))
@@ -242,7 +250,7 @@ func goldenAgainst(t *testing.T, ordered, eager bool, d stream.Disorder) {
 		{window.Session[float64](150), reference.Query[float64]{Kind: reference.Session, Gap: 150}},
 	}
 
-	ag := New[float64](sum, Options{Ordered: ordered, Eager: eager, Lateness: 1 << 40})
+	ag := New[float64](sum, Options{Ordered: ordered, Store: storeOf(eager), Lateness: 1 << 40})
 	ids := make([]int, len(qs))
 	for i, qq := range qs {
 		ids[i] = ag.MustAddQuery(qq.def)

@@ -61,10 +61,9 @@ func (ag *Aggregator[V, A, Out]) ProcessBatch(batch []stream.Item[V]) []Result[O
 // leading item through the per-element pipeline.
 //
 // Context-aware queries observe every tuple individually (their contexts can
-// reshape slices tuple by tuple), and the edge-cache ablation exists to
-// measure per-tuple edge derivation — both disable the fast path wholesale.
+// reshape slices tuple by tuple), so they disable the fast path wholesale.
 func (ag *Aggregator[V, A, Out]) fastPrefix(batch []stream.Item[V]) int {
-	if ag.hasCA || ag.opts.DisableEdgeCache {
+	if ag.hasCA {
 		return 0
 	}
 	// A tie on the maximum timestamp takes the out-of-order path when

@@ -125,7 +125,7 @@ func runBatchEquivalenceTrial(t *testing.T, seed int64) {
 		wmPeriod = int64(50 + rng.Intn(300))
 	}
 	items := stream.Prepare(stream.Watermarker{Period: wmPeriod, Lag: d.MaxDelay + 1}, stream.Apply(d, ev))
-	opts := Options{Ordered: ordered, Eager: eager, Lateness: 1 << 40}
+	opts := Options{Ordered: ordered, Store: storeOf(eager), Lateness: 1 << 40}
 	label := func(bs int) string {
 		return fmt.Sprintf("seed=%d bs=%d (ordered=%v eager=%v commutative=%v countRegime=%v)",
 			seed, bs, ordered, eager, commutative, countRegime)

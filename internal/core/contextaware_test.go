@@ -20,7 +20,7 @@ func testCountWindows(t *testing.T, f aggregate.Function[float64, float64, float
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	ev := genEvents(rng, 2500)
-	ag := New[float64](f, Options{Eager: eager, Lateness: 1 << 40})
+	ag := New[float64](f, Options{Store: storeOf(eager), Lateness: 1 << 40})
 	qTumb := ag.MustAddQuery(window.Tumbling(stream.Count, 100))
 	qSlide := ag.MustAddQuery(window.Sliding(stream.Count, 60, 25))
 	items := prepare(ev, d, 100)

@@ -59,10 +59,10 @@ type periodicParams interface{ Params() (length, slide int64) }
 // every query context-free and periodic on the time measure (§4.4: edges
 // known a priori from length and slide — sessions derive them from tuples,
 // count measures from ranks, both per key), and no tuples to keep (Fig 4,
-// needTuples above, plus the ablation override): a non-commutative function
-// must re-aggregate a slice in canonical order and so stores them. Ordered
-// mode, the eager and DABA stores and partial taps are features of the
-// single-key operator the shared ring does not reproduce; they keep it.
+// needTuples above): a non-commutative function must re-aggregate a slice
+// in canonical order and so stores them. Ordered mode, the eager and DABA
+// stores and partial taps are features of the single-key operator the
+// shared ring does not reproduce; they keep it.
 //
 // Like Fig 4 the rule reads workload characteristics only, never observed
 // data, and is evaluated once, when the keyed operator is built.

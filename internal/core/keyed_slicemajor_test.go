@@ -18,7 +18,6 @@ import (
 // aggregate on the lazy, unordered store — and EnableSpill, whose unit is a
 // whole per-key operator, puts a still-empty operator on the per-key one.
 func TestKeyedRepresentationDecision(t *testing.T) {
-	keepTuples := true
 	build := func(opts Options, defs ...func() window.Definition) *Keyed[int, kv, float64, float64] {
 		return NewKeyed(func(v kv) int { return v.Key }, 0, func() *Aggregator[kv, float64, float64] {
 			ag := New(keyedSum(), opts)
@@ -44,7 +43,6 @@ func TestKeyedRepresentationDecision(t *testing.T) {
 		{"count measure", build(Options{}, count), false},
 		{"ordered", build(Options{Ordered: true}, tumbling), false},
 		{"eager store", build(Options{Store: StoreEager}, tumbling), false},
-		{"kept tuples", build(Options{KeepTuples: &keepTuples}, tumbling), false},
 		{"no query", build(Options{}), false},
 	} {
 		if got := tc.k.sm != nil; got != tc.sliceMajor {

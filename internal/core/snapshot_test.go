@@ -118,7 +118,7 @@ func TestSnapshotSuffixEquivalence(t *testing.T) {
 	})
 	t.Run("eager-mean", func(t *testing.T) {
 		checkSuffixEquivalence(t, func() *Aggregator[stream.Tuple, aggregate.MeanAgg, float64] {
-			ag := New(aggregate.Mean(stream.Val), Options{Lateness: 2000, Eager: true})
+			ag := New(aggregate.Mean(stream.Val), Options{Lateness: 2000, Store: StoreEager})
 			ag.MustAddQuery(window.Tumbling(stream.Time, 1000))
 			ag.MustAddQuery(window.Tumbling(stream.Time, 2500))
 			return ag

@@ -10,72 +10,67 @@ import (
 	"scotty/internal/window"
 )
 
-// fig13Row measures general (lazy) slicing throughput for one aggregation
-// function on time-based and count-based windows (20 concurrent windows, 20%
-// out-of-order tuples with delays up to 2 s — the §6.3.2 setup).
-func fig13Row[A, Out any](sc Scale, f aggregate.Function[stream.Tuple, A, Out]) (timeTps, countTps float64, err error) {
-	events := sc.Events
-	if f.Props().Kind == aggregate.Holistic {
-		events = sc.Events / 4 // holistic merges dominate; keep runtime bounded
+// fig13Fn is one aggregation function of Fig 13 and its point.
+type fig13Fn struct {
+	name, class   string
+	inv, holistic bool
+	point         func(m stream.Measure, events int) (float64, error)
+}
+
+// fig13Of binds f to Fig 13's point (the §6.3.2 setup): general (lazy)
+// slicing holding 20 windows on measure m.
+func fig13Of[A, Out any](name, class string, inv bool, f aggregate.Function[stream.Tuple, A, Out]) fig13Fn {
+	return fig13Fn{name, class, inv, f.Props().Kind == aggregate.Holistic,
+		func(m stream.Measure, events int) (float64, error) {
+			return measurePoint(benchutil.LazySlicing, f, m, 20, 19, events)
+		}}
+}
+
+// fig13Fns mirrors Tangwongsan et al. [42] plus the paper's naive
+// (non-invertible) sum and the holistic median and 90-percentile.
+func fig13Fns() []fig13Fn {
+	v := stream.Val
+	return []fig13Fn{
+		fig13Of("count", "distributive", true, aggregate.Count[stream.Tuple]()),
+		fig13Of("sum", "distributive", true, aggregate.Sum(v)),
+		fig13Of("sum w/o invert", "distributive", false, aggregate.NaiveSum(v)),
+		fig13Of("min", "distributive", false, aggregate.Min(v)),
+		fig13Of("max", "distributive", false, aggregate.Max(v)),
+		fig13Of("mean", "algebraic", true, aggregate.Mean(v)),
+		fig13Of("geomean", "algebraic", true, aggregate.GeoMean(v)),
+		fig13Of("stddev", "algebraic", true, aggregate.StdDev(v)),
+		fig13Of("mincount", "algebraic", false, aggregate.MinCount(v)),
+		fig13Of("maxcount", "algebraic", false, aggregate.MaxCount(v)),
+		fig13Of("argmin", "algebraic", false, aggregate.ArgMin(v)),
+		fig13Of("argmax", "algebraic", false, aggregate.ArgMax(v)),
+		fig13Of("first", "algebraic", false, aggregate.First(v)),
+		fig13Of("last", "algebraic", false, aggregate.Last(v)),
+		fig13Of("m4", "algebraic", false, aggregate.M4(v)),
+		fig13Of("median", "holistic", true, aggregate.Median(v)),
+		fig13Of("90-percentile", "holistic", true, aggregate.Percentile(0.9, v)),
 	}
-	for i, defs := range []func() []window.Definition{
-		func() []window.Definition { return benchutil.TumblingQueries(20) },
-		func() []window.Definition { return benchutil.CountQueries(20) },
-	} {
-		in := benchutil.MakeInput(stream.Football(), events, disorder20(19), 42)
-		op, err := benchutil.NewOp(benchutil.LazySlicing, f, benchutil.Workload{Lateness: 4000, Defs: defs})
-		if err != nil {
-			return 0, 0, err
-		}
-		tps, _ := benchutil.Throughput(op, in)
-		if i == 0 {
-			timeTps = tps
-		} else {
-			countTps = tps
-		}
-	}
-	return timeTps, countTps, nil
 }
 
 // Fig13 — §6.3.2: impact of the aggregation function, time- vs count-based
-// windows. The list mirrors Tangwongsan et al. [42] plus the paper's naive
-// (non-invertible) sum and the holistic median and 90-percentile.
+// windows.
 func Fig13(w io.Writer, sc Scale) error {
 	tab := benchutil.NewTable("Fig 13 — aggregation functions, general slicing (tuples/s)",
 		"aggregation", "class", "invertible", "time-based", "count-based")
-	v := stream.Val
-
-	rows := []struct {
-		name, class string
-		inv         bool
-		run         func() (float64, float64, error)
-	}{
-		{"count", "distributive", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Count[stream.Tuple]()) }},
-		{"sum", "distributive", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Sum(v)) }},
-		{"sum w/o invert", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.NaiveSum(v)) }},
-		{"min", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.Min(v)) }},
-		{"max", "distributive", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.Max(v)) }},
-		{"mean", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Mean(v)) }},
-		{"geomean", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.GeoMean(v)) }},
-		{"stddev", "algebraic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.StdDev(v)) }},
-		{"mincount", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.MinCount(v)) }},
-		{"maxcount", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.MaxCount(v)) }},
-		{"argmin", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.ArgMin(v)) }},
-		{"argmax", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.ArgMax(v)) }},
-		{"first", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.First(v)) }},
-		{"last", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.Last(v)) }},
-		{"m4", "algebraic", false, func() (float64, float64, error) { return fig13Row(sc, aggregate.M4(v)) }},
-		{"median", "holistic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Median(v)) }},
-		{"90-percentile", "holistic", true, func() (float64, float64, error) { return fig13Row(sc, aggregate.Percentile(0.9, v)) }},
-	}
-	for _, r := range rows {
-		timeTps, countTps, err := r.run()
-		if err != nil {
-			return err
+	for _, fn := range fig13Fns() {
+		events := sc.Events
+		if fn.holistic {
+			events = sc.Events / 4 // holistic merges dominate; keep runtime bounded
 		}
-		tab.Add(r.name, r.class, r.inv, timeTps, countTps)
+		row := []any{fn.name, fn.class, fn.inv}
+		for _, m := range []stream.Measure{stream.Time, stream.Count} {
+			tps, err := fn.point(m, events)
+			if err != nil {
+				return err
+			}
+			row = append(row, tps)
+		}
+		tab.Add(row...)
 	}
-
 	tab.Print(w)
 	return nil
 }
@@ -84,6 +79,21 @@ func Fig13(w io.Writer, sc Scale) error {
 // holistic aggregates").
 var fig14Techniques = []benchutil.Technique{
 	benchutil.LazySlicing, benchutil.EagerSlicing, benchutil.TupleBuckets, benchutil.TupleBuffer,
+}
+
+// fig14Point replays events tuples of profile p, 20% of them late, through
+// technique t holding 20 tumbling windows plus a session with the holistic
+// aggregation f, and returns its throughput (tuples/s).
+func fig14Point(f aggregate.Function[stream.Tuple, *multiset, float64], p stream.Profile, t benchutil.Technique, events int) (float64, error) {
+	op, err := benchutil.NewOp(t, f, benchutil.Workload{
+		Lateness: 4000,
+		Defs:     func() []window.Definition { return benchutil.WithSession(benchutil.TumblingQueries(20)) },
+	})
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.Throughput(op, benchutil.MakeInput(p, events, disorder20(23), 42))
+	return tps, nil
 }
 
 // Fig14 — §6.3.2: holistic aggregations across techniques and data sets.
@@ -105,15 +115,10 @@ func Fig14(w io.Writer, sc Scale) error {
 		for _, t := range fig14Techniques {
 			row := []any{string(t)}
 			for _, p := range []stream.Profile{stream.Football(), stream.Machine()} {
-				in := benchutil.MakeInput(p, sc.events(t, 20)/4, disorder20(23), 42)
-				op, err := benchutil.NewOp(t, q.f(), benchutil.Workload{
-					Lateness: 4000,
-					Defs:     func() []window.Definition { return benchutil.WithSession(benchutil.TumblingQueries(20)) },
-				})
+				tps, err := fig14Point(q.f(), p, t, sc.events(t, 20)/4)
 				if err != nil {
 					return err
 				}
-				tps, _ := benchutil.Throughput(op, in)
 				row = append(row, tps)
 			}
 			tab.Add(row...)

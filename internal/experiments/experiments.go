@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6). Each function reproduces one experiment: it builds the
 // paper's workload, drives every technique through the shared harness, and
-// prints the same rows/series the paper plots. cmd/benchmark exposes them on
-// the command line; bench_test.go mirrors them as testing.B benchmarks.
+// prints the same rows/series the paper plots. Each figure's workload is
+// defined once, in its point functions: the figure prints its sweep from them,
+// cmd/benchmark runs the figure, TestPaperShapes asserts the paper's
+// orderings on them, and BenchmarkPaper/<id>/<series> pins one configuration
+// per series as a testing.B benchmark.
 package experiments
 
 import (
@@ -109,8 +112,18 @@ var experimentsByID = []struct {
 	{"ablation", Ablations},
 }
 
-// Run executes the experiment with the given id ("8", "9", ..., "17",
-// "table1", or "all") and writes its tables to w. The boolean reports
+// IDs lists the experiment ids Run accepts besides "all", in "all"
+// execution order.
+func IDs() []string {
+	ids := make([]string, len(experimentsByID))
+	for i, e := range experimentsByID {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run executes the experiment with the given id (one of IDs, or "all") and
+// writes its tables to w (as CSV if w is a benchutil.CSVWriter). The boolean reports
 // whether the id named an experiment; the error is the first failure of an
 // executed experiment.
 func Run(id string, w io.Writer, sc Scale) (bool, error) {

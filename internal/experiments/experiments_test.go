@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,6 +58,31 @@ func TestWindowsSweepCapped(t *testing.T) {
 	for _, n := range sc.windowsSweep() {
 		if n > 42 {
 			t.Fatalf("sweep exceeded cap: %d", n)
+		}
+	}
+}
+
+// TestDocumentedFiguresExist requires every `benchmark -fig <id>` and
+// `BenchmarkPaper/<id>` the top-level docs and docs/ name to be an
+// experiment id, so a renamed or deleted figure cannot linger in prose.
+func TestDocumentedFiguresExist(t *testing.T) {
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md")
+	cited := regexp.MustCompile(`(?:benchmark -fig |BenchmarkPaper/)([\w|-]+)`)
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cited.FindAllSubmatch(text, -1) {
+			for _, id := range strings.Split(string(m[1]), "|") {
+				if id != "all" && !slices.Contains(IDs(), id) {
+					t.Errorf("%s cites %q, but %q is not an experiment id (%v)", filepath.Base(doc), m[0], id, IDs())
+				}
+			}
 		}
 	}
 }

@@ -26,14 +26,18 @@ func fleetDefs(q int) []window.Definition {
 	return defs
 }
 
-// fleetInput is the stream both fleet series replay: twice the slicing
-// budget, because it must span the longest window (32 s) several times over,
-// or ramp-up — during which long windows have not yet produced a single
+// fleetInput is the stream both fleet series replay: events in-order
+// football tuples.
+func fleetInput(events int) benchutil.Input {
+	return benchutil.MakeInput(stream.Football(), events, stream.Disorder{}, 42)
+}
+
+// fleetEvents is the fleet figure's stream length: twice the slicing budget,
+// because it must span the longest window (32 s) several times over, or
+// ramp-up — during which long windows have not yet produced a single
 // emission — dominates the run and understates the unshared series'
 // steady-state fold cost.
-func fleetInput(sc Scale) benchutil.Input {
-	return benchutil.MakeInput(stream.Football(), 2*sc.Events, stream.Disorder{}, 42)
-}
+func (sc Scale) fleetEvents() int { return 2 * sc.Events }
 
 // fleetShared replays in through q correlated queries on the sharing layer
 // and returns its throughput (tuples/s) and the plan it ran.
@@ -77,7 +81,7 @@ func fleetUnshared(q int, in benchutil.Input) (float64, error) {
 func FigFleet(w io.Writer, sc Scale) error {
 	tab := benchutil.NewTable("Fig fleet — factor-window sharing across correlated queries (tuples/s)",
 		"queries", "fleet-shared", "unshared", "speedup", "physical", "touches-saved")
-	in := fleetInput(sc)
+	in := fleetInput(sc.fleetEvents())
 	for _, q := range fleetSweep {
 		shared, plan := fleetShared(q, in)
 		unshared, err := fleetUnshared(q, in)

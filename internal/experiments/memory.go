@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 	"reflect"
+	"strconv"
 
 	"scotty/internal/benchutil"
 	"scotty/internal/core"
@@ -79,7 +80,7 @@ func Fig10(w io.Writer, sc Scale) error {
 	sliceSweep := []int{10, 50, 100, 500, 1000, 5000}
 
 	for _, p := range panels {
-		tabA := benchutil.NewTable(p.name+": vary slices, "+itoa(sc.MemTuples)+" tuples fixed",
+		tabA := benchutil.NewTable(p.name+": vary slices, "+strconv.Itoa(sc.MemTuples)+" tuples fixed",
 			append([]string{"slices"}, techniqueNames(p.techniques)...)...)
 		for _, s := range sliceSweep {
 			if s > sc.MemTuples {
@@ -117,11 +118,10 @@ type table1Row struct {
 	formula, measured int64
 }
 
-// table1Rows sizes all eight technique classes at sc.MemTuples tuples and
-// 500 slices (tumbling, so windows == slices).
-func table1Rows(sc Scale) []table1Row {
-	n := sc.MemTuples
-	s := 500
+// table1Rows sizes all eight technique classes at n tuples and 500 slices
+// (tumbling, so windows == slices), or one slice per tuple below 500 tuples.
+func table1Rows(n int) []table1Row {
+	s := min(500, n)
 	win := n / (n / s)
 
 	sizeEvent := int64(reflect.TypeOf(stream.Event[stream.Tuple]{}).Size())
@@ -154,21 +154,9 @@ func table1Rows(sc Scale) []table1Row {
 func Table1(w io.Writer, sc Scale) error {
 	tab := benchutil.NewTable("Table 1 — memory usage: measured vs formula (bytes)",
 		"technique", "formula", "measured", "ratio")
-	for _, r := range table1Rows(sc) {
+	for _, r := range table1Rows(sc.MemTuples) {
 		tab.Add(r.name, r.formula, r.measured, float64(r.measured)/float64(r.formula))
 	}
 	tab.Print(w)
 	return nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

@@ -47,7 +47,7 @@ func TestPaperShapes(t *testing.T) {
 	sc := Quick()
 
 	t.Run("table1", func(t *testing.T) {
-		for _, r := range table1Rows(sc) {
+		for _, r := range table1Rows(sc.MemTuples) {
 			ratio := float64(r.measured) / float64(r.formula)
 			if ratio < 0.5 || ratio > 4 {
 				t.Errorf("%s: measured %d B is %.2fx the formula's %d B, want within [0.5, 4]", r.name, r.measured, ratio, r.formula)
@@ -106,7 +106,7 @@ func TestPaperShapes(t *testing.T) {
 	t.Run("fig12a", func(t *testing.T) {
 		point := func(frac float64) func() (float64, error) {
 			return func() (float64, error) {
-				return fig12Point(benchutil.AggTree, fig12aDisorder(frac), 4000, sc.SlowEvents)
+				return fig12aPoint(benchutil.AggTree, frac, sc.SlowEvents)
 			}
 		}
 		tps := bestOf(t, point(0), point(1))
@@ -114,7 +114,7 @@ func TestPaperShapes(t *testing.T) {
 	})
 
 	t.Run("fleet", func(t *testing.T) {
-		in := fleetInput(sc)
+		in := fleetInput(sc.fleetEvents())
 		for _, q := range fleetSweep {
 			if _, plan := fleetShared(q, in); plan.Physical != 1 {
 				t.Errorf("fleet of %d queries runs %d physical queries, want 1 (plan %+v)", q, plan.Physical, plan)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 
+	"scotty/internal/aggregate"
 	"scotty/internal/benchutil"
 	"scotty/internal/stream"
 	"scotty/internal/window"
@@ -32,6 +33,17 @@ func fig8Point(t benchutil.Technique, n, events int) (float64, error) {
 	return tps, nil
 }
 
+// fig8BatchPoint is fig8Point for lazy slicing driven through the
+// ProcessBatch run fast path in fig8BatchSize-item chunks.
+func fig8BatchPoint(n, events int) (float64, error) {
+	op, err := benchutil.NewBatchOp(benchutil.LazySlicing, benchutil.SumFn(), fig8Workload(n))
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.ThroughputBatched(op, benchutil.MakeInput(stream.Football(), events, stream.Disorder{}, 42), fig8BatchSize)
+	return tps, nil
+}
+
 // Fig8 — §6.2.1: throughput of in-order processing with context-free
 // windows, sweeping the number of concurrent tumbling windows (lengths
 // equally distributed between 1 and 20 s), sum aggregation, football stream.
@@ -53,12 +65,10 @@ func Fig8(w io.Writer, sc Scale) error {
 		// 4x the slicing budget: the batched series is fast enough that the
 		// plain budget finishes in under a millisecond at quick scale, too
 		// short to separate signal from timer noise.
-		in := benchutil.MakeInput(stream.Football(), 4*sc.events(benchutil.LazySlicing, n), stream.Disorder{}, 42)
-		bop, err := benchutil.NewBatchOp(benchutil.LazySlicing, benchutil.SumFn(), fig8Workload(n))
+		tps, err := fig8BatchPoint(n, 4*sc.events(benchutil.LazySlicing, n))
 		if err != nil {
 			return err
 		}
-		tps, _ := benchutil.ThroughputBatched(bop, in, fig8BatchSize)
 		row = append(row, tps)
 		tab.Add(row...)
 	}
@@ -127,9 +137,16 @@ func fig12Point(t benchutil.Technique, d stream.Disorder, lateness int64, events
 	return tps, nil
 }
 
-// fig12aDisorder is Fig 12a's stream order at a given out-of-order fraction.
-func fig12aDisorder(frac float64) stream.Disorder {
-	return stream.Disorder{Fraction: frac, MaxDelay: 2000, Seed: 11}
+// fig12aPoint is Fig 12a's point: a fraction frac of the tuples late by up
+// to 2 s.
+func fig12aPoint(t benchutil.Technique, frac float64, events int) (float64, error) {
+	return fig12Point(t, stream.Disorder{Fraction: frac, MaxDelay: 2000, Seed: 11}, 4000, events)
+}
+
+// fig12bPoint is Fig 12b's point: 20% of the tuples late by up to delay ms,
+// under an allowed lateness of twice that.
+func fig12bPoint(t benchutil.Technique, delay int64, events int) (float64, error) {
+	return fig12Point(t, stream.Disorder{Fraction: 0.2, MaxDelay: delay, Seed: 13}, 2*delay, events)
 }
 
 // Fig12 — §6.3.1: impact of stream order. (a) sweep the fraction of
@@ -145,7 +162,7 @@ func Fig12(w io.Writer, sc Scale) error {
 	for _, frac := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		row := []any{int(frac * 100)}
 		for _, t := range fig9Techniques {
-			tps, err := fig12Point(t, fig12aDisorder(frac), 4000, events(t))
+			tps, err := fig12aPoint(t, frac, events(t))
 			if err != nil {
 				return err
 			}
@@ -160,8 +177,7 @@ func Fig12(w io.Writer, sc Scale) error {
 	for _, delay := range []int64{500, 1000, 2000, 4000, 8000} {
 		row := []any{delay}
 		for _, t := range fig9Techniques {
-			d := stream.Disorder{Fraction: 0.2, MaxDelay: delay, Seed: 13}
-			tps, err := fig12Point(t, d, 2*delay, events(t))
+			tps, err := fig12bPoint(t, delay, events(t))
 			if err != nil {
 				return err
 			}
@@ -173,6 +189,30 @@ func Fig12(w io.Writer, sc Scale) error {
 	return nil
 }
 
+// measurePoint replays events football tuples, 20% of them late
+// (disorder20(seed)), through technique t holding n tumbling windows on
+// measure m with aggregation f, and returns its throughput (tuples/s).
+func measurePoint[A, Out any](t benchutil.Technique, f aggregate.Function[stream.Tuple, A, Out], m stream.Measure, n int, seed int64, events int) (float64, error) {
+	defs := benchutil.TumblingQueries
+	if m == stream.Count {
+		defs = benchutil.CountQueries
+	}
+	op, err := benchutil.NewOp(t, f, benchutil.Workload{
+		Lateness: 4000,
+		Defs:     func() []window.Definition { return defs(n) },
+	})
+	if err != nil {
+		return 0, err
+	}
+	tps, _ := benchutil.Throughput(op, benchutil.MakeInput(stream.Football(), events, disorder20(seed), 42))
+	return tps, nil
+}
+
+// fig16Point is Fig 16's point: sum over n windows on measure m.
+func fig16Point(t benchutil.Technique, m stream.Measure, n, events int) (float64, error) {
+	return measurePoint(t, benchutil.SumFn(), m, n, 17, events)
+}
+
 // Fig16 — §6.3.4: impact of the window measure. Time- vs count-based
 // windows, sweeping concurrent windows, general slicing vs the tuple buffer
 // (the fastest alternative for count measures), 20% out-of-order tuples.
@@ -182,19 +222,11 @@ func Fig16(w io.Writer, sc Scale) error {
 	for _, n := range sc.windowsSweep() {
 		row := []any{n}
 		for _, t := range []benchutil.Technique{benchutil.LazySlicing, benchutil.TupleBuffer} {
-			for _, measure := range []stream.Measure{stream.Time, stream.Count} {
-				in := benchutil.MakeInput(stream.Football(), sc.events(t, n), disorder20(17), 42)
-				defs := func() []window.Definition {
-					if measure == stream.Time {
-						return benchutil.TumblingQueries(n)
-					}
-					return benchutil.CountQueries(n)
-				}
-				op, err := benchutil.NewOp(t, benchutil.SumFn(), benchutil.Workload{Lateness: 4000, Defs: defs})
+			for _, m := range []stream.Measure{stream.Time, stream.Count} {
+				tps, err := fig16Point(t, m, n, sc.events(t, n))
 				if err != nil {
 					return err
 				}
-				tps, _ := benchutil.Throughput(op, in)
 				row = append(row, tps)
 			}
 		}

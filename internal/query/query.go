@@ -36,6 +36,15 @@ type Stream struct {
 	Eager bool
 }
 
+// options translates the stream declaration into the operator's options.
+func (s Stream) options() core.Options {
+	o := core.Options{Ordered: s.Ordered, Lateness: s.Lateness}
+	if s.Eager {
+		o.Store = core.StoreEager
+	}
+	return o
+}
+
 // WindowSpec is a declarative window description, turned into a concrete
 // window.Definition at build time (so one spec can be reused across builds).
 type WindowSpec[V any] struct {
@@ -157,11 +166,7 @@ func (b *Builder[V, A, Out]) Build() (*core.Aggregator[V, A, Out], []int, error)
 	if len(b.windows) == 0 {
 		return nil, nil, fmt.Errorf("query: no window specified")
 	}
-	ag := core.New(b.fn, core.Options{
-		Ordered:  b.strm.Ordered,
-		Lateness: b.strm.Lateness,
-		Eager:    b.strm.Eager,
-	})
+	ag := core.New(b.fn, b.strm.options())
 	ids := make([]int, 0, len(b.windows))
 	for _, w := range b.windows {
 		id, err := ag.AddQuery(w.make())
@@ -185,11 +190,7 @@ func (b *Builder[V, A, Out]) BuildFleet() (*fleet.Fleet[V, A, Out], []int, error
 	if len(b.windows) == 0 {
 		return nil, nil, fmt.Errorf("query: no window specified")
 	}
-	fl := fleet.New(b.fn, fleet.Options{Options: core.Options{
-		Ordered:  b.strm.Ordered,
-		Lateness: b.strm.Lateness,
-		Eager:    b.strm.Eager,
-	}})
+	fl := fleet.New(b.fn, fleet.Options{Options: b.strm.options()})
 	ids := make([]int, 0, len(b.windows))
 	for _, w := range b.windows {
 		id, err := fl.AddQuery(w.make())

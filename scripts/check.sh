@@ -24,6 +24,13 @@ echo '== go test ./...'
 # ./cmd/slicelint ./...` makes, so the gate does not run the binary again.
 go test ./...
 
+echo '== BenchmarkPaper, one round of every series'
+# Every figure's point functions as testing.B sub-benchmarks
+# (internal/experiments/bench_test.go), each run once at b.N = 1 so the
+# table cannot rot unseen. The numbers mean nothing at that size; a failing
+# point or a missing figure id (TestBenchmarkPaperCoversEveryFigure) does.
+go test -run '^$' -bench '^BenchmarkPaper$' -benchtime 1x ./internal/experiments
+
 echo '== bench: vet, short tests, smoke run vs the oracle (skip with SKIP_BENCH=1)'
 # bench/ is its own module, so the legs above never see it. The smoke run
 # (~30 s) builds cmd/scotty, drives it over pipes on all four BENCHMARK.json
