@@ -35,7 +35,8 @@
 // prefixed with their logical query id (q0, q1, ...), keyed rows with k<key>.
 //
 // Input events may arrive out of order; results are emitted on periodic
-// watermarks, late events produce update rows. Epoch-millisecond timestamps
+// watermarks, each with one update row per window late events changed since
+// the previous one. Epoch-millisecond timestamps
 // are fine: time windows are internally rebased by a multiple of the slide
 // (bounds print unchanged), so the run does not walk the empty windows
 // between time zero and the first tuple.
@@ -76,6 +77,7 @@ import (
 )
 
 func main() {
+	growPipe(os.Stdout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	os.Exit(run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
@@ -572,16 +574,13 @@ func newOperator[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 // paced source is processed as it arrives — with the watermarks that became
 // due written in between, and cut behind every item that can make the
 // operator emit. That is a watermark, so that no ProcessBatch call holds more
-// results than one watermark releases and the run loop can flush behind each;
-// an event older than one before it, since only those can be at or behind the
-// watermark, or shift a count window's ranks, and emit update rows; and, in
-// ordered mode, where a tuple doubles as a watermark, every item. A fleet
-// emits a call's factored completions behind its direct ones and a keyed
-// operator groups a call's rows by key: with at most one emitting item to a
-// call, rows come out in the order per-item processing gives, however the
-// input was split into reads. (What a restored run cannot see is how far the
-// run before it got: events behind the restored state that reach it in order
-// and in one read share a call, and their update rows come out grouped.)
+// results than one watermark releases and the run loop can flush behind each
+// (a late event marks the windows it changes, and the next watermark emits
+// their update rows); and, in ordered mode, where a tuple doubles as a
+// watermark, every item. A fleet emits a call's factored rows behind its
+// direct ones and a keyed operator groups a call's rows by key: with at most
+// one emitting item to a call, rows come out in the order per-item processing
+// gives, however the input was split into reads.
 //
 // A non-block policy decouples ingest from processing through a bounded
 // ops.Edge in front of whichever operator runs: the source goroutine parses
@@ -734,7 +733,12 @@ func runPipeline[A any, Out any](f aggregate.Function[stream.Tuple, A, Out], env
 		defer sink.finish()
 	}
 	rows := &rowBuf[Out]{keyed: env.keyed, qPrefix: env.qPrefix, rb: rb, appendValue: valueAppender[Out]()}
+	updateRows := env.reg.Counter("scotty_update_rows_total")
 	deliver := func(blockEnd bool) {
+		if blockEnd && rows.updates > 0 {
+			updateRows.Add(rows.updates)
+			rows.updates = 0
+		}
 		if rows.n == 0 {
 			return
 		}
@@ -851,13 +855,24 @@ func restoreFinal[Out any](ag operator[Out], rb *rebaser, data []byte) error {
 // watermark (docs/PERFORMANCE.md, "The ingest and emission path").
 const outBufSize = 16 << 10
 
+// stdoutPipeSize is the buffer scotty asks for when its stdout is a pipe
+// (growPipe, at start; Linux only). A block of input can release more rows
+// than the default 64 KiB buffer holds, and a reader that wakes per write
+// then stalls the run on a full pipe until it catches up; a quarter MiB
+// leaves the reader that slack (docs/PERFORMANCE.md, "The ingest and
+// emission path").
+const stdoutPipeSize = 256 << 10
+
 // rowBuf is the one reused output buffer: operators append a rendered row per
 // result, the run loop hands the bytes to the sink and resets it. A row is
 // "[start, end)\t n=N\t value", prefixed k<key> under -keyed and q<id> for
 // fleets, suffixed "  (update)" for corrections.
 type rowBuf[Out any] struct {
-	buf            []byte
-	n              int // rows in buf
+	buf []byte
+	n   int // rows in buf
+	// updates counts the "  (update)" rows rendered since the run loop last
+	// published them to scotty_update_rows_total, once per block.
+	updates        int64
 	keyed, qPrefix bool
 	rb             *rebaser
 	appendValue    func([]byte, Out) []byte
@@ -938,6 +953,7 @@ func (w *rowBuf[Out]) add(key int32, r *core.Result[Out]) {
 	w.buf = w.appendValue(append(appendInt(w.buf, r.N), "\t "...), r.Value)
 	if r.Update {
 		w.buf = append(w.buf, "  (update)"...)
+		w.updates++
 	}
 	w.buf = append(w.buf, '\n')
 	w.n++

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scotty/internal/stream"
 )
 
 // TestAppendIntMatchesStrconv: the decimal writer appends what strconv does,
@@ -87,6 +89,99 @@ func TestStdoutWritesPerBlock(t *testing.T) {
 	if out.writes > bound || out.writes > 350 {
 		t.Errorf("%d writes for %d bytes of rows from %d reads, want at most %d and at most 350", out.writes, out.bytes, in.reads, bound)
 	}
+}
+
+// TestUpdateRowsPerWatermark: a late tuple marks the windows it changes and
+// the next watermark prints one update row per marked window, not one per
+// late tuple. On the csv-ooo-fleet64 stream that is 45 106 update rows where
+// one per late tuple and window was 68 620. On disorderedCSV — one sliding
+// query, the same per key, and a count window, whose late tuples shift every
+// announced window after them — no window gets more update rows than there
+// are watermark intervals with a late tuple, and the sliding query gets no
+// more than the distinct (window, interval) pairs its late tuples land in.
+func TestUpdateRowsPerWatermark(t *testing.T) {
+	rows, updates := countUpdates(runScotty(t, fleet64Args, string(fleet64CSV(20_000))))
+	t.Logf("fleet64: %d rows, %d updates", rows, updates)
+	if rows > 110_000 || updates > 46_000 {
+		t.Errorf("fleet64: %d rows and %d update rows, want at most 110 000 and 46 000", rows, updates)
+	}
+
+	in := disorderedCSV(60_000)
+	intervals, pairs, touches := lateWindows(t, in, 10_000, 1000, 2000)
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		sliding bool
+	}{
+		{"single", slidingSum, true},
+		{"keyed", append([]string{"-keyed"}, slidingSum...), true},
+		{"count", []string{"-window", "count", "-length", "1000", "-agg", "sum"}, false},
+	} {
+		perWindow := map[string]int{}
+		_, updates := countUpdates(runScotty(t, tc.args, string(in)), func(window string) { perWindow[window]++ })
+		most := 0
+		for _, n := range perWindow {
+			most = max(most, n)
+		}
+		t.Logf("%s: %d update rows over %d windows, at most %d for one; %d intervals with a late tuple", tc.name, updates, len(perWindow), most, intervals)
+		if updates == 0 || most > intervals {
+			t.Errorf("%s: %d update rows, %d for one window, want some and at most %d (the intervals with a late tuple)", tc.name, updates, most, intervals)
+		}
+		if tc.sliding && updates > pairs {
+			t.Errorf("%s: %d update rows, want at most the %d (window, interval) pairs late tuples land in (%d tuple-window pairs)", tc.name, updates, pairs, touches)
+		}
+	}
+}
+
+// countUpdates counts the rows of a run's stdout and its update rows, handing
+// each update row's window — the row up to its tuple count — to each.
+func countUpdates(out string, each ...func(window string)) (rows, updates int) {
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		rows++
+		if strings.HasSuffix(line, "  (update)") {
+			updates++
+			for _, f := range each {
+				f(line[:strings.Index(line, "\t n=")])
+			}
+		}
+	}
+	return rows, updates
+}
+
+// lateWindows replays scotty's watermark schedule over a two-column CSV for a
+// sliding window of the given length and slide: the watermark intervals in
+// which some tuple arrives at or behind the watermark, the distinct (window,
+// interval) pairs such tuples land in among the windows already announced,
+// and the (tuple, window) pairs — what one update row per late tuple prints.
+func lateWindows(t *testing.T, in []byte, length, slide, lateness int64) (intervals, pairs, touches int) {
+	t.Helper()
+	feeder := stream.NewFeeder[stream.Tuple](stream.Watermarker{Period: 1000, Lag: 2001})
+	wm, interval, lastLate := stream.MinTime, 0, -1
+	seen := map[[2]int64]bool{}
+	for _, line := range strings.Split(strings.TrimRight(string(in), "\n"), "\n") {
+		ts, err := strconv.ParseInt(line[:strings.IndexByte(line, ',')], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts > feeder.Newest() && feeder.Advance(ts) {
+			for w, ok := feeder.Due(); ok; w, ok = feeder.Due() {
+				wm, interval = w, interval+1
+			}
+		}
+		if wm == stream.MinTime || ts > wm || ts <= wm-lateness {
+			continue
+		}
+		if interval != lastLate {
+			intervals, lastLate = intervals+1, interval
+		}
+		for start := ts - ts%slide; start >= 0 && start+length > ts; start -= slide {
+			if start+length-1 <= wm {
+				touches++
+				seen[[2]int64{start, int64(interval)}] = true
+			}
+		}
+	}
+	return intervals, len(seen), touches
 }
 
 // stallingReader returns its first block, then blocks until release is

@@ -23,11 +23,11 @@ type source func(ctx context.Context, sc *scanner) error
 // scanner is the one place where a tuple becomes an item. push rebases the
 // tuple's time, writes it into the one reused batch behind the watermarks it
 // makes due — stream.Feeder's schedule, at one comparison per in-order tuple
-// — and hands the batch to send, cut behind every item that can make the
-// operator emit (feed has why): each watermark, and each event older than the
-// newest before it. A source ends every piece of input it was handed with
-// endBlock, so a batch is never held back waiting for more, and neither are
-// the rows it made. send may keep a batch only until it returns.
+// — and hands the batch to send, cut behind every watermark, the one item
+// that can make an unordered run emit (feed has why). A source ends every
+// piece of input it was handed with endBlock, so a batch is never held back
+// waiting for more, and neither are the rows it made. send may keep a batch
+// only until it returns.
 type scanner struct {
 	ctx    context.Context
 	rb     *rebaser
@@ -46,13 +46,8 @@ type scanner struct {
 //slicelint:hotpath
 func (sc *scanner) push(e event) {
 	e.Time = sc.rb.shift(e.Time)
-	older := false
-	if newest := sc.feeder.Newest(); e.Time > newest {
-		if sc.feeder.Advance(e.Time) {
-			sc.watermarks()
-		}
-	} else {
-		older = e.Time < newest
+	if e.Time > sc.feeder.Newest() && sc.feeder.Advance(e.Time) {
+		sc.watermarks()
 	}
 	// Field by field into the batch's next slot: an item literal appended
 	// whole is assembled on the stack and copied out, at a store-forwarding
@@ -65,9 +60,6 @@ func (sc *scanner) push(e event) {
 	it := &sc.items[n]
 	it.Kind, it.Watermark = stream.KindEvent, 0
 	it.Event.Time, it.Event.Seq, it.Event.Value = e.Time, e.Seq, e.Value
-	if older {
-		sc.flush()
-	}
 }
 
 // watermarks appends the watermarks that are due, each cut behind.

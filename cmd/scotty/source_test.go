@@ -376,8 +376,8 @@ func keyedCSV(n int) []byte {
 }
 
 // disorderedCSV is inOrderCSV with a fifth of the lines delayed by up to
-// 3.5 s: behind the watermark, inside the allowed lateness, so the run cuts a
-// batch behind each and emits update rows.
+// 3.5 s: behind the watermark, some inside the allowed lateness, so the run
+// emits update rows.
 func disorderedCSV(n int) []byte {
 	ev := make([]stream.Event[stream.Tuple], n)
 	for i := range ev {
@@ -492,11 +492,13 @@ func fleet64CSV(n int) []byte {
 	return b.Bytes()
 }
 
-// lineCounter counts the rows written to it and the writes they took.
-type lineCounter struct{ rows, writes int }
+// lineCounter counts the rows written to it, the update rows among them and
+// the writes they took.
+type lineCounter struct{ rows, updates, writes int }
 
 func (c *lineCounter) Write(p []byte) (int, error) {
 	c.rows += bytes.Count(p, []byte{'\n'})
+	c.updates += bytes.Count(p, []byte("  (update)\n"))
 	c.writes++
 	return len(p), nil
 }
@@ -505,7 +507,8 @@ func (c *lineCounter) Write(p []byte) (int, error) {
 // that workload's stream and query set, where the time goes into factored
 // emission and row rendering (docs/PERFORMANCE.md "Fleet emission"). allocs/row
 // is marginal — what the second half of the stream allocates per row it emits;
-// writes/tuple is how often stdout is written.
+// updates/tuple counts the update rows among rows/tuple; writes/tuple is how
+// often stdout is written.
 func BenchmarkFleet64Emit(b *testing.B) {
 	const tuples = 20_000
 	in := fleet64CSV(tuples)
@@ -529,6 +532,7 @@ func BenchmarkFleet64Emit(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/tuple")
 	b.ReportMetric(float64(out.rows)/tuples, "rows/tuple")
+	b.ReportMetric(float64(out.updates)/tuples, "updates/tuple")
 	b.ReportMetric(float64(out.writes)/tuples, "writes/tuple")
 	b.ReportMetric((float64(mallocs)-float64(halfMallocs))/float64(out.rows-halfOut.rows), "allocs/row")
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"scotty/internal/aggregate"
@@ -152,7 +154,11 @@ type Aggregator[V, A, Out any] struct {
 	m               *metricsSet
 	tuplesPublished int64
 
-	results        []Result[Out]
+	results []Result[Out]
+	// pendingUpdates is the dirty set of update emissions: every window a
+	// late tuple or a context change touched since the last watermark
+	// (mark keeps repeats bounded), emitted once per window by the next
+	// watermark's flushUpdates (docs/DESIGN.md, "Update rows").
 	pendingUpdates []pendingUpdate
 	evictCountdown int
 
@@ -176,10 +182,13 @@ type Aggregator[V, A, Out any] struct {
 	triggerQ        *query[V]
 }
 
+// pendingUpdate is one marked window. first marks a window that was never
+// announced (see windowTouched): it leaves as a first row, not an update.
 type pendingUpdate struct {
-	id   int
-	meas stream.Measure
-	span window.Span
+	id    int
+	meas  stream.Measure
+	span  window.Span
+	first bool
 }
 
 // New creates an aggregator for the given aggregation function.
@@ -393,11 +402,13 @@ func (ag *Aggregator[V, A, Out]) MustAddQuery(def window.Definition) int {
 
 // RemoveQuery unregisters a query. Slice edges that no remaining query needs
 // are merged away; the storage strategy is re-derived, trigger/eviction state
-// derived from the query is dropped, and a registered partial tap is released.
+// derived from the query is dropped, its update marks are discarded, and a
+// registered partial tap is released.
 func (ag *Aggregator[V, A, Out]) RemoveQuery(id int) {
 	for i, q := range ag.queries {
 		if q.id == id {
 			ag.queries = append(ag.queries[:i], ag.queries[i+1:]...)
+			ag.pendingUpdates = slices.DeleteFunc(ag.pendingUpdates, func(u pendingUpdate) bool { return u.id == id })
 			delete(ag.taps, id)
 			ag.reconfigure()
 			ag.compact()
@@ -663,10 +674,10 @@ func (ag *Aggregator[V, A, Out]) compact() {
 
 // ----------------------------------------------------------- processing ---
 
-// ProcessElement ingests one tuple and returns any results it caused
-// (in-order mode emits directly; out-of-order mode emits updates for windows
-// already behind the watermark). The returned slice is reused by subsequent
-// calls.
+// ProcessElement ingests one tuple and returns any results it caused (in
+// ordered mode a tuple doubles as a watermark and emits directly; otherwise
+// only watermarks emit, and a late tuple marks the windows it changed for the
+// next one). The returned slice is reused by subsequent calls.
 func (ag *Aggregator[V, A, Out]) ProcessElement(e stream.Event[V]) []Result[Out] {
 	ag.results = ag.results[:0]
 	ag.ingestElement(e)
@@ -725,8 +736,9 @@ func (ag *Aggregator[V, A, Out]) ingestElement(e stream.Event[V]) {
 }
 
 // ProcessWatermark ingests a low watermark: no later tuple will carry a time
-// <= wm (tuples that still do are handled by the allowed lateness). Triggers
-// every window completed since the previous watermark.
+// <= wm (tuples that still do are handled by the allowed lateness). Emits one
+// update per window that late tuples changed since the previous watermark,
+// then triggers every window completed since then.
 func (ag *Aggregator[V, A, Out]) ProcessWatermark(wm int64) []Result[Out] {
 	ag.results = ag.results[:0]
 	ag.ingestWatermark(wm)
@@ -740,10 +752,10 @@ func (ag *Aggregator[V, A, Out]) ingestWatermark(wm int64) {
 	if wm <= ag.currWM {
 		return
 	}
+	ag.flushUpdates()
 	ag.trigger(ag.currWM, wm, wm)
 	ag.refreshTriggerWake()
 	ag.currWM = wm
-	ag.flushUpdates()
 	ag.evict()
 	ag.publishGauges()
 }
@@ -785,8 +797,8 @@ func (ag *Aggregator[V, A, Out]) processInOrder(e stream.Event[V]) {
 // processOutOfOrder is the §5.3 pipeline for late tuples: contexts first
 // (splits/merges), then a single slice update — incremental for commutative
 // functions, recomputed otherwise — then the count-shift cascade if a
-// count-based measure is in play, then update emissions for windows already
-// behind the watermark.
+// count-based measure is in play, then update marks for windows already
+// behind the watermark, emitted by the next watermark.
 func (ag *Aggregator[V, A, Out]) processOutOfOrder(e stream.Event[V]) {
 	// The insertion slice is located once and threaded through: rank
 	// derivation and the insert both need it. Context observations below may
@@ -814,7 +826,7 @@ func (ag *Aggregator[V, A, Out]) processOutOfOrder(e stream.Event[V]) {
 		i := ag.st.sliceByTime(e.Time)
 		ag.st.addOutOfOrder(i, e)
 	}
-	// Update emissions for context-free queries (§5.3 step 3 case 1).
+	// Update marks for context-free queries (§5.3 step 3 case 1).
 	// Tuples ahead of the watermark — out of order but not late — cannot
 	// touch an emitted time window (every window containing them ends
 	// after the watermark), so the common case skips the scan entirely.
@@ -834,30 +846,31 @@ func (ag *Aggregator[V, A, Out]) processOutOfOrder(e stream.Event[V]) {
 			q.cf.WindowsTouched(ag.st, pos, ag.touchFn)
 		}
 	}
-	ag.flushUpdates()
 }
 
 // windowTouched is processOutOfOrder's WindowsTouched callback for triggerQ:
-// an update emission for a window the late tuple changed.
+// it marks a window the late tuple changed.
 func (ag *Aggregator[V, A, Out]) windowTouched(s, en int64) {
 	q := ag.triggerQ
-	if q.def.Measure() == stream.Time && en-1 > ag.currWM {
-		return // not yet emitted; the regular trigger will cover it
+	if q.def.Measure() == stream.Time && en-1 >= q.cf.NextTrigger(ag.st) {
+		// Not yet emitted — ahead of the watermark, or behind it but
+		// postponed while it held no tuple — so the regular trigger will
+		// cover it.
+		return
 	}
-	if en < q.updFloor {
+	first := en < q.updFloor
+	if first {
 		if !q.seeded {
 			return // window predates this query's registration
 		}
 		// The window closed before this operator's first tuple (a key that
 		// joined late), so it was never announced; the tuple makes it
-		// non-empty. Announce it now; from here on late tuples correct it
-		// with updates. WindowsTouched lists windows latest first, so the
-		// floor steps down one window at a time.
+		// non-empty. It is announced at the next watermark; from here on
+		// late tuples correct it with updates. WindowsTouched lists windows
+		// latest first, so the floor steps down one window at a time.
 		q.updFloor = en
-		ag.emit(q, s, en, false)
-		return
 	}
-	ag.emit(q, s, en, true)
+	ag.mark(pendingUpdate{id: q.id, meas: q.def.Measure(), span: window.Span{Start: s, End: en}, first: first})
 }
 
 // rankAt computes the canonical rank an out-of-order event will occupy given
@@ -970,7 +983,7 @@ func (ag *Aggregator[V, A, Out]) applyChanges(q *query[V], ch window.Changes) {
 		ag.mergeRange(q, span, countMeasure)
 	}
 	for _, span := range ch.Updated {
-		ag.pendingUpdates = append(ag.pendingUpdates, pendingUpdate{id: q.id, meas: q.def.Measure(), span: span})
+		ag.mark(pendingUpdate{id: q.id, meas: q.def.Measure(), span: span})
 	}
 }
 
@@ -992,24 +1005,96 @@ func (ag *Aggregator[V, A, Out]) mergeRange(q *query[V], span window.Span, count
 	}
 }
 
-// flushUpdates emits pending context-update results for windows already
-// behind the watermark. Emission happens after the causing tuple has been
-// folded in, so the update carries the corrected aggregate.
+// flushUpdates emits the marked windows already behind the watermark, once
+// each, in query order and by position within a query. It runs before a
+// watermark's triggers (and per tuple in ordered mode, where a tuple is a
+// watermark), so an update row carries the window's value as of that
+// watermark.
 func (ag *Aggregator[V, A, Out]) flushUpdates() {
 	if len(ag.pendingUpdates) == 0 {
 		return
 	}
-	for _, u := range ag.pendingUpdates {
-		if u.meas == stream.Time && ag.currWM != stream.MinTime && u.span.End-1 > ag.currWM {
+	var q *query[V]
+	for _, u := range ag.compactUpdates() {
+		if ag.currWM == stream.MinTime || u.meas == stream.Time && u.span.End-1 > ag.currWM {
 			continue // not yet emitted; the regular trigger covers it
 		}
-		if ag.currWM == stream.MinTime {
-			continue
+		if q == nil || q.id != u.id {
+			if q = ag.queryByID(u.id); q == nil {
+				continue
+			}
 		}
-		ag.emitSpan(u.id, u.meas, u.span.Start, u.span.End, true)
+		ag.emit(q, u.span.Start, u.span.End, !u.first)
 	}
 	ag.pendingUpdates = ag.pendingUpdates[:0]
 }
+
+// mark adds a window to the dirty set. A full set is compacted first, and
+// grown if it stays over half full, so it holds at most a few times the
+// distinct windows however often late tuples touch them, at an amortized
+// O(log n) per mark.
+func (ag *Aggregator[V, A, Out]) mark(u pendingUpdate) {
+	if n := len(ag.pendingUpdates); n > 0 && n == cap(ag.pendingUpdates) {
+		p := ag.compactUpdates()
+		ag.pendingUpdates = slices.Grow(p, len(p))
+	}
+	ag.pendingUpdates = append(ag.pendingUpdates, u)
+}
+
+// compactUpdates sorts the dirty set by query and span, keeps one mark per
+// window (a first mark over an update), and returns it. A session that grew
+// — extended, or bridged to its neighbour — swallows the marks of its earlier
+// shapes: those are no longer windows, and the grown span's row corrects
+// them. Only sessions: a count-in-time query's clipped windows nest and all
+// stay windows.
+func (ag *Aggregator[V, A, Out]) compactUpdates() []pendingUpdate {
+	p := ag.pendingUpdates
+	slices.SortFunc(p, func(a, b pendingUpdate) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.span.Start, b.span.Start),
+			cmp.Compare(a.span.End, b.span.End), cmpFirst(a.first, b.first))
+	})
+	p = slices.CompactFunc(p, func(a, b pendingUpdate) bool { return a.id == b.id && a.span == b.span })
+	out := p[:0]
+	session, reach := false, int64(0) // reach: the furthest end of the query's earlier spans
+	for i, u := range p {
+		if i == 0 || p[i-1].id != u.id {
+			q := ag.queryByID(u.id)
+			session, reach = q != nil && window.IsSession(q.def), stream.MinTime
+		}
+		// Sorted by start, then end: a span is inside an earlier one that
+		// reaches as far, or inside the next one if that starts with it.
+		inside := u.span.End <= reach || i+1 < len(p) && p[i+1].id == u.id && p[i+1].span.Start == u.span.Start
+		reach = max(reach, u.span.End)
+		if !session || !inside {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// cmpFirst orders a first mark ahead of an update mark.
+func cmpFirst(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return -1
+	}
+	return 1
+}
+
+// queryByID returns the registered query with the id, or nil.
+func (ag *Aggregator[V, A, Out]) queryByID(id int) *query[V] {
+	for _, q := range ag.queries {
+		if q.id == id {
+			return q
+		}
+	}
+	return nil
+}
+
+// Pending reports how many update marks wait for the next watermark.
+func (ag *Aggregator[V, A, Out]) Pending() int { return len(ag.pendingUpdates) }
 
 // ------------------------------------------------------- window manager ---
 
@@ -1066,12 +1151,20 @@ func (ag *Aggregator[V, A, Out]) emit(q *query[V], s, e int64, update bool) {
 			ag.dabaMisses++
 		}
 	}
+	a, n := ag.rangeAggregate(q.def.Measure(), s, e)
 	if q.tapped {
-		a, n := ag.rangeAggregate(q.def.Measure(), s, e)
 		ag.taps[q.id](s, e, a, n, update)
 		return
 	}
-	ag.emitSpan(q.id, q.def.Measure(), s, e, update)
+	ag.results = append(ag.results, Result[Out]{
+		Query:   q.id,
+		Measure: q.def.Measure(),
+		Start:   s,
+		End:     e,
+		Value:   ag.f.Lower(a),
+		N:       n,
+		Update:  update,
+	})
 }
 
 // rangeAggregate folds the store over [s, e) on the given measure, taking the
@@ -1086,19 +1179,6 @@ func (ag *Aggregator[V, A, Out]) rangeAggregate(m stream.Measure, s, e int64) (A
 		return ag.st.aggregateTimeRange(s, e)
 	}
 	return ag.st.aggregateCountRange(s, e)
-}
-
-func (ag *Aggregator[V, A, Out]) emitSpan(id int, m stream.Measure, s, e int64, update bool) {
-	a, n := ag.rangeAggregate(m, s, e)
-	ag.results = append(ag.results, Result[Out]{
-		Query:   id,
-		Measure: m,
-		Start:   s,
-		End:     e,
-		Value:   ag.f.Lower(a),
-		N:       n,
-		Update:  update,
-	})
 }
 
 // ---------------------------------------------------------------- evict ---

@@ -134,6 +134,51 @@ func TestCountInTimeOutOfOrder(t *testing.T) {
 	testCountInTime(t, stream.Disorder{Fraction: 0.15, MaxDelay: 200, Seed: 47})
 }
 
+// TestCountInTimeLateIntoClippedWindows: while fewer than n tuples have
+// arrived, a count-in-time window's start is clipped to the first one, so
+// successive windows nest. A tuple behind the watermark shifts the ranks of
+// every one of them, and each gets its own update row at the next watermark,
+// over the ranks it now holds. (The oracle cannot judge this: the windows'
+// count ends, fixed when they fired, no longer match their trigger times.)
+func TestCountInTimeLateIntoClippedWindows(t *testing.T) {
+	ag := New[float64](aggregate.Sum[float64](ident), Options{Lateness: 1 << 40})
+	ag.MustAddQuery(window.CountInTime[float64](50, 100))
+	var vals []float64 // values in rank order
+	var ends []int64
+	for i := int64(0); i < 13; i++ {
+		ag.ProcessElement(stream.Event[float64]{Time: 10 + 30*i, Seq: i, Value: float64(i + 1)})
+		vals = append(vals, float64(i+1))
+		if i%3 == 2 {
+			for _, r := range ag.ProcessWatermark(100 * (i/3 + 1)) {
+				if r.Start != 0 || r.Update {
+					t.Fatalf("first rows: got %+v, want clipped windows [0, end)", r)
+				}
+				ends = append(ends, r.End)
+			}
+		}
+	}
+	if len(ends) < 3 {
+		t.Fatalf("%d windows fired before the late tuple, want at least 3 nested ones", len(ends))
+	}
+	if rs := ag.ProcessElement(stream.Event[float64]{Time: 5, Seq: 13, Value: 1000}); len(rs) != 0 {
+		t.Fatalf("the late tuple released %d rows before the next watermark", len(rs))
+	}
+	vals = append([]float64{1000}, vals...)
+	got := ag.ProcessWatermark(401)
+	if len(got) != len(ends) {
+		t.Fatalf("the watermark after the late tuple released %d rows, want an update for each of the %d nested windows: %+v", len(got), len(ends), got)
+	}
+	for i, r := range got {
+		want := 0.0
+		for _, v := range vals[:ends[i]] {
+			want += v
+		}
+		if !r.Update || r.Start != 0 || r.End != ends[i] || !approx(r.Value, want) {
+			t.Errorf("row %d: got %+v, want an update of [0, %d) = %v", i, r, ends[i], want)
+		}
+	}
+}
+
 // ------------------------------------------------------ mixed workloads ---
 
 func TestMixedQueriesShareSlicesInOrder(t *testing.T) {
@@ -235,6 +280,8 @@ func TestRemovedQueryStopsEmittingAndSplitting(t *testing.T) {
 
 // ------------------------------------------------------- late updates ----
 
+// TestLateTupleEmitsUpdates: late tuples mark the emitted window they land
+// in, and the next watermark emits one update carrying all of them.
 func TestLateTupleEmitsUpdates(t *testing.T) {
 	f := aggregate.Sum[float64](ident)
 	ag := New[float64](f, Options{Lateness: 1 << 40})
@@ -246,19 +293,18 @@ func TestLateTupleEmitsUpdates(t *testing.T) {
 	if len(rs) != 2 {
 		t.Fatalf("expected 2 windows at watermark, got %d: %+v", len(rs), rs)
 	}
-	// A tuple for the already-emitted first window arrives late.
-	rs = ag.ProcessElement(stream.Event[float64]{Time: 7, Seq: 2, Value: 10})
-	var upd *Result[float64]
-	for i := range rs {
-		if rs[i].Query == qid && rs[i].Start == 0 && rs[i].End == 10 {
-			upd = &rs[i]
+	// Two tuples for the already-emitted first window arrive late.
+	for i, v := range []float64{10, 100} {
+		if rs := ag.ProcessElement(stream.Event[float64]{Time: 7, Seq: int64(2 + i), Value: v}); len(rs) != 0 {
+			t.Fatalf("a late tuple emitted %+v; its update waits for the next watermark", rs)
 		}
 	}
-	if upd == nil {
-		t.Fatalf("expected an update for window [0,10), got %+v", rs)
+	rs = ag.ProcessWatermark(25)
+	if len(rs) != 1 || rs[0].Query != qid || rs[0].Start != 0 || rs[0].End != 10 {
+		t.Fatalf("expected one update for window [0,10), got %+v", rs)
 	}
-	if !upd.Update || upd.Value != 11 {
-		t.Errorf("update result wrong: %+v", *upd)
+	if !rs[0].Update || rs[0].Value != 111 {
+		t.Errorf("update result wrong: %+v", rs[0])
 	}
 }
 
@@ -278,6 +324,10 @@ func TestTooLateTupleIsDropped(t *testing.T) {
 
 // ------------------------------------------------------ session merging ---
 
+// TestSessionMergeOnBridgingTuple: a late tuple inside the first session
+// marks it, and a second one bridges it to the next; the merged session
+// swallows the first one's mark, so the watermark emits the merged session
+// alone.
 func TestSessionMergeOnBridgingTuple(t *testing.T) {
 	f := aggregate.Sum[float64](ident)
 	ag := New[float64](f, Options{Lateness: 1 << 40})
@@ -290,19 +340,15 @@ func TestSessionMergeOnBridgingTuple(t *testing.T) {
 	if len(rs) != 2 {
 		t.Fatalf("expected two sessions, got %+v", rs)
 	}
+	ag.ProcessElement(stream.Event[float64]{Time: 5, Seq: 3, Value: 16})
 	// Bridge both sessions with a late tuple at t=11 (within gap of both).
-	rs = ag.ProcessElement(stream.Event[float64]{Time: 11, Seq: 3, Value: 8})
-	found := false
-	for _, r := range rs {
-		if r.Query == qid && r.Start == 0 && r.End == 30 && r.Update {
-			if r.Value != 15 {
-				t.Errorf("merged session value: got %v want 15", r.Value)
-			}
-			found = true
-		}
+	ag.ProcessElement(stream.Event[float64]{Time: 11, Seq: 4, Value: 8})
+	rs = ag.ProcessWatermark(50)
+	if len(rs) != 1 || rs[0].Query != qid || rs[0].Start != 0 || rs[0].End != 30 || !rs[0].Update {
+		t.Fatalf("expected the merged session's update [0,30) alone, got %+v", rs)
 	}
-	if !found {
-		t.Fatalf("expected merged session update [0,30), got %+v", rs)
+	if rs[0].Value != 31 {
+		t.Errorf("merged session value: got %v want 31", rs[0].Value)
 	}
 	if ag.Stats().Merges == 0 {
 		t.Error("bridging tuple should merge slices")

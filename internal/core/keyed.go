@@ -273,17 +273,17 @@ func (k *Keyed[K, V, A, Out]) broadcastWatermark(wm int64) {
 // and returns every result it caused. The returned slice is reused across
 // calls.
 //
-// On the slice-major representation results arrive in arrival order: a late
-// tuple's update rows where the tuple stood, a watermark's rows where the
-// watermark stood. On the per-key one, events are grouped by key — one
-// scratch-map lookup per key-run rather than one per tuple — and each key's
-// sub-batch is handed to its aggregator's ProcessBatch, so the per-key fast
-// path sees maximal runs; watermarks segment the batch (all events before a
-// watermark are flushed to their keys first, then the watermark is
-// broadcast), and results arrive grouped by key (keys in first-appearance
-// order within each segment), not interleaved in per-tuple arrival order. On
-// both, the set of results and every per-key subsequence match the
-// per-element path exactly.
+// On the slice-major representation results arrive in arrival order: a
+// watermark's rows — the update rows late tuples marked since the previous
+// one, then its triggers — where the watermark stood. On the per-key one,
+// events are grouped by key — one scratch-map lookup per key-run rather than
+// one per tuple — and each key's sub-batch is handed to its aggregator's
+// ProcessBatch, so the per-key fast path sees maximal runs; watermarks
+// segment the batch (all events before a watermark are flushed to their keys
+// first, then the watermark is broadcast), and results arrive grouped by key
+// (keys in first-appearance order within each segment), not interleaved in
+// per-tuple arrival order. On both, the set of results and every per-key
+// subsequence match the per-element path exactly.
 //
 //slicelint:hotpath
 func (k *Keyed[K, V, A, Out]) ProcessBatch(batch []stream.Item[V]) []KeyedResult[K, Out] {

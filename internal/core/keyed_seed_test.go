@@ -270,10 +270,10 @@ func TestBehindWatermarkTupleIsLate(t *testing.T) {
 			}) {
 				rows = append(rows, fmt.Sprintf("[%d,%d) n=%d v=%g upd=%v", r.Start, r.End, r.N, r.Value, r.Update))
 			}
+			// The three accepted late tuples correct [0,100) once, at the
+			// next watermark.
 			wantResults(t, "rows", rows, []string{
 				"[0,100) n=1 v=1 upd=false",
-				"[0,100) n=2 v=3 upd=true",
-				"[0,100) n=3 v=11 upd=true",
 				"[0,100) n=4 v=27 upd=true",
 			})
 			if got := ag.Stats().Dropped; got != 1 {
@@ -307,25 +307,22 @@ func TestKeyedSilentKeyLateTuple(t *testing.T) {
 				// 1500 leads key 1's stream, trails the watermark, and lands in
 				// a window not announced for the key (it trails one window
 				// length behind its last tuple): nothing now, the regular row
-				// at the next watermark.
+				// at the next watermark. A late tuple emits nothing before
+				// that watermark on either representation.
 				rs = d.feed(k, []stream.Item[kv]{ev(1, 1500, 2)})
-				if perKey {
-					// The per-key operator does not know the window is
-					// unannounced and sends a correction ahead of it.
-					wantResults(t, "unannounced window", periodic(rs, 1), []string{"[1000,2000) n=1 v=2 upd=true"})
-				} else {
-					wantResults(t, "unannounced window", periodic(rs, 1), nil)
-				}
-				// 1200 is out of order for the key and corrects nothing
-				// announced either; 3100 is ahead of the watermark.
+				wantResults(t, "unannounced window", periodic(rs, 1), nil)
+				// 3100 is ahead of the watermark. Both representations know
+				// the window is unannounced (the per-key operator by its
+				// trigger cursor) and send no correction ahead of its row.
 				rs = d.feed(k, []stream.Item[kv]{ev(1, 3100, 4), wm[kv](3500)})
 				wantResults(t, "caught up", periodic(rs, 1), []string{"[1000,2000) n=1 v=2 upd=false", "[2000,3000) n=0 v=0 upd=false"})
-				rs = d.feed(k, []stream.Item[kv]{ev(1, 1900, 8)})
+				rs = d.feed(k, []stream.Item[kv]{ev(1, 1900, 8), wm[kv](3520)})
 				wantResults(t, "correction", periodic(rs, 1), []string{"[1000,2000) n=2 v=10 upd=true"})
 				// Key 3 appears at 1600, behind the watermark: [1000,2000)
-				// closed before it existed and is announced on the spot.
-				rs = d.feed(k, []stream.Item[kv]{ev(3, 1600, 16), ev(3, 1700, 32)})
-				wantResults(t, "late-born key", periodic(rs, 3), []string{"[1000,2000) n=1 v=16 upd=false", "[1000,2000) n=2 v=48 upd=true"})
+				// closed before it existed and is announced at the next
+				// watermark, once, with both of its tuples.
+				rs = d.feed(k, []stream.Item[kv]{ev(3, 1600, 16), ev(3, 1700, 32), wm[kv](3540)})
+				wantResults(t, "late-born key", periodic(rs, 3), []string{"[1000,2000) n=2 v=48 upd=false"})
 				if st := k.Stats(); st.Tuples != 7 || st.Dropped != 0 {
 					t.Errorf("stats %+v, want 7 tuples and no drops", st)
 				}

@@ -68,6 +68,11 @@ type sliceMajor[K comparable, V, A, Out any] struct {
 	// beyond O(1).
 	keyVisits int64
 
+	// late is the dirty set of update rows: every (key, query, window) a
+	// late tuple touched since the last watermark, emitted once per window
+	// by the next one (flushLate).
+	late []smLate
+
 	m               *metricsSet
 	keysLive        *obs.Gauge
 	tuplesPublished int64
@@ -109,6 +114,16 @@ type smCursor struct {
 	// first it will announce): a late tuple corrects windows in
 	// [floor, nextEnd) with update rows.
 	floor int64
+}
+
+// smLate marks one key's window of query qs[q] starting at start. first
+// marks a window that closed before the key existed: it leaves as the key's
+// first row for it, not as an update.
+type smLate struct {
+	id    uint32
+	q     int32
+	start int64
+	first bool
 }
 
 // smSlice is one lattice cell [start, end) with every key's partial for it.
@@ -460,13 +475,13 @@ func (s *sliceMajor[K, V, A, Out]) triggerKey(id uint32, wm int64) {
 	kk.behind = behind
 }
 
-// lateRows emits what a tuple at or behind the watermark owes: per query, for
-// each window holding t (latest first, as periodic.WindowsTouched lists them),
-// an update row if the window was announced for this key; nothing if its
-// regular trigger is still to come; and if the window closed before the key
-// existed, its first, regular row — from then on it counts as announced.
+// lateRows marks what a tuple at or behind the watermark owes: per query, for
+// each window holding t, an update row if the window was announced for this
+// key; nothing if its regular trigger is still to come; and if the window
+// closed before the key existed, its first, regular row — from then on it
+// counts as announced.
 //
-//slicelint:coldpath late tuples only; each row folds a window's slices
+//slicelint:coldpath late tuples only; a mark per window holding the tuple
 func (s *sliceMajor[K, V, A, Out]) lateRows(id uint32, t int64) {
 	if t < 0 {
 		return
@@ -478,27 +493,63 @@ func (s *sliceMajor[K, V, A, Out]) lateRows(id uint32, t int64) {
 			switch end := start + q.length; {
 			case end >= c.nextEnd:
 			case end >= c.floor:
-				s.emit(id, q, start, end, true)
+				s.mark(smLate{id: id, q: int32(i), start: start})
 			default:
-				s.emit(id, q, start, end, false)
+				s.mark(smLate{id: id, q: int32(i), start: start, first: true})
 				c.floor = end
 			}
 		}
 	}
 }
 
+// flushLate emits the marked windows, each once, keys in first-appearance
+// order, then per query and window start, so restored and uninterrupted runs
+// agree whatever ids the keys hold.
+func (s *sliceMajor[K, V, A, Out]) flushLate() {
+	if len(s.late) == 0 {
+		return
+	}
+	for _, l := range s.compactLate() {
+		q := &s.qs[l.q]
+		s.emit(l.id, q, l.start, l.start+q.length, !l.first)
+	}
+	s.late = s.late[:0]
+}
+
+// mark adds a window to the dirty set, compacting a full set first as the
+// core's Aggregator.mark does.
+func (s *sliceMajor[K, V, A, Out]) mark(l smLate) {
+	if n := len(s.late); n > 0 && n == cap(s.late) {
+		p := s.compactLate()
+		s.late = slices.Grow(p, len(p))
+	}
+	s.late = append(s.late, l)
+}
+
+// compactLate sorts the dirty set into flush order, keeps one mark per
+// window (a first mark over an update), and returns it.
+func (s *sliceMajor[K, V, A, Out]) compactLate() []smLate {
+	slices.SortFunc(s.late, func(a, b smLate) int {
+		return cmp.Or(cmp.Compare(s.keys[a.id].seq, s.keys[b.id].seq), cmp.Compare(a.q, b.q),
+			cmp.Compare(a.start, b.start), cmpFirst(a.first, b.first))
+	})
+	return slices.CompactFunc(s.late, func(a, b smLate) bool { return a.id == b.id && a.q == b.q && a.start == b.start })
+}
+
 // ----------------------------------------------------------- watermarks ---
 
-// watermark advances the stream's watermark. If it completes no window and no
-// trailing key was fed, there is nothing to do per key; if it completes no
-// window, only the fed keys can owe rows; otherwise every key is visited, in
-// first-appearance order, over the flat cursor array.
+// watermark advances the stream's watermark: first the update rows late
+// tuples marked since the previous one, then triggers. If it completes no
+// window and no trailing key was fed, there is nothing to do per key; if it
+// completes no window, only the fed keys can owe rows; otherwise every key is
+// visited, in first-appearance order, over the flat cursor array.
 //
 //slicelint:coldpath runs once per watermark, not per tuple; trigger passes, idle expiry and eviction amortize across the batch
 func (s *sliceMajor[K, V, A, Out]) watermark(wm int64) {
 	if wm <= s.currWM {
 		return
 	}
+	s.flushLate()
 	s.currWM = wm
 	switch {
 	case wm >= s.nextDue || (wm > s.expireAt && wm != stream.MaxTime):
@@ -590,5 +641,5 @@ func (s *sliceMajor[K, V, A, Out]) sliceSnapshot() []SliceInfo {
 func (s *sliceMajor[K, V, A, Out]) residentBytes() int64 {
 	return memsize.Of(s.ids) + memsize.Of(s.keys) + memsize.Of(s.cur) +
 		memsize.Of(s.order) + memsize.Of(s.freeIDs) + memsize.Of(s.fed) +
-		memsize.Of(s.ring) + memsize.Of(s.pool)
+		memsize.Of(s.late) + memsize.Of(s.ring) + memsize.Of(s.pool)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"scotty/internal/aggregate"
+	"scotty/internal/checkpoint"
 	"scotty/internal/spill"
 	"scotty/internal/stream"
 	"scotty/internal/window"
@@ -183,10 +185,10 @@ func TestSliceMajorExpiredKeyLeavesNoStalePartial(t *testing.T) {
 		t.Fatalf("slice [0,1000) no longer live; the test needs it to be: %+v", k.SliceSnapshot())
 	}
 	// 800 > 2700-2000: accepted. The window closed before this incarnation
-	// existed, so it is announced now — with the new tuple only.
-	rs = drivers()[1].feed(k, []stream.Item[kv]{ev(1, 800, 7)})
+	// existed, so the next watermark announces it — with the new tuple only.
+	rs = drivers()[1].feed(k, []stream.Item[kv]{ev(1, 800, 7), wm[kv](2750)})
 	wantResults(t, "second incarnation", byKey(rs, 1), []string{"[0,1000) n=1 v=7 upd=false"})
-	rs = drivers()[1].feed(k, []stream.Item[kv]{ev(1, 900, 1)})
+	rs = drivers()[1].feed(k, []stream.Item[kv]{ev(1, 900, 1), wm[kv](2800)})
 	wantResults(t, "second incarnation, corrected", byKey(rs, 1), []string{"[0,1000) n=2 v=8 upd=true"})
 	if got := k.SliceSnapshot()[0]; got.N != 2 || got.Keys != 1 {
 		t.Errorf("slice [0,1000) reports %+v, want the 2 tuples of 1 live key", got)
@@ -419,4 +421,86 @@ func runBatched(k *Keyed[int, kv, float64, float64], items []stream.Item[kv], bs
 
 func rowString(r KeyedResult[int, float64]) string {
 	return fmt.Sprintf("k%d q%d [%d,%d) n=%d v=%v upd=%v", r.Key, r.Query, r.Start, r.End, r.N, r.Value, r.Update)
+}
+
+// TestSliceMajorReadsVersion1: a payload written before late marks travelled
+// in the snapshot — tag keyed/slice-major/1, no trailing marks — restores as
+// one with none, and the run continues as the uninterrupted one does.
+func TestSliceMajorReadsVersion1(t *testing.T) {
+	feed := drivers()[0].feed
+	prefix := []stream.Item[kv]{ev(1, 100, 1), ev(2, 900, 2), ev(1, 1800, 4), wm[kv](1000)}
+	suffix := []stream.Item[kv]{ev(1, 700, 8), ev(2, 2500, 16), wm[kv](2000), wm[kv](stream.MaxTime)}
+	k := newKeyedSum(t, []periodicDef{{1000, 1000}}, false, 0)
+	feed(k, prefix)
+	data, err := k.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.Payload(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version 2 is version 1 plus the count of marks (an 8-byte zero here).
+	if !bytes.HasSuffix(payload, make([]byte, 8)) || !bytes.Contains(payload, []byte(sliceMajorSnapshot)) {
+		t.Fatalf("payload does not end in an empty mark list behind tag %q", sliceMajorSnapshot)
+	}
+	enc := checkpoint.NewEncoder()
+	enc.Raw(bytes.Replace(payload[:len(payload)-8], []byte(sliceMajorSnapshot), []byte(sliceMajorSnapshotV1), 1))
+	old := newKeyedSum(t, []periodicDef{{1000, 1000}}, false, 0)
+	if err := old.Restore(enc.Seal()); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	rsWant, rsGot := feed(k, suffix), feed(old, suffix)
+	for _, key := range []int{1, 2} {
+		want, got = append(want, byKey(rsWant, key)...), append(got, byKey(rsGot, key)...)
+	}
+	wantResults(t, "restored from version 1", got, want)
+	if len(want) == 0 {
+		t.Fatal("the suffix emitted nothing")
+	}
+}
+
+// TestDirtySetsStayBounded: thousands of late tuples that touch the same few
+// windows between two watermarks grow neither the core's nor the slice-major
+// operator's dirty set past a few times the windows they name, and the next
+// watermark emits each of those windows once.
+func TestDirtySetsStayBounded(t *testing.T) {
+	const late = 5000
+	ag := New[float64](aggregate.Sum[float64](ident), Options{Lateness: 1 << 40})
+	ag.MustAddQuery(window.Sliding(stream.Time, 10_000, 1_000))
+	for ts := int64(0); ts <= 30_000; ts += 100 {
+		ag.ProcessElement(stream.Event[float64]{Time: ts, Seq: ts, Value: 1})
+	}
+	ag.ProcessWatermark(25_000)
+	for i := int64(0); i < late; i++ {
+		ag.ProcessElement(stream.Event[float64]{Time: 12_000 + i%1000, Seq: 30_001 + i, Value: 1})
+	}
+	// The tuples lie in [12 000, 13 000): ten announced windows hold them.
+	if c := cap(ag.pendingUpdates); c > 64 {
+		t.Errorf("core: %d late tuples over 10 windows left a dirty set of capacity %d", late, c)
+	}
+	if rs := ag.ProcessWatermark(25_001); len(rs) != 10 {
+		t.Errorf("core: the watermark emitted %d rows, want one update for each of 10 windows", len(rs))
+	}
+
+	k := newKeyedSum(t, []periodicDef{{10_000, 1_000}}, false, 0)
+	var items []stream.Item[kv]
+	for ts := int64(0); ts <= 30_000; ts += 100 {
+		items = append(items, ev(1, ts, 1), ev(2, ts, 1))
+	}
+	drivers()[0].feed(k, append(items, wm[kv](25_000)))
+	items = items[:0]
+	for i := int64(0); i < late; i++ {
+		items = append(items, ev(1+int(i%2), 23_500+i%400, 1))
+	}
+	drivers()[0].feed(k, items)
+	// [23 500, 23 900) lies in two announced windows per key: [14 000,
+	// 24 000) and [15 000, 25 000).
+	if c := cap(k.sm.late); c > 64 {
+		t.Errorf("slice-major: %d late tuples over 4 windows left a dirty set of capacity %d", late, c)
+	}
+	if rs := drivers()[0].feed(k, []stream.Item[kv]{wm[kv](25_001)}); len(rs) != 4 {
+		t.Errorf("slice-major: the watermark emitted %d rows, want one update for each of 4 windows", len(rs))
+	}
 }

@@ -27,6 +27,10 @@ const (
 	queryStateSeeded = byte(0x80)
 )
 
+// pendingFirst is or-ed into a marked window's measure byte when the mark
+// announces the window (pendingUpdate.first).
+const pendingFirst = byte(0x80)
+
 // Snapshot serializes the aggregator's complete mutable state — the slice
 // ring with partial aggregates (and stored tuples when the Fig 4 decision
 // demands them), the watermark, pending slicer edges, and every context-aware
@@ -86,7 +90,11 @@ func (ag *Aggregator[V, A, Out]) encodeState(enc *checkpoint.Encoder) error {
 	enc.Int64(int64(len(ag.pendingUpdates)))
 	for _, u := range ag.pendingUpdates {
 		enc.Int(u.id)
-		enc.Byte(byte(u.meas))
+		meas := byte(u.meas)
+		if u.first {
+			meas |= pendingFirst
+		}
+		enc.Byte(meas)
 		enc.Int64(u.span.Start)
 		enc.Int64(u.span.End)
 	}
@@ -199,10 +207,12 @@ func (ag *Aggregator[V, A, Out]) decodeState(dec *checkpoint.Decoder) error {
 	}
 	ag.pendingUpdates = ag.pendingUpdates[:0]
 	for i, n := 0, dec.Count(); i < n; i++ {
+		id, meas := dec.Int(), dec.Byte()
 		ag.pendingUpdates = append(ag.pendingUpdates, pendingUpdate{
-			id:   dec.Int(),
-			meas: stream.Measure(dec.Byte()),
-			span: window.Span{Start: dec.Int64(), End: dec.Int64()},
+			id:    id,
+			meas:  stream.Measure(meas &^ pendingFirst),
+			span:  window.Span{Start: dec.Int64(), End: dec.Int64()},
+			first: meas&pendingFirst != 0,
 		})
 	}
 
@@ -440,7 +450,7 @@ func (k *Keyed[K, V, A, Out]) Restore(data []byte) error {
 		return dec.Err()
 	}
 	if name := dec.String(); dec.Err() == nil && name != keyC.Name {
-		if name == sliceMajorSnapshot {
+		if name == sliceMajorSnapshot || name == sliceMajorSnapshotV1 {
 			return fmt.Errorf("%w: snapshot holds slice-major keyed state, operator keeps one operator per key", ErrSnapshotMismatch)
 		}
 		return fmt.Errorf("%w: snapshot key type %q, operator uses %q", ErrSnapshotMismatch, name, keyC.Name)
@@ -483,8 +493,12 @@ func (k *Keyed[K, V, A, Out]) Restore(data []byte) error {
 
 // sliceMajorSnapshot opens a slice-major keyed payload, where a per-key one
 // carries the key codec's name: either layout offered to the other is told
-// apart on the first field and refused.
-const sliceMajorSnapshot = "keyed/slice-major/1"
+// apart on the first field and refused. Version 2 appends the marked late
+// windows; a version 1 payload is read as one with none.
+const (
+	sliceMajorSnapshot   = "keyed/slice-major/2"
+	sliceMajorSnapshotV1 = "keyed/slice-major/1"
+)
 
 // encodeState writes the slice-major state: the key directory in
 // first-appearance order with every key's cursors, then the slice ring with
@@ -553,6 +567,14 @@ func (s *sliceMajor[K, V, A, Out]) encodeState(enc *checkpoint.Encoder, keyC che
 			}
 		}
 	}
+
+	enc.Int(len(s.late))
+	for _, l := range s.late {
+		enc.Uint32(pos[l.id])
+		enc.Int(int(l.q))
+		enc.Int64(l.start)
+		enc.Bool(l.first)
+	}
 	return nil
 }
 
@@ -562,7 +584,8 @@ func (s *sliceMajor[K, V, A, Out]) decodeState(dec *checkpoint.Decoder, keyC che
 	if err != nil {
 		return err
 	}
-	if tag := dec.String(); dec.Err() == nil && tag != sliceMajorSnapshot {
+	tag := dec.String()
+	if dec.Err() == nil && tag != sliceMajorSnapshot && tag != sliceMajorSnapshotV1 {
 		return fmt.Errorf("%w: operator keeps slice-major keyed state, snapshot does not (it opens with %q)", ErrSnapshotMismatch, tag)
 	}
 	if name := dec.String(); dec.Err() == nil && name != keyC.Name {
@@ -649,6 +672,15 @@ func (s *sliceMajor[K, V, A, Out]) decodeState(dec *checkpoint.Decoder, keyC che
 			return fmt.Errorf("%w: slice [%d,%d) out of order", checkpoint.ErrCorruptSnapshot, sl.start, sl.end)
 		}
 		s.ring = append(s.ring, sl)
+	}
+	if tag == sliceMajorSnapshot {
+		for i, n := 0, dec.Count(); i < n; i++ {
+			l := smLate{id: dec.Uint32(), q: int32(dec.Int()), start: dec.Int64(), first: dec.Bool()}
+			if dec.Err() == nil && (int(l.id) >= nk || l.q < 0 || int(l.q) >= nq) {
+				return fmt.Errorf("%w: late mark names key %d of %d, query %d of %d", checkpoint.ErrCorruptSnapshot, l.id, nk, l.q, nq)
+			}
+			s.late = append(s.late, l)
+		}
 	}
 	if err := dec.Err(); err != nil {
 		return err

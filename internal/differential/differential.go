@@ -310,6 +310,15 @@ func (c Case) events() []stream.Event[stream.Tuple] {
 
 func (c Case) fleet() bool { _, ok := unshared[c.Tech]; return ok }
 
+// slicing: the core, a fleet over it, or a keyed operator — not a baseline.
+func (c Case) slicing() bool {
+	switch c.Tech {
+	case benchutil.LazySlicing, benchutil.EagerSlicing, benchutil.DABASlicing:
+		return true
+	}
+	return c.fleet() || c.keyed()
+}
+
 func (c Case) keyed() bool {
 	return c.Tech == benchutil.Keyed || c.Tech == benchutil.KeyedTTL || c.Tech == benchutil.KeyedSpill
 }
@@ -422,9 +431,11 @@ func (c Case) Gap() string {
 // run feeds items through op: one call per item when bs is 1, ProcessBatch
 // in runs of bs otherwise (0: as long as possible). Before item at it calls
 // do, which may hand back the operator to continue on; no batch spans at.
-// before is how many rows came out before item at.
-func run(op *benchutil.Rows, items []stream.Item[stream.Tuple], bs, at int, do func(*benchutil.Rows) *benchutil.Rows) (rows []reference.Row, before int) {
+// before is how many rows came out before item at; wms gives each row the
+// number of watermarks fed before the call that emitted it.
+func run(op *benchutil.Rows, items []stream.Item[stream.Tuple], bs, at int, do func(*benchutil.Rows) *benchutil.Rows) (rows []reference.Row, before int, wms []int) {
 	before = -1
+	fed := 0
 	for i := 0; i < len(items); {
 		if i == at {
 			before = len(rows)
@@ -444,9 +455,16 @@ func run(op *benchutil.Rows, items []stream.Item[stream.Tuple], bs, at int, do f
 		} else {
 			rows = append(rows, op.Batch(items[i:j])...)
 		}
-		i = j
+		for len(wms) < len(rows) {
+			wms = append(wms, fed)
+		}
+		for ; i < j; i++ {
+			if items[i].Kind == stream.KindWatermark {
+				fed++
+			}
+		}
 	}
-	return rows, before
+	return rows, before, wms
 }
 
 // Run is the harness: build, run, check against the oracle, and check
@@ -518,7 +536,7 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 			return op
 		}
 	}
-	elem, before := run(op, items, 1, at, func(o *benchutil.Rows) *benchutil.Rows { op = do(c.Tech)(o); return op })
+	elem, before, wms := run(op, items, 1, at, func(o *benchutil.Rows) *benchutil.Rows { op = do(c.Tech)(o); return op })
 
 	// The oracle: every query but a removed one over the whole stream, the
 	// added one from its registration on.
@@ -566,9 +584,27 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 			}
 		}
 	}
+	// One update per window per watermark: the slicing techniques mark the
+	// windows a late tuple changes and emit each once, at the next
+	// watermark. The baselines still emit an update per late tuple.
+	if c.slicing() {
+		type update struct {
+			wms int
+			w   reference.Window
+		}
+		seen := map[update]bool{}
+		for i, r := range elem {
+			if k := (update{wms[i], r.Window()}); r.Update {
+				if seen[k] {
+					t.Fatalf("%v: window %+v got two update rows between watermarks %d and %d", c, r.Window(), wms[i], wms[i]+1)
+				}
+				seen[k] = true
+			}
+		}
+	}
 	if mid == Snapshot {
 		// restore ≡ uninterrupted: the run above restored at item at.
-		plain, _ := run(mustRows(t, c, c.Tech), items, 1, -1, nil)
+		plain, _, _ := run(mustRows(t, c, c.Tech), items, 1, -1, nil)
 		same(t, c, "restore ≡ uninterrupted", plain, elem, nil)
 	}
 
@@ -577,7 +613,7 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 	// (factored completions flush at batch end), so its batch run is held
 	// against the oracle alone.
 	if c.Batch != 1 {
-		batch, _ := run(mustRows(t, c, c.Tech), items, c.Batch, at, do(c.Tech))
+		batch, _, _ := run(mustRows(t, c, c.Tech), items, c.Batch, at, do(c.Tech))
 		check(fmt.Sprintf("batch=%d", c.Batch), batch)
 		switch {
 		case c.keyed():
@@ -589,7 +625,7 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 
 	// fleet ≡ unshared, per query.
 	if u, ok := unshared[c.Tech]; ok {
-		plain, _ := run(mustRows(t, c, u), items, 1, at, do(u))
+		plain, _, _ := run(mustRows(t, c, u), items, 1, at, do(u))
 		same(t, c, "fleet ≡ unshared", plain, elem, func(r reference.Row) int64 { return int64(r.Query) })
 	}
 
@@ -602,7 +638,7 @@ func Run(t testing.TB, c Case) (op *benchutil.Rows, rows []reference.Row) {
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
-		all, _ := run(p, items, 1, -1, nil)
+		all, _, _ := run(p, items, 1, -1, nil)
 		var rows []reference.Row
 		for _, r := range all {
 			if r.Query < len(c.Specs) {

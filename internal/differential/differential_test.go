@@ -65,6 +65,15 @@ func TestCorpusShapes(t *testing.T) {
 		// A session alone, extended by a late tuple while its end edge
 		// stayed put (the partialByTime panic).
 		"session-extended-out-of-order": {"lazy-slicing/sum ordered=false specs=[{2 372 0}]", "MaxDelay:4980", "lag=391 "},
+		// A snapshot between a late tuple and its watermark: the restored
+		// operator must carry the marked windows and emit their updates.
+		"snapshot-with-updates-pending-core":  {"lazy-slicing/sum ordered=false specs=[{1 169 126}]", "change=3@288 "},
+		"snapshot-with-updates-pending-fleet": {"fleet-slicing/sum ordered=false specs=[{1 409 741} {7 2454 818} {1 2045 3195}]", "change=3@15 "},
+		"snapshot-with-updates-pending-keyed": {"keyed/max ordered=false specs=[{1 6375 6773} {7 6800 3400} {1 6375 3984} {1 425 425}]", "change=3@161 "},
+		// A tuple that un-parks factored windows between watermarks, and a
+		// late tuple in a pane the factor trigger had postponed (the fleet
+		// emitted the window empty and never corrected it).
+		"fleet-window-unparked-by-a-tuple": {"fleet-slicing/max ordered=false specs=[{1 6375 6773} {7 6800 3400} {1 6375 3984} {1 425 425}]", "lag=160 "},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOperatorVsReference", name))
 		if err != nil {

@@ -150,10 +150,13 @@ type group[A any] struct {
 	base   int64 // pane index (start/factor) of tree leaf 0; -1 before the first pane
 	specs  []*spec[A]
 	maxLen int64 // longest member window, bounds ring retention
+	// dirty holds the indices of the panes written since the last reEmit
+	// (process.go); markDirty keeps repeats bounded.
+	dirty []int64
 }
 
 // due is one member's share of an emission pass (a drain of one group or one
-// reEmitCovering): n windows ending at pane end, end+step, …, emitted in
+// reEmit): n windows ending at pane end, end+step, …, emitted in
 // that order; their folds sit at Fleet.folded[at:at+n]. end and step count
 // panes of the group's factor.
 type due[A any] struct {
@@ -220,6 +223,12 @@ type Fleet[V, A, Out any] struct {
 	// nothing is factored, so the per-call pump check is two comparisons.
 	wake     int64
 	parkWake int64
+	// pumped is the watermark the last pump saw. Only a call that moved it
+	// drains: the core's factor query, like any time query on an unordered
+	// stream, triggers only on watermarks, so a factored window a tuple
+	// un-parks waits for the next watermark too — by then its panes are in
+	// the ring and late tuples in them reach it as pane updates.
+	pumped int64
 
 	nDraining int
 
@@ -245,6 +254,7 @@ func New[V, A, Out any](f aggregate.Function[V, A, Out], opts Options) *Fleet[V,
 		byFactor: make(map[int64]*group[A]),
 		wake:     stream.MaxTime,
 		parkWake: stream.MaxTime,
+		pumped:   stream.MinTime,
 		reg:      opts.Metrics,
 		m:        newMetricsSet(opts.Metrics),
 	}

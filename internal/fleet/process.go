@@ -14,6 +14,7 @@ func (fl *Fleet[V, A, Out]) ProcessElement(e stream.Event[V]) []core.Result[Out]
 	fl.planIfDue()
 	fl.results = fl.results[:0]
 	fl.ingest(fl.ag.ProcessElement(e))
+	fl.reEmit()
 	fl.pump()
 	return fl.results
 }
@@ -24,19 +25,21 @@ func (fl *Fleet[V, A, Out]) ProcessWatermark(wm int64) []core.Result[Out] {
 	fl.planIfDue()
 	fl.results = fl.results[:0]
 	fl.ingest(fl.ag.ProcessWatermark(wm))
+	fl.reEmit()
 	fl.pump()
 	return fl.results
 }
 
 // ProcessBatch ingests a run of stream items through the core's batched fast
-// path. Factored completions are appended once at the end of the batch, so
-// within the returned slice a logical query's update emissions may precede
-// completions that an unbatched run would have interleaved; final per-window
-// values are identical either way.
+// path. Factored updates and completions are appended once at the end of the
+// batch, so within the returned slice a logical query's rows may come in
+// another order than an unbatched run's; final per-window values are
+// identical either way.
 func (fl *Fleet[V, A, Out]) ProcessBatch(items []stream.Item[V]) []core.Result[Out] {
 	fl.planIfDue()
 	fl.results = fl.results[:0]
 	fl.ingest(fl.ag.ProcessBatch(items))
+	fl.reEmit()
 	fl.pump()
 	return fl.results
 }
@@ -79,15 +82,18 @@ func (fl *Fleet[V, A, Out]) nextResult() *core.Result[Out] {
 	return &fl.results[n]
 }
 
-// pump advances the factored emission frontier. The common case — nothing
-// factored is due — is two comparisons against cached wake positions.
+// pump advances the factored emission frontier on a call that moved the
+// watermark. The common case — nothing factored is due — is two comparisons
+// against cached wake positions.
 func (fl *Fleet[V, A, Out]) pump() {
 	if fl.nDraining > 0 {
 		fl.checkFlips()
 	}
 	wm := fl.ag.Watermark()
 	maxSeen := fl.ag.View().MaxSeenTime()
-	if wm < fl.wake && maxSeen < fl.parkWake {
+	moved := wm != fl.pumped
+	fl.pumped = wm
+	if !moved || wm < fl.wake && maxSeen < fl.parkWake {
 		return
 	}
 	fl.drain(wm, maxSeen)
@@ -123,6 +129,12 @@ func (fl *Fleet[V, A, Out]) drain(wm, maxSeen int64) {
 // flip adds a factored spec the cached wake positions don't yet cover, so the
 // schedule is refreshed before pump consults it.
 func (fl *Fleet[V, A, Out]) checkFlips() {
+	if fl.ag.Pending() > 0 {
+		// A flip retires the spec's physical query, and with it the update
+		// marks it holds for windows the ring may not cover; wait until the
+		// next watermark has flushed them.
+		return
+	}
 	before := fl.nDraining
 	for _, g := range fl.groups {
 		for _, sp := range g.specs {
@@ -271,9 +283,13 @@ func (fl *Fleet[V, A, Out]) foldPanes(g *group[A], lo, hi int64) (pane[A], bool)
 
 // tapFor builds the partial-aggregate consumer for a factor group's physical
 // query. Completions append panes to the ring (the factor trigger emits
-// strictly in order, so pushes are contiguous); late-tuple updates overwrite
-// the pane in place and re-emit every already-emitted member window covering
-// it, in the same order the unshared per-query path would have used.
+// strictly in order, so pushes are contiguous); an update overwrites the pane
+// in place and marks it dirty for reEmit. So does a completion that the
+// previous watermark already made due: the factor trigger postpones a pane
+// while it lies wholly after the newest tuple, and a member window over it
+// may have been emitted, with the pane folded as empty, before a late tuple
+// filled it. (The core triggers before it moves its watermark, so Watermark
+// is the previous one here.)
 func (fl *Fleet[V, A, Out]) tapFor(g *group[A]) func(s, e int64, a A, n int64, update bool) {
 	return func(s, e int64, a A, n int64, update bool) {
 		idx := s / g.factor
@@ -282,6 +298,9 @@ func (fl *Fleet[V, A, Out]) tapFor(g *group[A]) func(s, e int64, a A, n int64, u
 				g.base = idx
 			}
 			g.tree.Push(pane[A]{a: a, n: n})
+			if n > 0 && e-1 <= fl.ag.Watermark() {
+				g.markDirty(idx)
+			}
 			return
 		}
 		if g.base < 0 {
@@ -294,32 +313,74 @@ func (fl *Fleet[V, A, Out]) tapFor(g *group[A]) func(s, e int64, a A, n int64, u
 			return
 		}
 		g.tree.Set(int(i), pane[A]{a: a, n: n})
-		fl.reEmitCovering(g, s, e)
+		g.markDirty(idx)
 	}
 }
 
-// reEmitCovering re-emits every already-emitted factored window containing
-// the updated pane [ps, pe), mirroring the unshared core's WindowsTouched
-// order: per spec, containing windows in descending start order, update
-// emissions only for windows the cursor has already passed (the regular
-// trigger covers the rest) since the spec's own registration floor — only
-// those were ever announced. Draining members are skipped — their own
-// physical query emits their updates.
-func (fl *Fleet[V, A, Out]) reEmitCovering(g *group[A], ps, pe int64) {
-	for _, sp := range g.specs {
-		if sp.mode != modeFactored {
+// markDirty adds pane idx to the dirty set. A full set is sorted and
+// deduplicated first, and grown if it stays over half full, as the core's
+// update marks are.
+func (g *group[A]) markDirty(idx int64) {
+	if n := len(g.dirty); n > 0 && n == cap(g.dirty) {
+		slices.Sort(g.dirty)
+		g.dirty = slices.Compact(g.dirty)
+		g.dirty = slices.Grow(g.dirty, len(g.dirty))
+	}
+	g.dirty = append(g.dirty, idx)
+}
+
+// reEmit re-emits, once each, the already-emitted factored windows that
+// cover a dirty pane — the panes the core's update flushes and triggers wrote
+// during this call — mirroring what the unshared core emits for the same late
+// tuples: per spec, windows ascending, only those the cursor has already
+// passed (the regular drain covers the rest) since the spec's own
+// registration floor. Draining members are skipped — their own physical
+// query emits their updates.
+func (fl *Fleet[V, A, Out]) reEmit() {
+	for _, g := range fl.groups {
+		if len(g.dirty) == 0 {
 			continue
 		}
-		// Window k is [k*slide, k*slide+length): the newest one that starts
-		// at or before the pane and has been announced, down to the oldest
-		// one that still reaches the pane and the floor.
-		newest := min(ps, sp.nextEnd()-sp.slide-sp.length) / sp.slide
-		oldest := max(0, (max(pe, sp.minNextEnd)-sp.length+sp.slide-1)/sp.slide)
-		if newest >= oldest {
-			fl.due = append(fl.due, due[A]{sp: sp, end: newest*sp.slideP + sp.lenP, step: -sp.slideP, n: int(newest - oldest + 1)})
+		slices.Sort(g.dirty)
+		g.dirty = slices.Compact(g.dirty)
+		for _, sp := range g.specs {
+			if sp.mode == modeFactored {
+				fl.coverDirty(g, sp)
+			}
+		}
+		g.dirty = g.dirty[:0]
+		fl.emitDue(g, true)
+	}
+}
+
+// coverDirty queues sp's announced windows covering any of g's sorted dirty
+// panes as runs of consecutive windows. Window k is [k*slide, k*slide+length):
+// for pane [ps, pe) the newest one that starts at or before the pane and has
+// been announced, down to the oldest one that still reaches the pane and the
+// floor. Both bounds rise with the pane, so the windows of successive panes
+// either extend the current run or start the next.
+func (fl *Fleet[V, A, Out]) coverDirty(g *group[A], sp *spec[A]) {
+	announced := (sp.nextEnd() - sp.slide - sp.length) / sp.slide
+	lo, hi := int64(0), int64(-1) // the current run, windows lo..hi
+	flush := func() {
+		if lo <= hi {
+			fl.due = append(fl.due, due[A]{sp: sp, end: lo*sp.slideP + sp.lenP, step: sp.slideP, n: int(hi - lo + 1)})
 		}
 	}
-	fl.emitDue(g, true)
+	for _, p := range g.dirty {
+		ps := p * g.factor
+		newest := min(ps/sp.slide, announced)
+		oldest := max(0, (max(ps+g.factor, sp.minNextEnd)-sp.length+sp.slide-1)/sp.slide)
+		switch {
+		case newest < oldest || newest <= hi:
+		case oldest <= hi+1:
+			hi = newest
+		default:
+			flush()
+			lo, hi = oldest, newest
+		}
+	}
+	flush()
 }
 
 // evictPanes drops ring panes no live window can ever touch again: panes

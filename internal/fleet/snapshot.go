@@ -281,6 +281,7 @@ func (fl *Fleet[V, A, Out]) Restore(data []byte) error {
 	}
 	fl.m.logical.Set(int64(logicalTotal))
 	fl.refreshSchedule()
+	fl.pumped = fl.ag.Watermark()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -180,6 +181,30 @@ func TestLoaderSkipsBuildIgnoredFiles(t *testing.T) {
 	l := &Loader{ModulePath: "fixture", Overlay: overlay}
 	if _, err := l.Load("fixture/tools"); err != nil {
 		t.Fatalf("build-ignored file was compiled into the package: %v", err)
+	}
+}
+
+// TestLoaderKeepsToThisPlatform pins that the loader takes a package's files
+// as the go toolchain does on this platform: of two files declaring the same
+// function, one for each side of a //go:build constraint or a _GOOS file name
+// suffix, only the one built here is loaded.
+func TestLoaderKeepsToThisPlatform(t *testing.T) {
+	other := "windows"
+	if runtime.GOOS == other {
+		other = "linux"
+	}
+	overlay := map[string]map[string]string{
+		"fixture/tagged": {
+			"a.go":                      "package tagged\n\nfunc f() int { return g() }\n",
+			"here.go":                   "//go:build " + runtime.GOOS + "\n\npackage tagged\n\nfunc g() int { return 1 }\n",
+			"there.go":                  "//go:build !" + runtime.GOOS + "\n\npackage tagged\n\nfunc g() int { return 2 }\n",
+			"h_" + other + ".go":        "package tagged\n\nfunc h() {}\n",
+			"h_" + runtime.GOOS + ".go": "package tagged\n\nfunc h() {}\n",
+		},
+	}
+	l := &Loader{ModulePath: "fixture", Overlay: overlay}
+	if _, err := l.Load("fixture/tagged"); err != nil {
+		t.Fatalf("a file built only elsewhere was compiled into the package: %v", err)
 	}
 }
 

@@ -3,10 +3,12 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -250,7 +252,7 @@ func (l *Loader) sources(path string) (map[string]string, error) {
 	if ov, ok := l.Overlay[path]; ok {
 		out := map[string]string{}
 		for name, src := range ov {
-			if buildIgnored(src) {
+			if buildExcluded(name, src) {
 				continue
 			}
 			out[path+"/"+name] = src
@@ -284,7 +286,7 @@ func (l *Loader) sources(path string) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if buildIgnored(string(data)) {
+		if buildExcluded(name, string(data)) {
 			continue
 		}
 		out[filepath.Join(dir, name)] = string(data)
@@ -292,22 +294,16 @@ func (l *Loader) sources(path string) (map[string]string, error) {
 	return out, nil
 }
 
-// buildIgnored reports whether the source file excludes itself from the
-// package with a `//go:build ignore` constraint — the convention for
-// go-run-only tool files (`go run file.go` scripts), which the go toolchain
-// never compiles into the surrounding package. Only the bare `ignore` tag is
-// recognized; the loader does not evaluate general build expressions.
-func buildIgnored(src string) bool {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "package ") {
-			return false
-		}
-		if line == "//go:build ignore" || line == "// +build ignore" {
-			return true
-		}
-	}
-	return false
+// buildExcluded reports whether the go toolchain leaves the file out of its
+// package on this platform: its name carries another GOOS or GOARCH, or its
+// //go:build line is not satisfied — the `ignore` tag of go-run-only tool
+// files (`go run file.go` scripts) included. A file whose header does not
+// parse is kept, for the type checker to report.
+func buildExcluded(name, src string) bool {
+	ctx := build.Default
+	ctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(src)), nil }
+	match, err := ctx.MatchFile(".", name)
+	return err == nil && !match
 }
 
 // ModulePathFromGoMod reads the module path declared in dir/go.mod.

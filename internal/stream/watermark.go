@@ -15,10 +15,12 @@ package stream
 type Watermarker struct {
 	// Period is the event-time distance between consecutive watermarks.
 	Period int64
-	// Lag is subtracted from the maximum observed timestamp; choosing Lag
-	// at least as large as the maximum out-of-order delay guarantees that
-	// no event arrives behind the watermark (events that still do are
-	// "late" and handled by allowed lateness).
+	// Lag is subtracted from the maximum observed timestamp: a watermark wm
+	// falls due once maxTS - Lag >= wm, so it may equal the time of an
+	// event Lag behind the newest. Only a Lag strictly larger than the
+	// maximum out-of-order delay keeps every event ahead of the watermark
+	// (events that still arrive at or behind it are "late" and handled by
+	// allowed lateness); callers add 1 to the largest delay for that.
 	Lag int64
 }
 
